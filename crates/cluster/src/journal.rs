@@ -17,13 +17,17 @@
 //! default and `Always` is a config knob rather than hardcoded.
 //!
 //! What is journaled: job identity (seed + spec, validated on replay),
-//! worker registrations with crash epochs, every task assignment,
-//! completion (reduce completions carry their full output — the tracker
-//! holds reduce output, so it would otherwise die with the process),
-//! invalidation and requeue, re-attach reconciliations, one
-//! `TrackerStarted` per recovery, and the final job verdict.
+//! worker registrations with crash epochs, every [`TaskEvent`] the tracker
+//! commits to its [`Book`] — assignment, completion (reduce completions
+//! carry their full output: the tracker holds reduce output, so it would
+//! otherwise die with the process), invalidation and requeue — re-attach
+//! reconciliations, one `TrackerStarted` per recovery, and the final job
+//! verdict. Replay is not a second interpretation of those records:
+//! [`JournalState::from_records`] feeds them to [`Book::apply`], the same
+//! transition function the live tracker mutates through.
 
-use pnats_obs::{TaskCompletion, TaskKind};
+use pnats_engine::book::{Book, EventLog, Phase, TaskEvent};
+use pnats_obs::TaskKind;
 use pnats_rpc::frame::{read_frame, write_frame, FrameError};
 use pnats_rpc::wire::{Reader, WireError, Writer};
 use std::collections::BTreeMap;
@@ -82,77 +86,8 @@ pub enum JournalRecord {
         /// The worker's crash epoch at registration.
         epoch: u32,
     },
-    /// A map attempt was handed to a worker.
-    MapAssigned {
-        /// Map task index.
-        map: u32,
-        /// Attempt tag.
-        attempt: u32,
-        /// Node the attempt runs on.
-        node: u32,
-    },
-    /// A map attempt completed and the tracker accepted it.
-    MapCompleted {
-        /// Map task index.
-        map: u32,
-        /// Attempt tag of the accepted completion.
-        attempt: u32,
-        /// Run epoch the completion belongs to.
-        epoch: u32,
-        /// Node holding the output.
-        node: u32,
-        /// Input bytes the attempt consumed (restores live progress).
-        d_read: u64,
-        /// Intermediate bytes per reduce partition (restores the shuffle
-        /// source book).
-        part_bytes: Vec<u64>,
-    },
-    /// A finished map's output was lost; the map re-runs in a new epoch.
-    MapInvalidated {
-        /// Map task index.
-        map: u32,
-        /// Attempt tag the next attempt will carry.
-        new_attempt: u32,
-        /// The new run epoch.
-        new_epoch: u32,
-        /// Node banned from re-running it (source-unreachable holder), if
-        /// any.
-        banned: Option<u32>,
-    },
-    /// A running map attempt was abandoned (node expired, reply lost) and
-    /// the task requeued.
-    MapRequeued {
-        /// Map task index.
-        map: u32,
-        /// Attempt tag the next attempt will carry.
-        new_attempt: u32,
-    },
-    /// A reduce attempt was handed to a worker.
-    ReduceAssigned {
-        /// Reduce task index.
-        reduce: u32,
-        /// Attempt tag.
-        attempt: u32,
-        /// Node the attempt runs on.
-        node: u32,
-    },
-    /// A reduce attempt completed; the tracker holds the output, so the
-    /// journal must too.
-    ReduceCompleted {
-        /// Reduce task index.
-        reduce: u32,
-        /// Attempt tag of the accepted completion.
-        attempt: u32,
-        /// Final key/value pairs of this partition.
-        output: Vec<(String, String)>,
-    },
-    /// A running reduce attempt was abandoned and the task requeued.
-    ReduceRequeued {
-        /// Reduce task index.
-        reduce: u32,
-        /// Attempt tag the next attempt will carry.
-        new_attempt: u32,
-    },
+    /// A task-level transition of the job book.
+    Task(TaskEvent),
     /// A journal-inherited attempt was confirmed live by a re-attaching
     /// worker and adopted by the new incarnation.
     AttemptReconciled {
@@ -185,6 +120,72 @@ const REC_REDUCE_REQUEUED: u8 = 10;
 const REC_ATTEMPT_RECONCILED: u8 = 11;
 const REC_JOB_FINISHED: u8 = 12;
 
+/// Encode one task event into a frame payload (the bytes of
+/// `JournalRecord::Task(ev)`, without needing an owned record).
+fn encode_task(ev: &TaskEvent) -> Vec<u8> {
+    let mut w = Writer::new();
+    match ev {
+        TaskEvent::MapAssigned { map, attempt, node } => {
+            w.u8(REC_MAP_ASSIGNED);
+            w.u32(*map);
+            w.u32(*attempt);
+            w.u32(*node);
+        }
+        TaskEvent::MapCompleted { map, attempt, epoch, node, d_read, part_bytes } => {
+            w.u8(REC_MAP_COMPLETED);
+            w.u32(*map);
+            w.u32(*attempt);
+            w.u32(*epoch);
+            w.u32(*node);
+            w.u64(*d_read);
+            w.count(part_bytes.len());
+            for b in part_bytes {
+                w.u64(*b);
+            }
+        }
+        TaskEvent::MapInvalidated { map, new_attempt, new_epoch, banned } => {
+            w.u8(REC_MAP_INVALIDATED);
+            w.u32(*map);
+            w.u32(*new_attempt);
+            w.u32(*new_epoch);
+            match banned {
+                Some(n) => {
+                    w.bool(true);
+                    w.u32(*n);
+                }
+                None => w.bool(false),
+            }
+        }
+        TaskEvent::MapRequeued { map, new_attempt } => {
+            w.u8(REC_MAP_REQUEUED);
+            w.u32(*map);
+            w.u32(*new_attempt);
+        }
+        TaskEvent::ReduceAssigned { reduce, attempt, node } => {
+            w.u8(REC_REDUCE_ASSIGNED);
+            w.u32(*reduce);
+            w.u32(*attempt);
+            w.u32(*node);
+        }
+        TaskEvent::ReduceCompleted { reduce, attempt, output } => {
+            w.u8(REC_REDUCE_COMPLETED);
+            w.u32(*reduce);
+            w.u32(*attempt);
+            w.count(output.len());
+            for (k, v) in output {
+                w.string(k);
+                w.string(v);
+            }
+        }
+        TaskEvent::ReduceRequeued { reduce, new_attempt } => {
+            w.u8(REC_REDUCE_REQUEUED);
+            w.u32(*reduce);
+            w.u32(*new_attempt);
+        }
+    }
+    w.into_bytes()
+}
+
 impl JournalRecord {
     /// Encode into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
@@ -206,63 +207,7 @@ impl JournalRecord {
                 w.u32(*node);
                 w.u32(*epoch);
             }
-            JournalRecord::MapAssigned { map, attempt, node } => {
-                w.u8(REC_MAP_ASSIGNED);
-                w.u32(*map);
-                w.u32(*attempt);
-                w.u32(*node);
-            }
-            JournalRecord::MapCompleted { map, attempt, epoch, node, d_read, part_bytes } => {
-                w.u8(REC_MAP_COMPLETED);
-                w.u32(*map);
-                w.u32(*attempt);
-                w.u32(*epoch);
-                w.u32(*node);
-                w.u64(*d_read);
-                w.count(part_bytes.len());
-                for b in part_bytes {
-                    w.u64(*b);
-                }
-            }
-            JournalRecord::MapInvalidated { map, new_attempt, new_epoch, banned } => {
-                w.u8(REC_MAP_INVALIDATED);
-                w.u32(*map);
-                w.u32(*new_attempt);
-                w.u32(*new_epoch);
-                match banned {
-                    Some(n) => {
-                        w.bool(true);
-                        w.u32(*n);
-                    }
-                    None => w.bool(false),
-                }
-            }
-            JournalRecord::MapRequeued { map, new_attempt } => {
-                w.u8(REC_MAP_REQUEUED);
-                w.u32(*map);
-                w.u32(*new_attempt);
-            }
-            JournalRecord::ReduceAssigned { reduce, attempt, node } => {
-                w.u8(REC_REDUCE_ASSIGNED);
-                w.u32(*reduce);
-                w.u32(*attempt);
-                w.u32(*node);
-            }
-            JournalRecord::ReduceCompleted { reduce, attempt, output } => {
-                w.u8(REC_REDUCE_COMPLETED);
-                w.u32(*reduce);
-                w.u32(*attempt);
-                w.count(output.len());
-                for (k, v) in output {
-                    w.string(k);
-                    w.string(v);
-                }
-            }
-            JournalRecord::ReduceRequeued { reduce, new_attempt } => {
-                w.u8(REC_REDUCE_REQUEUED);
-                w.u32(*reduce);
-                w.u32(*new_attempt);
-            }
+            JournalRecord::Task(ev) => return encode_task(ev),
             JournalRecord::AttemptReconciled { kind, index, attempt, node } => {
                 w.u8(REC_ATTEMPT_RECONCILED);
                 w.u8(match kind {
@@ -291,22 +236,24 @@ impl JournalRecord {
     }
 
     fn decode_inner(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            REC_JOB_SUBMITTED => Ok(JournalRecord::JobSubmitted {
-                seed: r.u64()?,
-                n_maps: r.u32()?,
-                n_reduces: r.u32()?,
-                spec: r.string()?,
-            }),
-            REC_TRACKER_STARTED => Ok(JournalRecord::TrackerStarted { crash_epoch: r.u32()? }),
-            REC_WORKER_REGISTERED => {
-                Ok(JournalRecord::WorkerRegistered { node: r.u32()?, epoch: r.u32()? })
+        let task = match r.u8()? {
+            REC_JOB_SUBMITTED => {
+                return Ok(JournalRecord::JobSubmitted {
+                    seed: r.u64()?,
+                    n_maps: r.u32()?,
+                    n_reduces: r.u32()?,
+                    spec: r.string()?,
+                })
             }
-            REC_MAP_ASSIGNED => Ok(JournalRecord::MapAssigned {
-                map: r.u32()?,
-                attempt: r.u32()?,
-                node: r.u32()?,
-            }),
+            REC_TRACKER_STARTED => {
+                return Ok(JournalRecord::TrackerStarted { crash_epoch: r.u32()? })
+            }
+            REC_WORKER_REGISTERED => {
+                return Ok(JournalRecord::WorkerRegistered { node: r.u32()?, epoch: r.u32()? })
+            }
+            REC_MAP_ASSIGNED => {
+                TaskEvent::MapAssigned { map: r.u32()?, attempt: r.u32()?, node: r.u32()? }
+            }
             REC_MAP_COMPLETED => {
                 let map = r.u32()?;
                 let attempt = r.u32()?;
@@ -315,23 +262,19 @@ impl JournalRecord {
                 let d_read = r.u64()?;
                 let n = r.count(8)?;
                 let part_bytes = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
-                Ok(JournalRecord::MapCompleted { map, attempt, epoch, node, d_read, part_bytes })
+                TaskEvent::MapCompleted { map, attempt, epoch, node, d_read, part_bytes }
             }
             REC_MAP_INVALIDATED => {
                 let map = r.u32()?;
                 let new_attempt = r.u32()?;
                 let new_epoch = r.u32()?;
                 let banned = if r.bool()? { Some(r.u32()?) } else { None };
-                Ok(JournalRecord::MapInvalidated { map, new_attempt, new_epoch, banned })
+                TaskEvent::MapInvalidated { map, new_attempt, new_epoch, banned }
             }
-            REC_MAP_REQUEUED => {
-                Ok(JournalRecord::MapRequeued { map: r.u32()?, new_attempt: r.u32()? })
+            REC_MAP_REQUEUED => TaskEvent::MapRequeued { map: r.u32()?, new_attempt: r.u32()? },
+            REC_REDUCE_ASSIGNED => {
+                TaskEvent::ReduceAssigned { reduce: r.u32()?, attempt: r.u32()?, node: r.u32()? }
             }
-            REC_REDUCE_ASSIGNED => Ok(JournalRecord::ReduceAssigned {
-                reduce: r.u32()?,
-                attempt: r.u32()?,
-                node: r.u32()?,
-            }),
             REC_REDUCE_COMPLETED => {
                 let reduce = r.u32()?;
                 let attempt = r.u32()?;
@@ -340,10 +283,10 @@ impl JournalRecord {
                 for _ in 0..n {
                     output.push((r.string()?, r.string()?));
                 }
-                Ok(JournalRecord::ReduceCompleted { reduce, attempt, output })
+                TaskEvent::ReduceCompleted { reduce, attempt, output }
             }
             REC_REDUCE_REQUEUED => {
-                Ok(JournalRecord::ReduceRequeued { reduce: r.u32()?, new_attempt: r.u32()? })
+                TaskEvent::ReduceRequeued { reduce: r.u32()?, new_attempt: r.u32()? }
             }
             REC_ATTEMPT_RECONCILED => {
                 let kind = match r.u8()? {
@@ -351,16 +294,17 @@ impl JournalRecord {
                     1 => TaskKind::Reduce,
                     t => return Err(WireError::UnknownTag(t)),
                 };
-                Ok(JournalRecord::AttemptReconciled {
+                return Ok(JournalRecord::AttemptReconciled {
                     kind,
                     index: r.u32()?,
                     attempt: r.u32()?,
                     node: r.u32()?,
-                })
+                });
             }
-            REC_JOB_FINISHED => Ok(JournalRecord::JobFinished { failed: r.bool()? }),
-            t => Err(WireError::UnknownTag(t)),
-        }
+            REC_JOB_FINISHED => return Ok(JournalRecord::JobFinished { failed: r.bool()? }),
+            t => return Err(WireError::UnknownTag(t)),
+        };
+        Ok(JournalRecord::Task(task))
     }
 }
 
@@ -409,7 +353,11 @@ impl Journal {
     /// Append one record (write-ahead: call *before* applying the
     /// mutation it describes).
     pub fn append(&mut self, rec: &JournalRecord) -> io::Result<()> {
-        write_frame(&mut self.file, &rec.encode()).map_err(|e| match e {
+        self.append_payload(&rec.encode())
+    }
+
+    fn append_payload(&mut self, payload: &[u8]) -> io::Result<()> {
+        write_frame(&mut self.file, payload).map_err(|e| match e {
             FrameError::Io(e) => e,
             FrameError::Wire(e) => io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
         })?;
@@ -417,6 +365,33 @@ impl Journal {
             self.file.sync_data()?;
         }
         Ok(())
+    }
+}
+
+/// The tracker's write-ahead log: the journal when one is configured,
+/// nothing otherwise. Fail-stop on IO error — a tracker that cannot
+/// journal must not keep mutating state it has promised to make durable.
+#[derive(Debug)]
+pub(crate) struct Wal(pub(crate) Option<Journal>);
+
+impl Wal {
+    /// Append one non-task record, *before* the mutation it describes.
+    pub(crate) fn record(&mut self, rec: &JournalRecord) {
+        self.try_record(rec).expect("journal append");
+    }
+
+    /// [`record`](Self::record) for callers that can still return the
+    /// error (tracker start-up, before any state exists).
+    pub(crate) fn try_record(&mut self, rec: &JournalRecord) -> io::Result<()> {
+        self.0.as_mut().map_or(Ok(()), |j| j.append(rec))
+    }
+}
+
+impl EventLog for Wal {
+    fn append(&mut self, ev: &TaskEvent) {
+        if let Some(j) = self.0.as_mut() {
+            j.append_payload(&encode_task(ev)).expect("journal append");
+        }
     }
 }
 
@@ -445,42 +420,6 @@ pub fn read_journal(path: impl AsRef<Path>) -> io::Result<Vec<JournalRecord>> {
     }
 }
 
-/// Per-map book reconstructed by [`JournalState::from_records`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MapBook {
-    /// Next/current attempt tag.
-    pub attempt: u32,
-    /// Run epoch (invalidation count).
-    pub epoch: u32,
-    /// Completed, output live on `holder`.
-    pub finished: bool,
-    /// Assigned and not yet completed/requeued.
-    pub running: bool,
-    /// Node running or holding the map.
-    pub holder: Option<u32>,
-    /// Node banned from re-running it.
-    pub banned: Option<u32>,
-    /// Input bytes consumed (finished maps).
-    pub d_read: u64,
-    /// Per-partition intermediate bytes (finished maps).
-    pub part_bytes: Vec<u64>,
-}
-
-/// Per-reduce book reconstructed by [`JournalState::from_records`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ReduceBook {
-    /// Next/current attempt tag.
-    pub attempt: u32,
-    /// Completed, output held below.
-    pub finished: bool,
-    /// Assigned and not yet completed/requeued.
-    pub running: bool,
-    /// Node running the attempt.
-    pub holder: Option<u32>,
-    /// Final output pairs (finished reduces).
-    pub output: Vec<(String, String)>,
-}
-
 /// Scheduler-visible state folded out of a journal — everything a fresh
 /// tracker incarnation needs that cannot be re-derived from (seed, cfg,
 /// input).
@@ -496,15 +435,12 @@ pub struct JournalState {
     pub spec: String,
     /// Recoveries already performed (count of `TrackerStarted` records).
     pub crash_epochs: u32,
-    /// Per-map book, indexed by map.
-    pub maps: Vec<MapBook>,
-    /// Per-reduce book, indexed by reduce.
-    pub reduces: Vec<ReduceBook>,
+    /// The job book as of the last record — the very type the live
+    /// tracker schedules from, completion ledger included.
+    pub book: Book,
     /// Last journaled crash epoch per node (BTreeMap keeps `dump`
     /// deterministic).
     pub node_epochs: BTreeMap<u32, u32>,
-    /// The cross-incarnation completion ledger, in journal order.
-    pub completions: Vec<TaskCompletion>,
     /// `Some(failed)` when the journal holds a `JobFinished`.
     pub finished: Option<bool>,
     /// Records folded in.
@@ -514,6 +450,8 @@ pub struct JournalState {
 impl JournalState {
     /// Fold a record stream into scheduler state. Pure and deterministic:
     /// same records, same state ([`dump`](Self::dump) is byte-identical).
+    /// Task records go through [`Book::apply`], so a stream the live
+    /// tracker could not have produced is an error here.
     pub fn from_records(records: &[JournalRecord]) -> Result<Self, String> {
         let mut st = JournalState::default();
         for (i, rec) in records.iter().enumerate() {
@@ -527,8 +465,7 @@ impl JournalState {
                     st.n_maps = *n_maps;
                     st.n_reduces = *n_reduces;
                     st.spec = spec.clone();
-                    st.maps = vec![MapBook::default(); *n_maps as usize];
-                    st.reduces = vec![ReduceBook::default(); *n_reduces as usize];
+                    st.book = Book::new(*n_maps as usize, *n_reduces as usize);
                 }
                 JournalRecord::TrackerStarted { crash_epoch } => {
                     if *crash_epoch != st.crash_epochs + 1 {
@@ -542,68 +479,8 @@ impl JournalState {
                 JournalRecord::WorkerRegistered { node, epoch } => {
                     st.node_epochs.insert(*node, *epoch);
                 }
-                JournalRecord::MapAssigned { map, attempt, node } => {
-                    let m = st.map_mut(*map, i)?;
-                    m.attempt = *attempt;
-                    m.holder = Some(*node);
-                    m.running = true;
-                    m.finished = false;
-                }
-                JournalRecord::MapCompleted { map, attempt, epoch, node, d_read, part_bytes } => {
-                    let m = st.map_mut(*map, i)?;
-                    m.attempt = *attempt;
-                    m.epoch = *epoch;
-                    m.holder = Some(*node);
-                    m.running = false;
-                    m.finished = true;
-                    m.d_read = *d_read;
-                    m.part_bytes = part_bytes.clone();
-                    st.completions.push(TaskCompletion {
-                        kind: TaskKind::Map,
-                        index: *map,
-                        epoch: *epoch,
-                    });
-                }
-                JournalRecord::MapInvalidated { map, new_attempt, new_epoch, banned } => {
-                    let m = st.map_mut(*map, i)?;
-                    m.attempt = *new_attempt;
-                    m.epoch = *new_epoch;
-                    m.holder = None;
-                    m.running = false;
-                    m.finished = false;
-                    m.banned = *banned;
-                    m.d_read = 0;
-                    m.part_bytes.clear();
-                }
-                JournalRecord::MapRequeued { map, new_attempt } => {
-                    let m = st.map_mut(*map, i)?;
-                    m.attempt = *new_attempt;
-                    m.holder = None;
-                    m.running = false;
-                }
-                JournalRecord::ReduceAssigned { reduce, attempt, node } => {
-                    let r = st.reduce_mut(*reduce, i)?;
-                    r.attempt = *attempt;
-                    r.holder = Some(*node);
-                    r.running = true;
-                }
-                JournalRecord::ReduceCompleted { reduce, attempt, output } => {
-                    let r = st.reduce_mut(*reduce, i)?;
-                    r.attempt = *attempt;
-                    r.running = false;
-                    r.finished = true;
-                    r.output = output.clone();
-                    st.completions.push(TaskCompletion {
-                        kind: TaskKind::Reduce,
-                        index: *reduce,
-                        epoch: 0,
-                    });
-                }
-                JournalRecord::ReduceRequeued { reduce, new_attempt } => {
-                    let r = st.reduce_mut(*reduce, i)?;
-                    r.attempt = *new_attempt;
-                    r.holder = None;
-                    r.running = false;
+                JournalRecord::Task(ev) => {
+                    st.book.apply(ev).map_err(|e| format!("record {i}: {e}"))?
                 }
                 // Reconciliation is an audit record: the assignment it
                 // confirms is already in the book.
@@ -617,28 +494,20 @@ impl JournalState {
         Ok(st)
     }
 
-    fn map_mut(&mut self, map: u32, i: usize) -> Result<&mut MapBook, String> {
-        let n = self.maps.len();
-        self.maps.get_mut(map as usize).ok_or(format!("record {i}: map {map} out of range {n}"))
-    }
-
-    fn reduce_mut(&mut self, reduce: u32, i: usize) -> Result<&mut ReduceBook, String> {
-        let n = self.reduces.len();
-        self.reduces
-            .get_mut(reduce as usize)
-            .ok_or(format!("record {i}: reduce {reduce} out of range {n}"))
-    }
-
     /// Derived recovery tallies for the counter conservation laws:
     /// `(recovered_maps, recovered_reduces, inherited_assignments,
     /// recovered_reexec)`.
     pub fn recovery_tallies(&self) -> (u64, u64, u64, u64) {
-        let recovered_maps = self.maps.iter().filter(|m| m.finished).count() as u64;
-        let recovered_reduces = self.reduces.iter().filter(|r| r.finished).count() as u64;
-        let inherited = self.maps.iter().filter(|m| m.running).count() as u64
-            + self.reduces.iter().filter(|r| r.running).count() as u64;
-        let reexec: u64 = self.maps.iter().map(|m| m.epoch as u64).sum();
-        (recovered_maps, recovered_reduces, inherited, reexec)
+        let (maps, reduces) = (self.book.maps(), self.book.reduces());
+        let inherited = maps.iter().filter(|m| m.phase.is_running()).count()
+            + reduces.iter().filter(|r| r.phase.is_running()).count();
+        let reexec: u64 = maps.iter().map(|m| m.epoch as u64).sum();
+        (
+            self.book.maps_finished() as u64,
+            self.book.reduces_finished() as u64,
+            inherited as u64,
+            reexec,
+        )
     }
 
     /// Canonical text dump — deterministic byte-for-byte, the artifact
@@ -655,28 +524,33 @@ impl JournalState {
             self.records_applied,
             self.finished,
         );
-        for (i, m) in self.maps.iter().enumerate() {
+        for (i, m) in self.book.maps().iter().enumerate() {
+            let (finished, running) = (m.phase.is_finished(), m.phase.is_running());
             s.push_str(&format!(
-                "map {i} attempt={} epoch={} finished={} running={} holder={:?} banned={:?} \
-                 d_read={} parts={:?}\n",
-                m.attempt, m.epoch, m.finished, m.running, m.holder, m.banned, m.d_read,
+                "map {i} attempt={} epoch={} finished={finished} running={running} holder={:?} \
+                 banned={:?} d_read={} parts={:?}\n",
+                m.attempt,
+                m.epoch,
+                m.phase.holder(),
+                m.banned,
+                m.d_read,
                 m.part_bytes,
             ));
         }
-        for (i, r) in self.reduces.iter().enumerate() {
+        for (i, r) in self.book.reduces().iter().enumerate() {
+            let (finished, running) = (r.phase.is_finished(), r.phase.is_running());
             s.push_str(&format!(
-                "reduce {i} attempt={} finished={} running={} holder={:?} pairs={}\n",
+                "reduce {i} attempt={} finished={finished} running={running} holder={:?} \
+                 pairs={}\n",
                 r.attempt,
-                r.finished,
-                r.running,
-                r.holder,
+                r.phase.holder(),
                 r.output.len(),
             ));
         }
         for (node, epoch) in &self.node_epochs {
             s.push_str(&format!("node {node} epoch={epoch}\n"));
         }
-        for c in &self.completions {
+        for c in self.book.completions() {
             let k = match c.kind {
                 TaskKind::Map => 'm',
                 TaskKind::Reduce => 'r',
@@ -694,35 +568,23 @@ impl JournalState {
 /// incarnations (zero duplicate completions per crash epoch).
 pub fn check_journal_recovery(records: &[JournalRecord]) -> Result<(), String> {
     let st = JournalState::from_records(records)?;
-    if st.finished == Some(false) {
+    if st.finished == Some(false) && !st.book.complete() {
         // Only a successful job promises full resolution.
-        let unresolved_maps: Vec<usize> = st
-            .maps
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.running || !m.finished)
-            .map(|(i, _)| i)
-            .collect();
-        let unresolved_reduces: Vec<usize> = st
-            .reduces
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.running || !r.finished)
-            .map(|(i, _)| i)
-            .collect();
-        if !unresolved_maps.is_empty() || !unresolved_reduces.is_empty() {
-            return Err(format!(
-                "job finished ok but maps {unresolved_maps:?} / reduces {unresolved_reduces:?} \
-                 never resolved"
-            ));
+        fn open(phases: impl Iterator<Item = Phase>) -> Vec<usize> {
+            phases.enumerate().filter(|(_, p)| !p.is_finished()).map(|(i, _)| i).collect()
         }
+        return Err(format!(
+            "job finished ok but maps {:?} / reduces {:?} never resolved",
+            open(st.book.maps().iter().map(|m| m.phase)),
+            open(st.book.reduces().iter().map(|r| r.phase)),
+        ));
     }
     // Zero duplicate completions per crash epoch: a (map, run-epoch) pair
     // completes at most once across all incarnations; a reduce completes
     // at most once, period.
     let mut seen_map = std::collections::HashSet::new();
     let mut seen_reduce = std::collections::HashSet::new();
-    for c in &st.completions {
+    for c in st.book.completions() {
         let fresh = match c.kind {
             TaskKind::Map => seen_map.insert((c.index, c.epoch)),
             TaskKind::Reduce => seen_reduce.insert(c.index),
@@ -742,20 +604,24 @@ pub fn check_journal_recovery(records: &[JournalRecord]) -> Result<(), String> {
     let mut pending: Vec<(u32, TaskKind, u32, u32)> = Vec::new(); // (boundary, kind, index, attempt)
     for rec in records {
         match rec {
-            JournalRecord::MapAssigned { map, attempt, .. } => {
+            JournalRecord::Task(TaskEvent::MapAssigned { map, attempt, .. }) => {
                 running_maps.insert(*map, *attempt);
             }
-            JournalRecord::MapCompleted { map, .. }
-            | JournalRecord::MapInvalidated { map, .. }
-            | JournalRecord::MapRequeued { map, .. } => {
+            JournalRecord::Task(
+                TaskEvent::MapCompleted { map, .. }
+                | TaskEvent::MapInvalidated { map, .. }
+                | TaskEvent::MapRequeued { map, .. },
+            ) => {
                 running_maps.remove(map);
                 pending.retain(|(_, k, i, _)| !(*k == TaskKind::Map && i == map));
             }
-            JournalRecord::ReduceAssigned { reduce, attempt, .. } => {
+            JournalRecord::Task(TaskEvent::ReduceAssigned { reduce, attempt, .. }) => {
                 running_reduces.insert(*reduce, *attempt);
             }
-            JournalRecord::ReduceCompleted { reduce, .. }
-            | JournalRecord::ReduceRequeued { reduce, .. } => {
+            JournalRecord::Task(
+                TaskEvent::ReduceCompleted { reduce, .. }
+                | TaskEvent::ReduceRequeued { reduce, .. },
+            ) => {
                 running_reduces.remove(reduce);
                 pending.retain(|(_, k, i, _)| !(*k == TaskKind::Reduce && i == reduce));
             }
@@ -797,25 +663,31 @@ mod tests {
             },
             JournalRecord::WorkerRegistered { node: 0, epoch: 0 },
             JournalRecord::WorkerRegistered { node: 1, epoch: 0 },
-            JournalRecord::MapAssigned { map: 0, attempt: 0, node: 0 },
-            JournalRecord::MapAssigned { map: 1, attempt: 0, node: 1 },
-            JournalRecord::MapCompleted {
+            JournalRecord::Task(TaskEvent::MapAssigned { map: 0, attempt: 0, node: 0 }),
+            JournalRecord::Task(TaskEvent::MapAssigned { map: 1, attempt: 0, node: 1 }),
+            JournalRecord::Task(TaskEvent::MapCompleted {
                 map: 0,
                 attempt: 0,
                 epoch: 0,
                 node: 0,
                 d_read: 4096,
                 part_bytes: vec![10, 20],
-            },
-            JournalRecord::MapInvalidated { map: 0, new_attempt: 1, new_epoch: 1, banned: None },
-            JournalRecord::MapRequeued { map: 1, new_attempt: 1 },
-            JournalRecord::ReduceAssigned { reduce: 0, attempt: 0, node: 1 },
-            JournalRecord::ReduceCompleted {
+            }),
+            JournalRecord::Task(TaskEvent::MapInvalidated {
+                map: 0,
+                new_attempt: 1,
+                new_epoch: 1,
+                banned: None,
+            }),
+            JournalRecord::Task(TaskEvent::MapRequeued { map: 1, new_attempt: 1 }),
+            JournalRecord::Task(TaskEvent::ReduceAssigned { reduce: 0, attempt: 0, node: 1 }),
+            JournalRecord::Task(TaskEvent::ReduceCompleted {
                 reduce: 0,
                 attempt: 0,
                 output: vec![("k".into(), "3".into())],
-            },
-            JournalRecord::ReduceRequeued { reduce: 1, new_attempt: 1 },
+            }),
+            JournalRecord::Task(TaskEvent::ReduceAssigned { reduce: 1, attempt: 0, node: 0 }),
+            JournalRecord::Task(TaskEvent::ReduceRequeued { reduce: 1, new_attempt: 1 }),
             JournalRecord::TrackerStarted { crash_epoch: 1 },
             JournalRecord::AttemptReconciled {
                 kind: TaskKind::Map,
@@ -825,6 +697,47 @@ mod tests {
             },
             JournalRecord::JobFinished { failed: true },
         ]
+    }
+
+    /// The on-disk format is a compatibility surface: journals written by
+    /// earlier builds must replay, and `cluster.journal.bytes_per_job`
+    /// must not move. The constants were captured by encoding this same
+    /// fixture with the pre-`Task(..)` flat `JournalRecord` encoder.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let mut bytes = Vec::new();
+        for rec in sample_records() {
+            write_frame(&mut bytes, &rec.encode()).unwrap();
+        }
+        assert_eq!((bytes.len(), pnats_rpc::fnv1a32(&bytes)), (341, 0xbf77_c3f0));
+        // The write-ahead path encodes task events without wrapping them;
+        // it must produce the same payload.
+        for rec in sample_records() {
+            if let JournalRecord::Task(ev) = &rec {
+                assert_eq!(encode_task(ev), rec.encode());
+            }
+        }
+    }
+
+    /// Starts are counted by the fold itself (one per `MapAssigned`), so a
+    /// recovered tracker resumes the transient-failure draw and the retry
+    /// budget exactly where the dead one stopped.
+    #[test]
+    fn replay_counts_starts_not_attempt_tags() {
+        let st = JournalState::from_records(&[
+            JournalRecord::JobSubmitted {
+                seed: 1,
+                n_maps: 1,
+                n_reduces: 1,
+                spec: "wordcount".into(),
+            },
+            JournalRecord::Task(TaskEvent::MapAssigned { map: 0, attempt: 0, node: 0 }),
+            JournalRecord::Task(TaskEvent::MapRequeued { map: 0, new_attempt: 1 }),
+            JournalRecord::Task(TaskEvent::MapAssigned { map: 0, attempt: 1, node: 1 }),
+        ])
+        .unwrap();
+        let m = &st.book.maps()[0];
+        assert_eq!((m.starts, m.attempt, m.phase), (2, 1, Phase::Running(1)));
     }
 
     #[test]
@@ -915,18 +828,19 @@ mod tests {
         assert_eq!((st.seed, st.n_maps, st.n_reduces), (42, 3, 2));
         assert_eq!(st.crash_epochs, 1);
         assert_eq!(st.finished, Some(true));
+        let (maps, reduces) = (st.book.maps(), st.book.reduces());
         // Map 0: completed then invalidated.
-        assert!(!st.maps[0].finished && !st.maps[0].running);
-        assert_eq!((st.maps[0].attempt, st.maps[0].epoch), (1, 1));
+        assert_eq!(maps[0].phase, Phase::Unassigned);
+        assert_eq!((maps[0].attempt, maps[0].epoch), (1, 1));
         // Map 1: assigned then requeued.
-        assert!(!st.maps[1].running);
-        assert_eq!(st.maps[1].attempt, 1);
+        assert_eq!(maps[1].phase, Phase::Unassigned);
+        assert_eq!(maps[1].attempt, 1);
         // Reduce 0 finished with output; reduce 1 requeued.
-        assert!(st.reduces[0].finished);
-        assert_eq!(st.reduces[0].output, vec![("k".into(), "3".into())]);
-        assert!(!st.reduces[1].running);
+        assert_eq!(reduces[0].phase, Phase::Finished(1));
+        assert_eq!(reduces[0].output, vec![("k".into(), "3".into())]);
+        assert_eq!(reduces[1].phase, Phase::Unassigned);
         assert_eq!(st.node_epochs.get(&1), Some(&0));
-        assert_eq!(st.completions.len(), 2);
+        assert_eq!(st.book.completions().len(), 2);
         let (rm, rr, inh, reexec) = st.recovery_tallies();
         assert_eq!((rm, rr, inh, reexec), (0, 1, 0, 1));
     }
@@ -941,7 +855,7 @@ mod tests {
                 n_reduces: 1,
                 spec: "wordcount".into(),
             },
-            JournalRecord::MapAssigned { map: 0, attempt: 0, node: 0 },
+            JournalRecord::Task(TaskEvent::MapAssigned { map: 0, attempt: 0, node: 0 }),
             JournalRecord::TrackerStarted { crash_epoch: 1 },
             JournalRecord::AttemptReconciled {
                 kind: TaskKind::Map,
@@ -949,30 +863,34 @@ mod tests {
                 attempt: 0,
                 node: 0,
             },
-            JournalRecord::MapCompleted {
+            JournalRecord::Task(TaskEvent::MapCompleted {
                 map: 0,
                 attempt: 0,
                 epoch: 0,
                 node: 0,
                 d_read: 1,
                 part_bytes: vec![1],
-            },
-            JournalRecord::ReduceAssigned { reduce: 0, attempt: 0, node: 0 },
-            JournalRecord::ReduceCompleted { reduce: 0, attempt: 0, output: vec![] },
+            }),
+            JournalRecord::Task(TaskEvent::ReduceAssigned { reduce: 0, attempt: 0, node: 0 }),
+            JournalRecord::Task(TaskEvent::ReduceCompleted {
+                reduce: 0,
+                attempt: 0,
+                output: vec![],
+            }),
             JournalRecord::JobFinished { failed: false },
         ];
         check_journal_recovery(&ok).unwrap();
         // Duplicate (map, epoch) completion across the restart is fatal.
         ok.insert(
             5,
-            JournalRecord::MapCompleted {
+            JournalRecord::Task(TaskEvent::MapCompleted {
                 map: 0,
                 attempt: 0,
                 epoch: 0,
                 node: 0,
                 d_read: 1,
                 part_bytes: vec![1],
-            },
+            }),
         );
         assert!(check_journal_recovery(&ok).is_err());
         // An assignment outstanding at the boundary that nothing ever
@@ -984,17 +902,17 @@ mod tests {
                 n_reduces: 0,
                 spec: "wordcount".into(),
             },
-            JournalRecord::MapAssigned { map: 1, attempt: 0, node: 0 },
+            JournalRecord::Task(TaskEvent::MapAssigned { map: 1, attempt: 0, node: 0 }),
             JournalRecord::TrackerStarted { crash_epoch: 1 },
-            JournalRecord::MapAssigned { map: 0, attempt: 0, node: 0 },
-            JournalRecord::MapCompleted {
+            JournalRecord::Task(TaskEvent::MapAssigned { map: 0, attempt: 0, node: 0 }),
+            JournalRecord::Task(TaskEvent::MapCompleted {
                 map: 0,
                 attempt: 0,
                 epoch: 0,
                 node: 0,
                 d_read: 1,
                 part_bytes: vec![],
-            },
+            }),
             JournalRecord::JobFinished { failed: false },
         ];
         assert!(check_journal_recovery(&orphan).is_err());

@@ -9,7 +9,13 @@
 //! — the protocol is identical.
 //!
 //! The tracker runs the *unmodified* [`pnats_core::placer::TaskPlacer`]
-//! implementations. Because both runtimes execute tasks through
+//! implementations, and it schedules from the *same* job book as the
+//! engine: [`pnats_engine::book::JobScheduler`] owns job derivation, the
+//! offer loop and every per-task transition, the tracker is one of its two
+//! drivers, and a restarted tracker rebuilds its book by folding the
+//! journal through the book's own `apply` — replay is the live transition
+//! function, not a re-implementation of it. Because both runtimes execute
+//! tasks through
 //! [`pnats_engine::exec`]'s pure primitives, split blocks the same way,
 //! and collect reduce inputs in map-index order, a cluster run's output is
 //! **byte-identical** to an engine run with the same seed — placement and

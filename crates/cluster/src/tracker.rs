@@ -1,35 +1,35 @@
 //! The JobTracker: one RPC server, one shared state mutex, one tick
-//! thread. Every scheduling decision runs through the *unmodified*
-//! [`TaskPlacer`] the simulator and engine use — the tracker is a third
-//! runtime behind the same scheduling contract, with real TCP in between.
+//! thread — the TCP driver of the shared [`JobScheduler`]. Every
+//! scheduling decision runs through the *unmodified* [`TaskPlacer`] the
+//! simulator and engine use, and every piece of job bookkeeping (holders,
+//! attempt tags, run epochs, pending lists, the offer loop, node loss) is
+//! the scheduler's [`pnats_engine::book::Book`], the same one the engine
+//! drives in-process.
 //!
-//! Placement flows through heartbeats exactly as in the engine driver:
-//! a worker's heartbeat syncs its free slots, applies its completed work,
-//! then fills its slots through the placer. Liveness is the tracker's own
-//! problem here (the engine *knows* when a virtual node dies): a
-//! registered worker silent for more than `expire_after` rounds is
-//! declared dead and its completed map outputs are invalidated, which
-//! re-queues those maps under a bumped attempt tag — stale completions
-//! and duplicate deliveries (the client retries calls) are deduplicated
-//! by `(task, attempt, holder)`.
+//! What lives here is what only a real network needs. A worker's
+//! heartbeat syncs its free slots and reports progress and completed work;
+//! the handlers turn that into *decisions that emit events*, and each
+//! event is journaled and then applied inside the scheduler's one commit
+//! path — write-ahead by construction, since the tracker holds the book
+//! read-only. Liveness is the tracker's own problem (the engine *knows* when a
+//! virtual node dies): a registered worker silent for more than
+//! `expire_after` rounds is declared dead, which is the same
+//! [`JobScheduler::lose_node`] a scripted crash runs. Stale completions and
+//! duplicate deliveries (the client retries calls) are deduplicated by
+//! `(task, attempt, holder)`. Safe mode, re-attach reconciliation after a
+//! tracker restart, and the lost-reply ack grace complete the
+//! tracker-only plane; recovery itself is a fold of the journal through
+//! the book's live transition function.
 
 use crate::config::ClusterConfig;
 use crate::jobspec::JobSpec;
-use crate::journal::{read_journal, Journal, JournalRecord, JournalState};
+use crate::journal::{read_journal, Journal, JournalRecord, JournalState, Wal};
 use crate::report::ClusterReport;
-use pnats_core::context::{
-    MapCandidate, MapSchedContext, ReduceCandidate, ReduceSchedContext, ShuffleSource,
-};
-use pnats_core::placer::{Decision, TaskPlacer};
-use pnats_core::types::{JobId, MapTaskId, ReduceTaskId};
-use pnats_dfs::{BlockId, BlockStore, RackAware, ReplicaPlacement};
-use pnats_engine::exec::{slowstart_gate, split_blocks};
-use pnats_metrics::{LocalityClass, LocalityCounter};
-use pnats_net::{ClusterLayout, DistanceMatrix, NodeId, Topology};
-use pnats_obs::{DecisionObserver, FaultKind, FaultRecord, TaskCompletion, TaskKind};
-use pnats_rpc::{Assignment, MapDone, MapFailed, Msg, ProgressReport, ReduceDone, RpcServer};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use pnats_core::placer::TaskPlacer;
+use pnats_engine::book::{JobScheduler, Launch, NodeFault, Phase, Slots, TaskEvent, Verdict};
+use pnats_net::NodeId;
+use pnats_obs::{DecisionObserver, FaultKind, TaskKind};
+use pnats_rpc::{Assignment, Msg, RpcServer};
 use std::io;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -42,15 +42,12 @@ use std::time::{Duration, Instant};
 /// reached the worker.
 const ASSIGNMENT_ACK_GRACE: u64 = 3;
 
+#[derive(Clone, Default)]
 struct NodeState {
     registered: bool,
     epoch: u32,
     data_addr: String,
     last_heard: u64,
-    /// Fault-plan crash window nesting depth; > 0 means scripted-down.
-    down_depth: u32,
-    free_map: u32,
-    free_reduce: u32,
     /// The journal knows this worker but the current incarnation has not
     /// heard from it yet: heartbeats are answered `reattach` instead of
     /// `dead`, and expiry is held for `reattach_grace` rounds.
@@ -60,69 +57,24 @@ struct NodeState {
 struct TrackerState {
     cfg: ClusterConfig,
     spec: JobSpec,
-    blocks: Vec<String>,
-    replicas: Vec<Vec<NodeId>>,
-    map_cands: Vec<MapCandidate>,
-    n_maps: usize,
-    n_reduces: usize,
-    hops: Arc<DistanceMatrix>,
-    layout: ClusterLayout,
-    placer: Box<dyn TaskPlacer>,
-    observer: DecisionObserver,
-    rng: SmallRng,
+    /// The job: book, derived placement inputs, placer, observer, and the
+    /// write-ahead log every book mutation passes through first.
+    sched: JobScheduler<Wal>,
+    /// Free slots as last synced by each worker's heartbeat; zero for any
+    /// node that is not a placement target.
+    slots: Slots,
     start: Instant,
     round: u64,
     nodes: Vec<NodeState>,
-    // Per-map bookkeeping (indices parallel `blocks`).
-    map_holder: Vec<Option<u32>>,
-    map_attempt: Vec<u32>,
-    map_starts: Vec<u32>,
-    map_finished: Vec<bool>,
+    /// Round each running attempt was assigned (or re-confirmed) in — the
+    /// ack-grace clock.
     map_assigned_round: Vec<u64>,
-    /// Crash epoch per map: bumped each time a *completed* output is
-    /// invalidated, so the completion ledger can prove exactly-once per
-    /// epoch (the runtime face of the simulator's oracle law 2).
-    map_epoch: Vec<u32>,
-    /// The node a map must not be re-placed on after a `SourceUnreachable`
-    /// escalation — re-executing on the holder reducers cannot reach would
-    /// reproduce the partition instead of routing around it.
-    map_banned: Vec<Option<u32>>,
-    /// Snapshot of each map's gauges: `(d_read, per-partition bytes)`.
-    progress: Vec<(u64, Vec<u64>)>,
-    maps_finished: usize,
-    // Per-reduce bookkeeping.
-    reduce_holder: Vec<Option<u32>>,
-    reduce_attempt: Vec<u32>,
-    reduce_finished: Vec<bool>,
     reduce_assigned_round: Vec<u64>,
-    reduces_finished: usize,
-    job_reduce_nodes: Vec<NodeId>,
-    final_output: Vec<Vec<(String, String)>>,
-    unassigned_maps: Vec<usize>,
-    unassigned_reduces: Vec<usize>,
-    skipped_offers: u64,
-    map_locality: LocalityCounter,
-    reduce_locality: LocalityCounter,
-    /// `(round, tag, node)`; tag 0 = crash, 1 = recover. Sorted.
-    fault_events: Vec<(u64, u8, usize)>,
-    next_fault: usize,
-    /// Every completion the tracker *accepted*, in acceptance order — the
-    /// ledger `pnats_sim::check_runtime_completions` audits. Seeded from
-    /// the journal on recovery so the exactly-once-per-epoch law spans
-    /// incarnations.
-    completions: Vec<TaskCompletion>,
-    /// The write-ahead journal, when `cfg.journal` is set. Every record is
-    /// appended *before* the mutation it describes is applied or the reply
-    /// carrying it is sent.
-    journal: Option<Journal>,
-    /// Which tracker incarnation this is: 0 for a fresh job, +1 per
-    /// recovery from the journal.
-    crash_epoch: u32,
-    /// Journal-inherited running assignments not yet confirmed by their
-    /// worker (indexed like `map_holder` / `reduce_holder`). Confirmation
-    /// at re-attach books an `attempt_reconciled` fault + journal record.
-    map_inherited: Vec<bool>,
-    reduce_inherited: Vec<bool>,
+    /// Journal-inherited running attempts `(kind, index, attempt)` not yet
+    /// confirmed by their worker. Confirmation at re-attach books an
+    /// `attempt_reconciled` fault + journal record; an entry whose attempt
+    /// was since abandoned can never match again.
+    inherited: Vec<(TaskKind, u32, u32)>,
     /// Wall-clock ms (since this incarnation started) of the first
     /// assignment it handed out — the recovery-latency probe the failover
     /// bench reads.
@@ -137,33 +89,12 @@ struct TrackerState {
 }
 
 impl TrackerState {
-    fn fault(&mut self, kind: FaultKind, node: u32, task: Option<u32>) {
-        let job = if task.is_some() || kind == FaultKind::JobFailed { Some(0) } else { None };
-        self.observer.observe_fault(&FaultRecord {
-            t: self.start.elapsed().as_secs_f64(),
-            kind,
-            node,
-            job,
-            task,
-        });
-    }
-
-    /// Append one journal record (no-op without a journal). Write-ahead
-    /// discipline: called *before* the mutation the record describes.
-    /// Fail-stop on IO error — a tracker that cannot journal must not keep
-    /// mutating state it has promised to make durable.
-    fn journal_rec(&mut self, rec: &JournalRecord) {
-        if let Some(j) = self.journal.as_mut() {
-            j.append(rec).expect("journal append");
-        }
-    }
-
     /// Transition to `done`, journaling the verdict first. Idempotent.
     fn finish(&mut self, failed: bool) {
         if self.done {
             return;
         }
-        self.journal_rec(&JournalRecord::JobFinished { failed });
+        self.sched.log_mut().record(&JournalRecord::JobFinished { failed });
         self.failed = failed;
         self.done = true;
     }
@@ -171,92 +102,43 @@ impl TrackerState {
     /// A node is a placement target when it is registered and not
     /// scripted down (death — scripted or detected — clears `registered`).
     fn alive(&self, n: usize) -> bool {
-        self.nodes[n].registered && self.nodes[n].down_depth == 0
+        self.nodes[n].registered && !self.sched.is_down(n)
     }
 
-    /// Kill a node's contribution to the job: invalidate its completed map
-    /// outputs (they died with its data server), requeue its running work
-    /// under bumped attempt tags, and zero its slots. Mirrors the engine's
-    /// `on_engine_crash`.
+    /// Kill a node's contribution to the job: its completed map outputs
+    /// died with its data server, its running work is requeued under
+    /// bumped attempt tags, and it offers no slots until it registers
+    /// again.
     fn invalidate_node(&mut self, n: usize) {
         self.nodes[n].registered = false;
-        self.nodes[n].free_map = 0;
-        self.nodes[n].free_reduce = 0;
-        let node = NodeId(n as u32);
-        for m in 0..self.n_maps {
-            if self.map_holder[m] != Some(n as u32) || self.unassigned_maps.contains(&m) {
-                continue;
-            }
-            if self.map_finished[m] {
-                self.journal_rec(&JournalRecord::MapInvalidated {
-                    map: m as u32,
-                    new_attempt: self.map_attempt[m] + 1,
-                    new_epoch: self.map_epoch[m] + 1,
-                    banned: None,
-                });
-                self.map_finished[m] = false;
-                self.maps_finished -= 1;
-                self.map_epoch[m] += 1;
-                self.fault(FaultKind::MapInvalidated, n as u32, Some(m as u32));
-            } else {
-                self.journal_rec(&JournalRecord::MapRequeued {
-                    map: m as u32,
-                    new_attempt: self.map_attempt[m] + 1,
-                });
-                self.fault(FaultKind::TaskRescheduled, n as u32, Some(m as u32));
-            }
-            self.map_attempt[m] += 1;
-            self.map_holder[m] = None;
-            self.map_inherited[m] = false;
-            self.progress[m] = (0, vec![0; self.n_reduces]);
-            self.unassigned_maps.push(m);
-        }
-        for r in 0..self.n_reduces {
-            if self.reduce_holder[r] != Some(n as u32) || self.reduce_finished[r] {
-                continue; // finished reduce output is tracker-held, hence durable
-            }
-            self.journal_rec(&JournalRecord::ReduceRequeued {
-                reduce: r as u32,
-                new_attempt: self.reduce_attempt[r] + 1,
-            });
-            self.reduce_inherited[r] = false;
-            self.reduce_attempt[r] += 1;
-            self.reduce_holder[r] = None;
-            self.unassigned_reduces.push(r);
-            if let Some(pos) = self.job_reduce_nodes.iter().position(|x| *x == node) {
-                self.job_reduce_nodes.swap_remove(pos);
-            }
-            self.fault(FaultKind::TaskRescheduled, n as u32, Some(r as u32));
-        }
+        self.slots.set(n, 0, 0);
+        self.sched.lose_node(n);
+    }
+
+    /// A worker the tracker gave up waiting for is as dead as a scripted
+    /// crash — same invalidation, plus the expiry marker that
+    /// distinguishes detection from script.
+    fn expire(&mut self, n: usize) {
+        self.sched.fault(FaultKind::PeerExpired, n as u32, None);
+        self.sched.fault(FaultKind::NodeCrash, n as u32, None);
+        self.invalidate_node(n);
     }
 
     /// One heartbeat round: fault-plan events, liveness expiry, the
     /// whole-fleet-blackout check. Runs on the tick thread.
     fn tick(&mut self) {
+        self.sched.set_now(self.start.elapsed().as_secs_f64());
         self.round += 1;
         let round = self.round;
-        self.placer.on_heartbeat_round(round);
-        self.observer.begin_round(round);
-
-        while self.next_fault < self.fault_events.len()
-            && self.fault_events[self.next_fault].0 <= round
-        {
-            let (_, tag, n) = self.fault_events[self.next_fault];
-            self.next_fault += 1;
-            if tag == 0 {
-                self.nodes[n].down_depth += 1;
-                if self.nodes[n].down_depth > 1 {
-                    continue;
+        for fault in self.sched.begin_round(round) {
+            match fault {
+                NodeFault::Crash(n) => {
+                    self.sched.fault(FaultKind::NodeCrash, n as u32, None);
+                    self.invalidate_node(n);
                 }
-                self.fault(FaultKind::NodeCrash, n as u32, None);
-                self.invalidate_node(n);
-            } else {
-                self.nodes[n].down_depth = self.nodes[n].down_depth.saturating_sub(1);
-                if self.nodes[n].down_depth == 0 {
-                    // The worker re-registers on its own (its heartbeats
-                    // were answered `dead`); slots refill at registration.
-                    self.fault(FaultKind::NodeRecover, n as u32, None);
-                }
+                // The worker re-registers on its own (its heartbeats were
+                // answered `dead`); slots refill at registration.
+                NodeFault::Recover(n) => self.sched.fault(FaultKind::NodeRecover, n as u32, None),
             }
         }
 
@@ -265,48 +147,29 @@ impl TrackerState {
         // Expiring (and invalidating) everyone would throw away work that
         // is still materializing on the far side; instead hold all expiry,
         // keep queued work queued, and record the degradation.
-        let reachable = (0..self.cfg.n_nodes)
-            .filter(|&n| {
-                self.nodes[n].registered
-                    && round.saturating_sub(self.nodes[n].last_heard) <= self.cfg.expire_after
-            })
-            .count();
+        let expire_after = self.cfg.expire_after;
+        let silent = |s: &NodeState| round.saturating_sub(s.last_heard) > expire_after;
+        let reachable = self.nodes.iter().filter(|s| s.registered && !silent(s)).count();
         let degraded = self.cfg.safe_mode_below > 0.0
             && self.ever_registered
             && (reachable as f64) < self.cfg.safe_mode_below * self.cfg.n_nodes as f64;
         if degraded && !self.degraded {
-            self.fault(FaultKind::DegradedMode, reachable as u32, None);
+            self.sched.fault(FaultKind::DegradedMode, reachable as u32, None);
         }
         self.degraded = degraded;
 
-        // Liveness: a registered worker silent beyond the threshold is as
-        // dead as a scripted crash — same invalidation, plus the expiry
-        // marker that distinguishes detection from script.
-        if !self.degraded {
-            for n in 0..self.cfg.n_nodes {
-                if self.nodes[n].registered
-                    && self.nodes[n].down_depth == 0
-                    && round.saturating_sub(self.nodes[n].last_heard) > self.cfg.expire_after
-                {
-                    self.fault(FaultKind::PeerExpired, n as u32, None);
-                    self.fault(FaultKind::NodeCrash, n as u32, None);
-                    self.invalidate_node(n);
-                }
+        // Liveness expiry, and the recovery grace: a journal-known worker
+        // that never re-attached within `reattach_grace` rounds of this
+        // incarnation is as dead as a silent one — its inherited work
+        // (finished outputs included) is invalidated and re-executed.
+        for n in 0..self.cfg.n_nodes {
+            let s = &self.nodes[n];
+            if !degraded && s.registered && !self.sched.is_down(n) && silent(s) {
+                self.expire(n);
             }
-        }
-
-        // Recovery grace: a journal-known worker that never re-attached
-        // within `reattach_grace` rounds of this incarnation is as dead as
-        // an expired one — its inherited work (finished outputs included)
-        // is invalidated and re-executed.
-        if round > self.cfg.reattach_grace {
-            for n in 0..self.cfg.n_nodes {
-                if self.nodes[n].awaiting_reattach {
-                    self.nodes[n].awaiting_reattach = false;
-                    self.fault(FaultKind::PeerExpired, n as u32, None);
-                    self.fault(FaultKind::NodeCrash, n as u32, None);
-                    self.invalidate_node(n);
-                }
+            if round > self.cfg.reattach_grace && self.nodes[n].awaiting_reattach {
+                self.nodes[n].awaiting_reattach = false;
+                self.expire(n);
             }
         }
 
@@ -314,12 +177,32 @@ impl TrackerState {
         // finish the job. (Expired-but-live workers re-register on their
         // own, so expiry alone never triggers this; the wall-clock cap in
         // `wait` bounds every other stall.)
-        if !self.done
-            && (0..self.cfg.n_nodes).all(|n| self.nodes[n].down_depth > 0)
-            && !self.fault_events[self.next_fault..].iter().any(|e| e.1 == 1)
-        {
+        if !self.done && self.sched.permanent_blackout() {
             self.finish(true);
-            self.fault(FaultKind::JobFailed, 0, None);
+            self.sched.fault(FaultKind::JobFailed, 0, None);
+        }
+    }
+
+    /// Dispatch one decoded request. The single entry point of the RPC
+    /// plane (and of handler-level tests).
+    fn handle(&mut self, msg: Msg) -> Msg {
+        self.sched.set_now(self.start.elapsed().as_secs_f64());
+        match msg {
+            Msg::Register { node, epoch, data_addr } => self.on_register(node, epoch, data_addr),
+            Msg::Heartbeat { .. } => self.on_heartbeat(&msg),
+            Msg::SourceUnreachable { map, attempt } => self.on_source_unreachable(map, attempt),
+            Msg::Reattach { .. } => self.on_reattach(&msg),
+            Msg::WhereIs { map } => self.on_where_is(map),
+            Msg::FetchBlock { block } => match self.sched.blocks().get(block as usize) {
+                Some(b) => Msg::BlockData { block, data: b.clone() },
+                None => Msg::NotHere,
+            },
+            Msg::Shutdown => {
+                // External stop: whatever is incomplete stays incomplete.
+                self.finish(!self.sched.book().complete());
+                Msg::Ack
+            }
+            _ => Msg::Ack,
         }
     }
 
@@ -328,7 +211,7 @@ impl TrackerState {
         if n >= self.cfg.n_nodes || self.done {
             return Msg::Shutdown;
         }
-        if self.nodes[n].down_depth > 0 {
+        if self.sched.is_down(n) {
             return Msg::NotReady; // scripted-down: hold the worker off
         }
         if self.nodes[n].awaiting_reattach {
@@ -337,46 +220,52 @@ impl TrackerState {
             self.nodes[n].awaiting_reattach = false;
             self.invalidate_node(n);
         }
-        self.journal_rec(&JournalRecord::WorkerRegistered { node, epoch });
-        self.nodes[n].registered = true;
+        self.sched.log_mut().record(&JournalRecord::WorkerRegistered { node, epoch });
         self.ever_registered = true;
-        self.nodes[n].epoch = epoch;
-        self.nodes[n].data_addr = data_addr;
-        self.nodes[n].last_heard = self.round;
-        self.nodes[n].free_map = self.cfg.map_slots;
-        self.nodes[n].free_reduce = self.cfg.reduce_slots;
-        let shard: Vec<(u32, String)> = (0..self.n_maps)
-            .filter(|&b| self.replicas[b].contains(&NodeId(node)))
-            .map(|b| (b as u32, self.blocks[b].clone()))
+        self.nodes[n] = NodeState {
+            registered: true,
+            epoch,
+            data_addr,
+            last_heard: self.round,
+            awaiting_reattach: false,
+        };
+        self.slots.set(n, self.cfg.map_slots, self.cfg.reduce_slots);
+        let blocks = self.sched.blocks();
+        let shard: Vec<(u32, String)> = (0..blocks.len())
+            .filter(|&b| self.sched.replicas(b).contains(&NodeId(node)))
+            .map(|b| (b as u32, blocks[b].clone()))
             .collect();
         Msg::RegisterAck {
             node,
             job: self.spec.to_wire(),
-            n_reduces: self.n_reduces as u32,
+            n_reduces: self.sched.book().reduces().len() as u32,
             partitioner: self.cfg.partitioner.tag(),
             cpu_us_per_kib: self.cfg.cpu_us_per_kib,
             blocks: shard,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_heartbeat(
-        &mut self,
-        node: u32,
-        epoch: u32,
-        free_map_slots: u32,
-        free_reduce_slots: u32,
-        progress: Vec<ProgressReport>,
-        map_done: Vec<MapDone>,
-        map_failed: Vec<MapFailed>,
-        reduce_done: Vec<ReduceDone>,
-        running_reduces: Vec<(u32, u32)>,
-        rpc_retries: u64,
-        breaker_trips: u64,
-        breaker_closes: u64,
-        alt_fetches: u64,
-        corrupt_frames: u64,
-    ) -> Msg {
+    fn on_heartbeat(&mut self, hb: &Msg) -> Msg {
+        let Msg::Heartbeat {
+            node,
+            epoch,
+            free_map_slots,
+            free_reduce_slots,
+            progress,
+            map_done,
+            map_failed,
+            reduce_done,
+            rpc_retries,
+            breaker_trips,
+            breaker_closes,
+            alt_fetches,
+            corrupt_frames,
+            ..
+        } = hb
+        else {
+            return Msg::Ack;
+        };
+        let (node, n) = (*node, *node as usize);
         let reply = |assignments, invalidate, ignored, dead, shutdown| Msg::HeartbeatReply {
             assignments,
             invalidate,
@@ -385,17 +274,14 @@ impl TrackerState {
             shutdown,
             reattach: false,
         };
-        let n = node as usize;
         if n >= self.cfg.n_nodes {
             return reply(Vec::new(), Vec::new(), false, true, false);
         }
         if self.done {
             return reply(Vec::new(), Vec::new(), false, false, true);
         }
-        if self.nodes[n].awaiting_reattach
-            && self.nodes[n].epoch == epoch
-            && self.nodes[n].down_depth == 0
-        {
+        let known_epoch = self.nodes[n].epoch == *epoch && !self.sched.is_down(n);
+        if self.nodes[n].awaiting_reattach && known_epoch {
             // A recovered tracker hearing from a journal-known worker that
             // never noticed the restart: tell it to re-attach *keeping* its
             // state (unlike `dead`, which would wipe finished outputs the
@@ -409,158 +295,69 @@ impl TrackerState {
                 reattach: true,
             };
         }
-        if !self.nodes[n].registered || self.nodes[n].epoch != epoch || self.nodes[n].down_depth > 0
-        {
+        if !self.nodes[n].registered || !known_epoch {
             // Unknown epoch or declared-dead worker: make it wipe and
             // re-register so both sides agree on a fresh attempt space.
             return reply(Vec::new(), Vec::new(), false, true, false);
         }
         let round = self.round;
-        if self
-            .cfg
-            .faults
-            .heartbeat_losses
-            .iter()
-            .any(|h| h.node == n && (h.from as u64) <= round && round < h.until as u64)
-        {
+        let lost = |h: &pnats_core::faults::HeartbeatLoss| {
+            h.node == n && (h.from as u64) <= round && round < h.until as u64
+        };
+        if self.cfg.faults.heartbeat_losses.iter().any(lost) {
             // The fault plan eats this heartbeat: nothing is applied, the
             // worker keeps its pending statuses, `last_heard` stays stale
             // so a long enough window expires the node.
-            self.fault(FaultKind::HeartbeatLost, node, None);
+            self.sched.fault(FaultKind::HeartbeatLost, node, None);
             return reply(Vec::new(), Vec::new(), true, false, false);
         }
         self.nodes[n].last_heard = round;
-        self.nodes[n].free_map = free_map_slots;
-        self.nodes[n].free_reduce = free_reduce_slots;
-        for _ in 0..rpc_retries.min(10_000) {
-            self.fault(FaultKind::RpcRetry, node, None);
-        }
-        for _ in 0..breaker_trips.min(10_000) {
-            self.fault(FaultKind::CircuitOpen, node, None);
-        }
-        for _ in 0..breaker_closes.min(10_000) {
-            self.fault(FaultKind::CircuitClose, node, None);
-        }
-        for _ in 0..alt_fetches.min(10_000) {
-            self.fault(FaultKind::AltSourceFetch, node, None);
-        }
-        for _ in 0..corrupt_frames.min(10_000) {
-            self.fault(FaultKind::FrameCorrupted, node, None);
+        // A worker cannot have more free slots than it has slots: an
+        // unclamped claim would be handed every pending task in one reply.
+        self.slots.set(
+            n,
+            (*free_map_slots).min(self.cfg.map_slots),
+            (*free_reduce_slots).min(self.cfg.reduce_slots),
+        );
+        for (count, kind) in [
+            (rpc_retries, FaultKind::RpcRetry),
+            (breaker_trips, FaultKind::CircuitOpen),
+            (breaker_closes, FaultKind::CircuitClose),
+            (alt_fetches, FaultKind::AltSourceFetch),
+            (corrupt_frames, FaultKind::FrameCorrupted),
+        ] {
+            for _ in 0..(*count).min(10_000) {
+                self.sched.fault(kind, node, None);
+            }
         }
 
+        for p in progress {
+            if self.sched.book().map_running_as(p.map, p.attempt, node) {
+                self.sched.note_progress(p.map, p.d_read, p.part_bytes.iter().copied());
+            }
+        }
+        // Stale attempts (invalidated or rescheduled since): the worker
+        // must drop the bytes it is holding for them. A duplicate delivery
+        // of an applied completion is accepted silently.
         let mut invalidate: Vec<u32> = Vec::new();
-
-        for p in &progress {
-            let m = p.map as usize;
-            if m < self.n_maps
-                && self.map_holder[m] == Some(node)
-                && self.map_attempt[m] == p.attempt
-                && !self.map_finished[m]
-            {
-                self.progress[m] = (p.d_read, p.part_bytes.clone());
-            }
-        }
-        for d in &map_done {
-            let m = d.map as usize;
-            if m >= self.n_maps {
-                continue;
-            }
-            if self.map_holder[m] == Some(node) && self.map_attempt[m] == d.attempt {
-                if !self.map_finished[m] {
-                    self.journal_rec(&JournalRecord::MapCompleted {
-                        map: d.map,
-                        attempt: d.attempt,
-                        epoch: self.map_epoch[m],
-                        node,
-                        d_read: self.blocks[m].len() as u64,
-                        part_bytes: d.bytes.clone(),
-                    });
-                    self.map_finished[m] = true;
-                    self.maps_finished += 1;
-                    self.map_inherited[m] = false;
-                    self.progress[m] = (self.blocks[m].len() as u64, d.bytes.clone());
-                    self.completions.push(TaskCompletion {
-                        kind: TaskKind::Map,
-                        index: d.map,
-                        epoch: self.map_epoch[m],
-                    });
-                }
-                // else: duplicate delivery of an applied completion — the
-                // held output is still the valid one; accept silently.
-            } else {
-                // Stale attempt (invalidated or rescheduled since): the
-                // worker must drop the bytes it is holding for this map.
+        for d in map_done {
+            if self.sched.map_done(d.map, d.attempt, node, &d.bytes) == Verdict::Stale {
                 invalidate.push(d.map);
             }
         }
-        for f in &map_failed {
-            let m = f.map as usize;
-            if m >= self.n_maps
-                || self.map_holder[m] != Some(node)
-                || self.map_attempt[m] != f.attempt
-                || self.map_finished[m]
-            {
-                continue; // stale or duplicate failure report
-            }
-            self.journal_rec(&JournalRecord::MapRequeued {
-                map: f.map,
-                new_attempt: self.map_attempt[m] + 1,
-            });
-            self.map_attempt[m] += 1;
-            self.map_inherited[m] = false;
-            self.fault(FaultKind::TransientFailure, node, Some(f.map));
-            if self.map_starts[m] >= self.cfg.faults.max_attempts {
-                self.failed = true;
-                self.fault(FaultKind::JobFailed, node, Some(f.map));
-            } else {
-                self.map_holder[m] = None;
-                self.progress[m] = (0, vec![0; self.n_reduces]);
-                self.unassigned_maps.push(m);
-            }
+        for f in map_failed {
+            self.failed |= self.sched.map_failed(f.map, f.attempt, node) == Some(true);
         }
-        for r in &reduce_done {
-            let red = r.reduce as usize;
-            if red >= self.n_reduces
-                || self.reduce_holder[red] != Some(node)
-                || self.reduce_attempt[red] != r.attempt
-                || self.reduce_finished[red]
-            {
-                continue; // stale or duplicate completion
-            }
-            self.journal_rec(&JournalRecord::ReduceCompleted {
-                reduce: r.reduce,
-                attempt: r.attempt,
-                output: r.output.clone(),
-            });
-            self.reduce_finished[red] = true;
-            self.reduces_finished += 1;
-            self.reduce_inherited[red] = false;
-            self.final_output[red] = r.output.clone();
-            self.completions.push(TaskCompletion { kind: TaskKind::Reduce, index: r.reduce, epoch: 0 });
-            let nid = NodeId(node);
-            if let Some(pos) = self.job_reduce_nodes.iter().position(|x| *x == nid) {
-                self.job_reduce_nodes.swap_remove(pos);
-            }
-            let dominant = r.sources.iter().max_by_key(|(_, b)| *b).map(|(s, _)| NodeId(*s));
-            self.reduce_locality.record(match dominant {
-                Some(d) if d == nid => LocalityClass::NodeLocal,
-                Some(d) if self.layout.same_rack(d, nid) => LocalityClass::RackLocal,
-                Some(_) => LocalityClass::Remote,
-                None => LocalityClass::NodeLocal,
-            });
+        for r in reduce_done {
+            self.sched.reduce_done(r.reduce, r.attempt, node, r.output.clone(), &r.sources);
         }
+        self.requeue_unacked(hb);
 
-        self.requeue_unacked(node, &progress, &map_done, &map_failed, &running_reduces, &reduce_done);
-
-        if self.failed
-            || (self.maps_finished == self.n_maps && self.reduces_finished == self.n_reduces)
-        {
+        if self.failed || self.sched.book().complete() {
             self.finish(self.failed);
             return reply(Vec::new(), invalidate, false, false, true);
         }
-
-        let assignments = self.schedule(NodeId(node));
-        reply(assignments, invalidate, false, false, false)
+        reply(self.schedule(NodeId(node)), invalidate, false, false, false)
     }
 
     /// Detect assignments this worker never heard about (the reply that
@@ -568,65 +365,36 @@ impl TrackerState {
     /// requeue them. A task the tracker booked on the node that appears in
     /// none of the worker's reported running or completed work past the
     /// ack grace is unknown to the worker and will never run there.
-    fn requeue_unacked(
-        &mut self,
-        node: u32,
-        progress: &[ProgressReport],
-        map_done: &[MapDone],
-        map_failed: &[MapFailed],
-        running_reduces: &[(u32, u32)],
-        reduce_done: &[ReduceDone],
-    ) {
-        let round = self.round;
-        for m in 0..self.n_maps {
-            if self.map_holder[m] != Some(node)
-                || self.map_finished[m]
-                || round < self.map_assigned_round[m] + ASSIGNMENT_ACK_GRACE
-            {
-                continue;
-            }
+    fn requeue_unacked(&mut self, hb: &Msg) {
+        let Msg::Heartbeat {
+            node, progress, map_done, map_failed, reduce_done, running_reduces, ..
+        } = hb
+        else {
+            return;
+        };
+        let overdue = |assigned: u64| self.round >= assigned + ASSIGNMENT_ACK_GRACE;
+        let book = self.sched.book();
+        let mut lost: Vec<TaskEvent> = Vec::new();
+        for (m, t) in book.maps().iter().enumerate() {
             let id = m as u32;
             let known = progress.iter().any(|p| p.map == id)
                 || map_done.iter().any(|d| d.map == id)
                 || map_failed.iter().any(|f| f.map == id);
-            if !known {
-                self.journal_rec(&JournalRecord::MapRequeued {
-                    map: id,
-                    new_attempt: self.map_attempt[m] + 1,
-                });
-                self.fault(FaultKind::TaskRescheduled, node, Some(id));
-                self.map_attempt[m] += 1;
-                self.map_holder[m] = None;
-                self.map_inherited[m] = false;
-                self.progress[m] = (0, vec![0; self.n_reduces]);
-                self.unassigned_maps.push(m);
+            if t.phase == Phase::Running(*node) && overdue(self.map_assigned_round[m]) && !known {
+                lost.push(TaskEvent::MapRequeued { map: id, new_attempt: t.attempt + 1 });
             }
         }
-        for r in 0..self.n_reduces {
-            if self.reduce_holder[r] != Some(node)
-                || self.reduce_finished[r]
-                || round < self.reduce_assigned_round[r] + ASSIGNMENT_ACK_GRACE
-            {
-                continue;
-            }
+        for (r, t) in book.reduces().iter().enumerate() {
             let id = r as u32;
             let known = running_reduces.iter().any(|(red, _)| *red == id)
                 || reduce_done.iter().any(|d| d.reduce == id);
-            if !known {
-                self.journal_rec(&JournalRecord::ReduceRequeued {
-                    reduce: id,
-                    new_attempt: self.reduce_attempt[r] + 1,
-                });
-                self.fault(FaultKind::TaskRescheduled, node, Some(id));
-                self.reduce_attempt[r] += 1;
-                self.reduce_holder[r] = None;
-                self.reduce_inherited[r] = false;
-                self.unassigned_reduces.push(r);
-                let nid = NodeId(node);
-                if let Some(pos) = self.job_reduce_nodes.iter().position(|x| *x == nid) {
-                    self.job_reduce_nodes.swap_remove(pos);
-                }
+            if t.phase == Phase::Running(*node) && overdue(self.reduce_assigned_round[r]) && !known
+            {
+                lost.push(TaskEvent::ReduceRequeued { reduce: id, new_attempt: t.attempt + 1 });
             }
+        }
+        for ev in &lost {
+            self.sched.retract(ev, *node);
         }
     }
 
@@ -638,214 +406,67 @@ impl TrackerState {
     /// attempt, or a crash invalidated the output first) are ignored — the
     /// attempt tag makes the message idempotent across duplicate senders.
     fn on_source_unreachable(&mut self, map: u32, attempt: u32) -> Msg {
-        let m = map as usize;
-        if self.done || m >= self.n_maps || self.map_attempt[m] != attempt || !self.map_finished[m]
-        {
+        let Some(t) = self.sched.book().maps().get(map as usize) else {
+            return Msg::Ack;
+        };
+        let (Phase::Finished(holder), epoch) = (t.phase, t.epoch) else {
+            return Msg::Ack;
+        };
+        if self.done || t.attempt != attempt {
             return Msg::Ack;
         }
-        let holder = self.map_holder[m];
-        self.journal_rec(&JournalRecord::MapInvalidated {
+        self.sched.fault(FaultKind::LinkPartitioned, holder, Some(map));
+        let ev = TaskEvent::MapInvalidated {
             map,
-            new_attempt: self.map_attempt[m] + 1,
-            new_epoch: self.map_epoch[m] + 1,
-            banned: holder,
-        });
-        self.map_finished[m] = false;
-        self.maps_finished -= 1;
-        self.map_epoch[m] += 1;
-        self.map_attempt[m] += 1;
-        self.map_holder[m] = None;
-        self.map_banned[m] = holder;
-        self.progress[m] = (0, vec![0; self.n_reduces]);
-        self.unassigned_maps.push(m);
-        self.fault(FaultKind::LinkPartitioned, holder.unwrap_or(u32::MAX), Some(map));
-        self.fault(FaultKind::MapInvalidated, holder.unwrap_or(u32::MAX), Some(map));
+            new_attempt: attempt + 1,
+            new_epoch: epoch + 1,
+            banned: Some(holder),
+        };
+        self.sched.retract(&ev, holder);
         Msg::Ack
     }
 
-    /// Fill `node`'s free slots through the placer — the same offer loop,
-    /// candidate construction and slowstart gate as the engine driver.
+    /// Fill `node`'s free slots through the scheduler's offer loop and
+    /// dress each launch as a wire assignment.
     fn schedule(&mut self, node: NodeId) -> Vec<Assignment> {
-        let jid = JobId(0);
-        let mut out = Vec::new();
-        let n = node.idx();
-        let now = self.start.elapsed().as_secs_f64();
-
-        loop {
-            if self.nodes[n].free_map == 0 {
-                break;
-            }
-            // Maps banned on this node (their last holder is unreachable
-            // from some reducer) are withheld from its offers; with no
-            // bans this is exactly the old unassigned list, so parity
-            // runs see identical offers.
-            let offerable: Vec<usize> = self
-                .unassigned_maps
-                .iter()
-                .copied()
-                .filter(|&m| self.map_banned[m] != Some(node.0))
-                .collect();
-            if offerable.is_empty() {
-                break;
-            }
-            let cands: Vec<MapCandidate> =
-                offerable.iter().map(|&m| self.map_cands[m].clone()).collect();
-            let free_nodes: Vec<NodeId> = (0..self.cfg.n_nodes)
-                .filter(|&i| self.alive(i) && self.nodes[i].free_map > 0)
-                .map(|i| NodeId(i as u32))
-                .collect();
-            let decision = {
-                let TrackerState { placer, rng, observer, hops, layout, .. } = self;
-                let ctx =
-                    MapSchedContext::new(jid, &cands, &free_nodes, hops.as_ref(), layout).at(now);
-                let decision = placer.place_map(&ctx, node, rng);
-                observer.observe_map(&ctx, node, decision, placer.last_detail());
-                decision
-            };
-            match decision {
-                Decision::Assign(i) => {
-                    let m = offerable[i];
-                    self.journal_rec(&JournalRecord::MapAssigned {
-                        map: m as u32,
-                        attempt: self.map_attempt[m],
-                        node: node.0,
-                    });
-                    if self.first_assign_ms.is_none() {
-                        self.first_assign_ms = Some(self.start.elapsed().as_millis() as u64);
-                    }
-                    let pos = self
-                        .unassigned_maps
-                        .iter()
-                        .position(|&x| x == m)
-                        .expect("offerable is a subset of unassigned");
-                    self.unassigned_maps.swap_remove(pos);
-                    self.nodes[n].free_map -= 1;
-                    self.map_holder[m] = Some(node.0);
-                    self.map_assigned_round[m] = self.round;
-                    self.map_locality.record(if cands[i].is_local_to(node) {
-                        LocalityClass::NodeLocal
-                    } else if cands[i].is_rack_local_to(node, &self.layout) {
-                        LocalityClass::RackLocal
-                    } else {
-                        LocalityClass::Remote
-                    });
-                    // Same 1-based attempt key as the simulator and the
-                    // engine, so transient-failure verdicts agree.
-                    self.map_starts[m] += 1;
-                    let doomed = self.cfg.faults.transient_map_failure_p > 0.0
-                        && self.cfg.faults.map_attempt_fails(self.cfg.seed, m, self.map_starts[m]);
-                    let sources: Vec<String> = self.replicas[m]
-                        .iter()
+        let launches = self.sched.offer(node, &mut self.slots);
+        if !launches.is_empty() && self.first_assign_ms.is_none() {
+            self.first_assign_ms = Some(self.start.elapsed().as_millis() as u64);
+        }
+        let mut out = Vec::with_capacity(launches.len());
+        for launch in launches {
+            out.push(match launch {
+                Launch::Map { map, attempt, doomed } => {
+                    self.map_assigned_round[map as usize] = self.round;
+                    let replicas = self.sched.replicas(map as usize).iter();
+                    let sources = replicas
                         .filter(|r| **r != node && self.alive(r.idx()))
                         .map(|r| self.nodes[r.idx()].data_addr.clone())
                         .collect();
-                    out.push(Assignment::Map {
-                        map: m as u32,
-                        attempt: self.map_attempt[m],
-                        doomed,
-                        sources,
-                    });
+                    Assignment::Map { map, attempt, doomed, sources }
                 }
-                Decision::Skip(_) => {
-                    self.skipped_offers += 1;
-                    break;
+                Launch::Reduce { reduce, attempt } => {
+                    self.reduce_assigned_round[reduce as usize] = self.round;
+                    let n_maps = self.sched.book().maps().len() as u32;
+                    Assignment::Reduce { reduce, attempt, n_maps }
                 }
-            }
-        }
-
-        if self.maps_finished < slowstart_gate(self.cfg.slowstart, self.n_maps) {
-            return out;
-        }
-        while self.nodes[n].free_reduce > 0 && !self.unassigned_reduces.is_empty() {
-            let cands: Vec<ReduceCandidate> = self
-                .unassigned_reduces
-                .iter()
-                .map(|&f| ReduceCandidate {
-                    task: ReduceTaskId { job: jid, index: f as u32 },
-                    sources: self.shuffle_sources(f),
-                })
-                .collect();
-            let free_nodes: Vec<NodeId> = (0..self.cfg.n_nodes)
-                .filter(|&i| self.alive(i) && self.nodes[i].free_reduce > 0)
-                .map(|i| NodeId(i as u32))
-                .collect();
-            let read_total: u64 = self.progress.iter().map(|p| p.0).sum();
-            let bytes_total: u64 = self.blocks.iter().map(|b| b.len() as u64).sum();
-            let launched = self.n_reduces - self.unassigned_reduces.len();
-            let (maps_finished, n_maps, n_reduces) = (self.maps_finished, self.n_maps, self.n_reduces);
-            let decision = {
-                let TrackerState { placer, rng, observer, hops, layout, job_reduce_nodes, .. } =
-                    self;
-                let ctx = ReduceSchedContext::new(jid, &cands, &free_nodes, hops.as_ref(), layout)
-                    .running_on(job_reduce_nodes)
-                    .map_phase(read_total as f64 / bytes_total.max(1) as f64, maps_finished, n_maps)
-                    .reduce_phase(launched, n_reduces)
-                    .at(now);
-                let decision = placer.place_reduce(&ctx, node, rng);
-                observer.observe_reduce(&ctx, node, decision, placer.last_detail());
-                decision
-            };
-            match decision {
-                Decision::Assign(i) => {
-                    let red = self.unassigned_reduces[i];
-                    self.journal_rec(&JournalRecord::ReduceAssigned {
-                        reduce: red as u32,
-                        attempt: self.reduce_attempt[red],
-                        node: node.0,
-                    });
-                    if self.first_assign_ms.is_none() {
-                        self.first_assign_ms = Some(self.start.elapsed().as_millis() as u64);
-                    }
-                    let red = self.unassigned_reduces.swap_remove(i);
-                    self.nodes[n].free_reduce -= 1;
-                    self.reduce_holder[red] = Some(node.0);
-                    self.reduce_assigned_round[red] = self.round;
-                    self.job_reduce_nodes.push(node);
-                    out.push(Assignment::Reduce {
-                        reduce: red as u32,
-                        attempt: self.reduce_attempt[red],
-                        n_maps: self.n_maps as u32,
-                    });
-                }
-                Decision::Skip(_) => {
-                    self.skipped_offers += 1;
-                    break;
-                }
-            }
+            });
         }
         out
     }
 
-    /// Live shuffle sources for one reduce partition, from heartbeat
-    /// progress snapshots — the cluster analogue of the engine's
-    /// gauge-backed version.
-    fn shuffle_sources(&self, partition: usize) -> Vec<ShuffleSource> {
-        (0..self.n_maps)
-            .filter_map(|m| {
-                self.map_holder[m].map(|h| ShuffleSource {
-                    node: NodeId(h),
-                    current_bytes: self.progress[m].1.get(partition).copied().unwrap_or(0) as f64,
-                    input_read: self.progress[m].0,
-                    input_total: self.blocks[m].len() as u64,
-                })
-            })
-            .collect()
-    }
-
     fn on_where_is(&self, map: u32) -> Msg {
-        let m = map as usize;
-        if m < self.n_maps && self.map_finished[m] {
-            if let Some(h) = self.map_holder[m] {
-                if self.alive(h as usize) {
-                    return Msg::MapAt {
-                        node: h,
-                        addr: self.nodes[h as usize].data_addr.clone(),
-                        attempt: self.map_attempt[m],
-                    };
-                }
-            }
+        match self.sched.book().maps().get(map as usize) {
+            Some(t) => match t.phase {
+                Phase::Finished(h) if self.alive(h as usize) => Msg::MapAt {
+                    node: h,
+                    addr: self.nodes[h as usize].data_addr.clone(),
+                    attempt: t.attempt,
+                },
+                _ => Msg::NotReady,
+            },
+            None => Msg::NotReady,
         }
-        Msg::NotReady
     }
 
     /// An orphaned worker presenting its local truth to a (possibly fresh)
@@ -857,16 +478,13 @@ impl TrackerState {
     /// and stale bytes on the worker are sent back in `invalidate`.
     /// Idempotent — a duplicate `Reattach` (retried call, lost ack) finds
     /// nothing left to reconcile.
-    fn on_reattach(
-        &mut self,
-        node: u32,
-        epoch: u32,
-        data_addr: String,
-        finished_maps: Vec<(u32, u32)>,
-        running_maps: Vec<(u32, u32)>,
-        running_reduces: Vec<(u32, u32)>,
-    ) -> Msg {
-        let n = node as usize;
+    fn on_reattach(&mut self, msg: &Msg) -> Msg {
+        let Msg::Reattach { node, epoch, data_addr, finished_maps, running_maps, running_reduces } =
+            msg
+        else {
+            return Msg::Ack;
+        };
+        let (node, n) = (*node, *node as usize);
         let dead = Msg::ReattachAck { invalidate: Vec::new(), dead: true, shutdown: false };
         if n >= self.cfg.n_nodes {
             return dead;
@@ -874,202 +492,129 @@ impl TrackerState {
         if self.done {
             return Msg::ReattachAck { invalidate: Vec::new(), dead: false, shutdown: true };
         }
-        if self.nodes[n].epoch != epoch
-            || self.nodes[n].down_depth > 0
-            || !(self.nodes[n].awaiting_reattach || self.nodes[n].registered)
+        let was_awaiting = self.nodes[n].awaiting_reattach;
+        if self.nodes[n].epoch != *epoch
+            || self.sched.is_down(n)
+            || !(was_awaiting || self.nodes[n].registered)
         {
             // Unknown node, stale epoch, or one already declared dead and
             // invalidated: only a wipe + fresh registration realigns us.
             return dead;
         }
-        let was_awaiting = self.nodes[n].awaiting_reattach;
-        self.nodes[n].awaiting_reattach = false;
-        self.nodes[n].registered = true;
         self.ever_registered = true;
-        self.nodes[n].data_addr = data_addr;
-        self.nodes[n].last_heard = self.round;
+        self.nodes[n] = NodeState {
+            registered: true,
+            epoch: *epoch,
+            data_addr: data_addr.clone(),
+            last_heard: self.round,
+            awaiting_reattach: false,
+        };
         // Slots sync on the next heartbeat; claim nothing until then.
-        self.nodes[n].free_map = 0;
-        self.nodes[n].free_reduce = 0;
+        self.slots.set(n, 0, 0);
         if was_awaiting {
-            self.fault(FaultKind::WorkerReattached, node, None);
+            self.sched.fault(FaultKind::WorkerReattached, node, None);
         }
 
-        for m in 0..self.n_maps {
-            if self.map_holder[m] != Some(node) {
-                continue;
-            }
-            let attempt = self.map_attempt[m];
-            let holds = |list: &[(u32, u32)]| list.iter().any(|&(i, a)| i == m as u32 && a == attempt);
-            if self.map_finished[m] {
-                if holds(&finished_maps) {
-                    if self.map_inherited[m] {
-                        self.journal_rec(&JournalRecord::AttemptReconciled {
-                            kind: TaskKind::Map,
-                            index: m as u32,
-                            attempt,
-                            node,
-                        });
-                        self.map_inherited[m] = false;
-                        self.fault(FaultKind::AttemptReconciled, node, Some(m as u32));
-                    }
-                } else {
-                    // The journal says this output lives here; the worker
-                    // says otherwise. The worker is the ground truth for
-                    // its own disk: invalidate into a new epoch.
-                    self.journal_rec(&JournalRecord::MapInvalidated {
-                        map: m as u32,
-                        new_attempt: attempt + 1,
-                        new_epoch: self.map_epoch[m] + 1,
+        // Decide against the book first, then act: what the worker still
+        // runs is adopted, everything else the book placed there is
+        // retracted. The worker is the ground truth for its own disk.
+        let book = self.sched.book();
+        let mut adopted: Vec<(TaskKind, u32, u32)> = Vec::new();
+        let mut retracted: Vec<TaskEvent> = Vec::new();
+        for (m, t) in book.maps().iter().enumerate() {
+            let held = (m as u32, t.attempt);
+            match t.phase {
+                Phase::Finished(h) if h == node && !finished_maps.contains(&held) => {
+                    retracted.push(TaskEvent::MapInvalidated {
+                        map: held.0,
+                        new_attempt: t.attempt + 1,
+                        new_epoch: t.epoch + 1,
                         banned: None,
                     });
-                    self.map_finished[m] = false;
-                    self.maps_finished -= 1;
-                    self.map_epoch[m] += 1;
-                    self.map_attempt[m] += 1;
-                    self.map_holder[m] = None;
-                    self.map_inherited[m] = false;
-                    self.progress[m] = (0, vec![0; self.n_reduces]);
-                    self.unassigned_maps.push(m);
-                    self.fault(FaultKind::MapInvalidated, node, Some(m as u32));
                 }
-            } else if holds(&running_maps) || holds(&finished_maps) {
-                // Still live there (or finished during the outage — the
-                // completion arrives with the next heartbeat).
-                self.map_assigned_round[m] = self.round;
-                if self.map_inherited[m] {
-                    self.journal_rec(&JournalRecord::AttemptReconciled {
-                        kind: TaskKind::Map,
-                        index: m as u32,
-                        attempt,
-                        node,
-                    });
-                    self.map_inherited[m] = false;
-                    self.fault(FaultKind::AttemptReconciled, node, Some(m as u32));
+                // Still live there, or finished during the outage — that
+                // completion arrives with the next heartbeat.
+                Phase::Running(h) if h == node => {
+                    if running_maps.contains(&held) || finished_maps.contains(&held) {
+                        adopted.push((TaskKind::Map, held.0, held.1));
+                    } else {
+                        retracted
+                            .push(TaskEvent::MapRequeued { map: held.0, new_attempt: held.1 + 1 });
+                    }
                 }
-            } else {
-                self.journal_rec(&JournalRecord::MapRequeued {
-                    map: m as u32,
-                    new_attempt: attempt + 1,
-                });
-                self.fault(FaultKind::TaskRescheduled, node, Some(m as u32));
-                self.map_attempt[m] += 1;
-                self.map_holder[m] = None;
-                self.map_inherited[m] = false;
-                self.progress[m] = (0, vec![0; self.n_reduces]);
-                self.unassigned_maps.push(m);
+                _ => {}
             }
         }
-
-        for r in 0..self.n_reduces {
-            if self.reduce_holder[r] != Some(node) || self.reduce_finished[r] {
+        for (r, t) in book.reduces().iter().enumerate() {
+            let held = (r as u32, t.attempt);
+            if t.phase != Phase::Running(node) {
                 continue;
             }
-            let attempt = self.reduce_attempt[r];
-            if running_reduces.iter().any(|&(i, a)| i == r as u32 && a == attempt) {
-                self.reduce_assigned_round[r] = self.round;
-                if self.reduce_inherited[r] {
-                    self.journal_rec(&JournalRecord::AttemptReconciled {
-                        kind: TaskKind::Reduce,
-                        index: r as u32,
-                        attempt,
-                        node,
-                    });
-                    self.reduce_inherited[r] = false;
-                    self.fault(FaultKind::AttemptReconciled, node, Some(r as u32));
-                }
+            if running_reduces.contains(&held) {
+                adopted.push((TaskKind::Reduce, held.0, held.1));
             } else {
-                self.journal_rec(&JournalRecord::ReduceRequeued {
-                    reduce: r as u32,
-                    new_attempt: attempt + 1,
-                });
-                self.fault(FaultKind::TaskRescheduled, node, Some(r as u32));
-                self.reduce_attempt[r] += 1;
-                self.reduce_holder[r] = None;
-                self.reduce_inherited[r] = false;
-                self.unassigned_reduces.push(r);
-                let nid = NodeId(node);
-                if let Some(pos) = self.job_reduce_nodes.iter().position(|x| *x == nid) {
-                    self.job_reduce_nodes.swap_remove(pos);
-                }
+                retracted
+                    .push(TaskEvent::ReduceRequeued { reduce: held.0, new_attempt: held.1 + 1 });
+            }
+        }
+        for ev in &retracted {
+            self.sched.retract(ev, node);
+        }
+        for entry @ (kind, index, attempt) in adopted {
+            match kind {
+                TaskKind::Map => self.map_assigned_round[index as usize] = self.round,
+                TaskKind::Reduce => self.reduce_assigned_round[index as usize] = self.round,
+            }
+            if let Some(pos) = self.inherited.iter().position(|e| *e == entry) {
+                self.inherited.swap_remove(pos);
+                let rec = JournalRecord::AttemptReconciled { kind, index, attempt, node };
+                self.sched.log_mut().record(&rec);
+                self.sched.fault(FaultKind::AttemptReconciled, node, Some(index));
             }
         }
 
         // Bytes the worker holds for attempts the book no longer wants.
-        let invalidate: Vec<u32> = finished_maps
-            .iter()
-            .filter(|&&(i, a)| {
-                let m = i as usize;
-                m >= self.n_maps || self.map_holder[m] != Some(node) || self.map_attempt[m] != a
-            })
-            .map(|&(i, _)| i)
-            .collect();
+        let book = self.sched.book();
+        let wanted = |&(i, a): &(u32, u32)| {
+            let row = book.maps().get(i as usize);
+            row.is_some_and(|t| t.phase.holder() == Some(node) && t.attempt == a)
+        };
+        let invalidate = finished_maps.iter().filter(|held| !wanted(held)).map(|h| h.0).collect();
         Msg::ReattachAck { invalidate, dead: false, shutdown: false }
     }
 
-    /// Overlay journal-replayed state onto the freshly-derived book — the
-    /// recovery half of crash tolerance, run once before the server starts
-    /// answering. Placement inputs (splits, replicas, candidates) are
-    /// re-derived from `(seed, cfg, input)`; everything scheduling
-    /// *decided* comes back from the journal.
-    fn apply_recovery(&mut self, st: &JournalState) {
-        self.crash_epoch = st.crash_epochs + 1;
-        for (m, book) in st.maps.iter().enumerate() {
-            self.map_attempt[m] = book.attempt;
-            self.map_epoch[m] = book.epoch;
-            self.map_banned[m] = book.banned;
-            // Starts are not journaled; one start per attempt tag keeps the
-            // transient-failure budget monotone across incarnations.
-            self.map_starts[m] = book.attempt;
-            if book.finished {
-                self.map_finished[m] = true;
-                self.maps_finished += 1;
-                self.map_holder[m] = book.holder;
-                let mut parts = book.part_bytes.clone();
-                parts.resize(self.n_reduces, 0);
-                self.progress[m] = (book.d_read, parts);
-                self.unassigned_maps.retain(|&x| x != m);
-            } else if book.running {
-                self.map_holder[m] = book.holder;
-                self.map_inherited[m] = true;
-                self.unassigned_maps.retain(|&x| x != m);
-            }
-        }
-        for (r, book) in st.reduces.iter().enumerate() {
-            self.reduce_attempt[r] = book.attempt;
-            if book.finished {
-                self.reduce_finished[r] = true;
-                self.reduces_finished += 1;
-                self.final_output[r] = book.output.clone();
-                self.unassigned_reduces.retain(|&x| x != r);
-            } else if book.running {
-                self.reduce_holder[r] = book.holder;
-                self.reduce_inherited[r] = true;
-                self.unassigned_reduces.retain(|&x| x != r);
-                if let Some(h) = book.holder {
-                    self.job_reduce_nodes.push(NodeId(h));
-                }
-            }
-        }
-        for (&node, &epoch) in &st.node_epochs {
-            let n = node as usize;
-            if n < self.nodes.len() {
-                self.nodes[n].epoch = epoch;
-                self.nodes[n].awaiting_reattach = true;
-            }
-        }
-        self.completions = st.completions.clone();
-        self.ever_registered = !st.node_epochs.is_empty();
+    /// Adopt a journal-replayed book — the recovery half of crash
+    /// tolerance, run once before the server starts answering. Placement
+    /// inputs (splits, replicas, candidates) were re-derived from `(seed,
+    /// cfg, input)`; everything scheduling *decided* is the folded book,
+    /// installed as is. What remains is tracker-plane: what was running is
+    /// inherited until its worker confirms it, and journal-known workers
+    /// are awaited.
+    fn apply_recovery(&mut self, st: JournalState) {
         let (rm, rr, inherited, reexec) = st.recovery_tallies();
-        self.fault(FaultKind::TrackerRestart, 0, None);
-        self.fault(FaultKind::JournalReplayed, 0, Some(st.records_applied as u32));
-        self.observer.absorb_recovery(rm, rr, inherited, reexec);
+        let maps = (0u32..).zip(st.book.maps()).filter(|(_, t)| t.phase.is_running());
+        let reduces = (0u32..).zip(st.book.reduces()).filter(|(_, t)| t.phase.is_running());
+        self.inherited = maps
+            .map(|(m, t)| (TaskKind::Map, m, t.attempt))
+            .chain(reduces.map(|(r, t)| (TaskKind::Reduce, r, t.attempt)))
+            .collect();
+        for (&node, &epoch) in &st.node_epochs {
+            if let Some(s) = self.nodes.get_mut(node as usize) {
+                s.epoch = epoch;
+                s.awaiting_reattach = true;
+            }
+        }
+        self.ever_registered = !st.node_epochs.is_empty();
+        self.sched.fault(FaultKind::TrackerRestart, 0, None);
+        self.sched.fault(FaultKind::JournalReplayed, 0, Some(st.records_applied as u32));
+        self.sched.observer_mut().absorb_recovery(rm, rr, inherited, reexec);
         if let Some(failed) = st.finished {
             // The verdict (and all reduce output) is already in the
             // journal: nothing left to run.
             self.failed = failed;
             self.done = true;
         }
+        self.sched.restore(st.book);
     }
 }
 
@@ -1082,10 +627,15 @@ pub struct JobTracker {
     tick: Option<JoinHandle<()>>,
 }
 
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
 impl JobTracker {
-    /// Bind `listen` (port 0 for an ephemeral port), split `input` into
-    /// blocks, place replicas with the same seeded sequence as the engine,
-    /// and start serving registrations. The job begins as workers join.
+    /// Bind `listen` (port 0 for an ephemeral port), derive the job (split
+    /// `input` into blocks, place replicas with the same seeded sequence
+    /// as the engine), and start serving registrations. The job begins as
+    /// workers join.
     pub fn start(
         listen: &str,
         cfg: ClusterConfig,
@@ -1096,7 +646,6 @@ impl JobTracker {
         observer: DecisionObserver,
     ) -> io::Result<JobTracker> {
         assert!(n_reduces > 0, "jobs need at least one reduce partition");
-        cfg.faults.validate(cfg.n_nodes).expect("invalid fault plan");
         // Journal triage, before any state exists: a non-empty journal at
         // `cfg.journal` means this process is a recovery incarnation.
         let mut recovered: Option<JournalState> = None;
@@ -1106,20 +655,16 @@ impl JobTracker {
                 std::fs::metadata(&path).map(|meta| meta.len() > 0).unwrap_or(false);
             if existing {
                 let records = read_journal(&path)?;
-                let st = JournalState::from_records(&records)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+                let st = JournalState::from_records(&records).map_err(invalid)?;
                 if st.seed != cfg.seed || st.spec != spec.to_wire() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "journal belongs to a different job: seed={} spec={} vs cfg seed={} \
-                             spec={}",
-                            st.seed,
-                            st.spec,
-                            cfg.seed,
-                            spec.to_wire()
-                        ),
-                    ));
+                    return Err(invalid(format!(
+                        "journal belongs to a different job: seed={} spec={} vs cfg seed={} \
+                         spec={}",
+                        st.seed,
+                        st.spec,
+                        cfg.seed,
+                        spec.to_wire()
+                    )));
                 }
                 let mut j = Journal::open_append(&path, cfg.journal_fsync)?;
                 j.append(&JournalRecord::TrackerStarted { crash_epoch: st.crash_epochs + 1 })?;
@@ -1129,39 +674,30 @@ impl JobTracker {
                 journal = Some(Journal::create(&path, cfg.journal_fsync)?);
             }
         }
-        let topo = Topology::single_rack(cfg.n_nodes, 1e9);
-        let hops = Arc::new(DistanceMatrix::hops(&topo));
-        let layout = topo.layout().clone();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let blocks = split_blocks(input, cfg.block_bytes);
-        let n_maps = blocks.len();
-        let mut store = BlockStore::new();
-        let mut replicas = Vec::with_capacity(n_maps);
-        for b in 0..n_maps {
-            let writer = pnats_dfs::placement::random_writer(&layout, &mut rng);
-            let reps = RackAware.place(writer, cfg.replication, &layout, &mut rng);
-            store.set_replicas(BlockId(b as u32), reps.clone());
-            replicas.push(reps);
-        }
-        let jid = JobId(0);
-        let map_cands: Vec<MapCandidate> = (0..n_maps)
-            .map(|j| MapCandidate {
-                task: MapTaskId { job: jid, index: j as u32 },
-                block_size: blocks[j].len() as u64,
-                replicas: replicas[j].clone(),
-            })
-            .collect();
-        let mut fault_events: Vec<(u64, u8, usize)> = Vec::new();
-        for c in &cfg.faults.crashes {
-            fault_events.push((c.at as u64, 0, c.node));
-            if let Some(r) = c.recover_at {
-                fault_events.push((r as u64, 1, c.node));
+        let mut sched = JobScheduler::derive(
+            &cfg.engine_config(),
+            input,
+            n_reduces,
+            placer,
+            observer,
+            Wal(journal),
+        );
+        let n_maps = sched.book().maps().len();
+        match &recovered {
+            Some(st) => {
+                if st.n_maps as usize != n_maps || st.n_reduces as usize != n_reduces {
+                    return Err(invalid(format!(
+                        "journal task shape {}x{} disagrees with derived {}x{}",
+                        st.n_maps, st.n_reduces, n_maps, n_reduces
+                    )));
+                }
+                // Holders and bans index the node table from here on.
+                if let Some(n) = st.book.nodes_mentioned().find(|&n| n as usize >= cfg.n_nodes) {
+                    return Err(invalid(format!("journal names node {n} of {}", cfg.n_nodes)));
+                }
             }
-        }
-        fault_events.sort_unstable();
-        if recovered.is_none() {
-            if let Some(j) = journal.as_mut() {
-                j.append(&JournalRecord::JobSubmitted {
+            None => {
+                sched.log_mut().try_record(&JournalRecord::JobSubmitted {
                     seed: cfg.seed,
                     n_maps: n_maps as u32,
                     n_reduces: n_reduces as u32,
@@ -1170,149 +706,31 @@ impl JobTracker {
             }
         }
         let heartbeat = cfg.heartbeat;
-        let n_nodes = cfg.n_nodes;
         let mut state = TrackerState {
             spec,
-            replicas,
-            map_cands,
-            n_maps,
-            n_reduces,
-            hops,
-            layout,
-            placer,
-            observer,
-            rng,
+            sched,
+            slots: Slots::new(cfg.n_nodes, 0, 0),
             start: Instant::now(),
             round: 0,
-            nodes: (0..n_nodes)
-                .map(|_| NodeState {
-                    registered: false,
-                    epoch: 0,
-                    data_addr: String::new(),
-                    last_heard: 0,
-                    down_depth: 0,
-                    free_map: 0,
-                    free_reduce: 0,
-                    awaiting_reattach: false,
-                })
-                .collect(),
-            map_holder: vec![None; n_maps],
-            map_attempt: vec![0; n_maps],
-            map_starts: vec![0; n_maps],
-            map_finished: vec![false; n_maps],
+            nodes: vec![NodeState::default(); cfg.n_nodes],
             map_assigned_round: vec![0; n_maps],
-            map_epoch: vec![0; n_maps],
-            map_banned: vec![None; n_maps],
-            progress: (0..n_maps).map(|_| (0, vec![0; n_reduces])).collect(),
-            maps_finished: 0,
-            reduce_holder: vec![None; n_reduces],
-            reduce_attempt: vec![0; n_reduces],
-            reduce_finished: vec![false; n_reduces],
             reduce_assigned_round: vec![0; n_reduces],
-            reduces_finished: 0,
-            job_reduce_nodes: Vec::new(),
-            final_output: vec![Vec::new(); n_reduces],
-            unassigned_maps: (0..n_maps).collect(),
-            unassigned_reduces: (0..n_reduces).collect(),
-            skipped_offers: 0,
-            map_locality: LocalityCounter::default(),
-            reduce_locality: LocalityCounter::default(),
-            fault_events,
-            next_fault: 0,
-            completions: Vec::new(),
-            journal,
-            crash_epoch: 0,
-            map_inherited: vec![false; n_maps],
-            reduce_inherited: vec![false; n_reduces],
+            inherited: Vec::new(),
             first_assign_ms: None,
             ever_registered: false,
             degraded: false,
             failed: false,
             done: false,
-            blocks,
             cfg,
         };
-        if let Some(st) = &recovered {
-            if st.n_maps as usize != n_maps || st.n_reduces as usize != n_reduces {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "journal task shape {}x{} disagrees with derived {}x{}",
-                        st.n_maps, st.n_reduces, n_maps, n_reduces
-                    ),
-                ));
-            }
+        if let Some(st) = recovered {
             state.apply_recovery(st);
         }
         let state = Arc::new(Mutex::new(state));
 
         let handler_state = state.clone();
-        let handler: pnats_rpc::Handler = Arc::new(move |msg| {
-            let mut s = handler_state.lock().unwrap();
-            match msg {
-                Msg::Register { node, epoch, data_addr } => s.on_register(node, epoch, data_addr),
-                Msg::Heartbeat {
-                    node,
-                    epoch,
-                    free_map_slots,
-                    free_reduce_slots,
-                    progress,
-                    map_done,
-                    map_failed,
-                    reduce_done,
-                    running_reduces,
-                    rpc_retries,
-                    breaker_trips,
-                    breaker_closes,
-                    alt_fetches,
-                    corrupt_frames,
-                } => s.on_heartbeat(
-                    node,
-                    epoch,
-                    free_map_slots,
-                    free_reduce_slots,
-                    progress,
-                    map_done,
-                    map_failed,
-                    reduce_done,
-                    running_reduces,
-                    rpc_retries,
-                    breaker_trips,
-                    breaker_closes,
-                    alt_fetches,
-                    corrupt_frames,
-                ),
-                Msg::SourceUnreachable { map, attempt } => s.on_source_unreachable(map, attempt),
-                Msg::Reattach {
-                    node,
-                    epoch,
-                    data_addr,
-                    finished_maps,
-                    running_maps,
-                    running_reduces,
-                } => s.on_reattach(
-                    node,
-                    epoch,
-                    data_addr,
-                    finished_maps,
-                    running_maps,
-                    running_reduces,
-                ),
-                Msg::WhereIs { map } => s.on_where_is(map),
-                Msg::FetchBlock { block } => match s.blocks.get(block as usize) {
-                    Some(b) => Msg::BlockData { block, data: b.clone() },
-                    None => Msg::NotHere,
-                },
-                Msg::Shutdown => {
-                    // External stop: whatever is incomplete stays incomplete.
-                    let failed =
-                        !(s.maps_finished == s.n_maps && s.reduces_finished == s.n_reduces);
-                    s.finish(failed);
-                    Msg::Ack
-                }
-                _ => Msg::Ack,
-            }
-        });
+        let handler: pnats_rpc::Handler =
+            Arc::new(move |msg| handler_state.lock().unwrap().handle(msg));
         let server = RpcServer::bind(listen, handler, Duration::from_millis(50))?;
         let tick_state = state.clone();
         let tick = std::thread::spawn(move || loop {
@@ -1355,25 +773,19 @@ impl JobTracker {
         std::thread::sleep(heartbeat * 20);
         self.teardown();
         let mut s = self.state.lock().unwrap();
-        if let Some(stats) = s.placer.stats() {
-            let stats = stats.clone();
-            s.observer.absorb_placer(&stats);
-        }
-        s.observer.flush();
-        let trace_jsonl = s.observer.drain_jsonl();
-        let output: Vec<(String, String)> =
-            std::mem::take(&mut s.final_output).into_iter().flatten().collect();
+        let (n_maps, n_reduces) = (s.sched.book().maps().len(), s.sched.book().reduces().len());
+        let o = s.sched.finish();
         ClusterReport {
-            output,
-            map_locality: s.map_locality,
-            reduce_locality: s.reduce_locality,
+            output: o.output,
+            map_locality: o.map_locality,
+            reduce_locality: o.reduce_locality,
             wall: s.start.elapsed(),
-            n_maps: s.n_maps,
-            n_reduces: s.n_reduces,
-            skipped_offers: s.skipped_offers,
-            counters: s.observer.counters().clone(),
-            trace_jsonl,
-            completions: std::mem::take(&mut s.completions),
+            n_maps,
+            n_reduces,
+            skipped_offers: o.skipped_offers,
+            counters: o.counters,
+            trace_jsonl: o.trace_jsonl,
+            completions: o.completions,
             first_assign_ms: s.first_assign_ms,
             failed: s.failed,
         }
@@ -1409,5 +821,236 @@ impl Drop for JobTracker {
     fn drop(&mut self) {
         self.state.lock().unwrap().done = true; // stops the tick thread
         self.teardown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pnats_engine::book::EventLog;
+    use pnats_rpc::{MapDone, MapFailed, ReduceDone};
+    use std::path::PathBuf;
+
+    /// A handful of two-line blocks on two workers, fifo placement (it never
+    /// declines an offer, so assignment counts are exact), and a tick
+    /// thread that can expire nobody.
+    fn cfg(journal: Option<PathBuf>) -> ClusterConfig {
+        ClusterConfig {
+            n_nodes: 2,
+            block_bytes: 64,
+            expire_after: u64::MAX / 4,
+            reattach_grace: u64::MAX / 4,
+            journal,
+            ..ClusterConfig::default()
+        }
+    }
+
+    fn input() -> String {
+        "alpha bravo charlie delta echo foxtrot golf hotel india\n".repeat(9)
+    }
+
+    fn start(cfg: &ClusterConfig) -> io::Result<JobTracker> {
+        let input = input();
+        let placer = crate::placer_by_name("fifo", cfg.heartbeat.as_secs_f64()).unwrap();
+        JobTracker::start(
+            "127.0.0.1:0",
+            cfg.clone(),
+            JobSpec::WordCount,
+            2,
+            &input,
+            placer,
+            DecisionObserver::disabled(),
+        )
+    }
+
+    /// How many maps `start`'s input splits into under `cfg`.
+    fn n_maps(cfg: &ClusterConfig) -> usize {
+        pnats_engine::exec::split_blocks(&input(), cfg.block_bytes).len()
+    }
+
+    fn call(t: &JobTracker, msg: Msg) -> Msg {
+        t.state.lock().unwrap().handle(msg)
+    }
+
+    fn register(t: &JobTracker, node: u32) {
+        let reply = call(t, Msg::Register { node, epoch: 0, data_addr: format!("w{node}") });
+        assert!(matches!(reply, Msg::RegisterAck { .. }), "{reply:?}");
+    }
+
+    fn heartbeat(
+        node: u32,
+        free: (u32, u32),
+        map_done: Vec<MapDone>,
+        map_failed: Vec<MapFailed>,
+        reduce_done: Vec<ReduceDone>,
+    ) -> Msg {
+        Msg::Heartbeat {
+            node,
+            epoch: 0,
+            free_map_slots: free.0,
+            free_reduce_slots: free.1,
+            progress: Vec::new(),
+            map_done,
+            map_failed,
+            reduce_done,
+            running_reduces: Vec::new(),
+            rpc_retries: 0,
+            breaker_trips: 0,
+            breaker_closes: 0,
+            alt_fetches: 0,
+            corrupt_frames: 0,
+        }
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir()
+            .join(format!("pnats-tracker-unit-{}-{tag}.journal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// A well-formed heartbeat claiming `u32::MAX` free slots gets at most
+    /// the worker's configured slots filled — the slot-capacity law (sim
+    /// oracle law 8) holds against the wire, not just against honest
+    /// workers.
+    #[test]
+    fn reported_free_slots_are_clamped_to_the_configured_slots() {
+        let cfg = cfg(None);
+        let t = start(&cfg).unwrap();
+        register(&t, 0);
+        let reply = call(&t, heartbeat(0, (u32::MAX, u32::MAX), vec![], vec![], vec![]));
+        let Msg::HeartbeatReply { assignments, .. } = reply else { panic!("{reply:?}") };
+        let maps = assignments.iter().filter(|a| matches!(a, Assignment::Map { .. })).count();
+        assert_eq!(maps as u32, cfg.map_slots, "{assignments:?}");
+        assert!((assignments.len() - maps) as u32 <= cfg.reduce_slots);
+        let s = t.state.lock().unwrap();
+        assert!(s.sched.book().pending_maps().len() > 1, "the pending list must not be drained");
+    }
+
+    /// A journal whose records name a node outside the fleet is refused at
+    /// start instead of indexing the node table out of bounds later (a
+    /// `WhereIs` for that map used to).
+    #[test]
+    fn recovery_refuses_a_journal_naming_an_unknown_node() {
+        let path = scratch("unknown-node");
+        let cfg = cfg(Some(path.clone()));
+        let n_maps = n_maps(&cfg) as u32;
+        let mut wal = Wal(Some(Journal::create(&path, cfg.journal_fsync).unwrap()));
+        wal.record(&JournalRecord::JobSubmitted {
+            seed: cfg.seed,
+            n_maps,
+            n_reduces: 2,
+            spec: JobSpec::WordCount.to_wire(),
+        });
+        wal.append(&TaskEvent::MapAssigned { map: 0, attempt: 0, node: 99 });
+        drop(wal);
+        let err = start(&cfg).err().expect("a holder outside the fleet must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Play a whole job through bare handler calls: every assignment ends
+    /// in the heartbeat after the one that carried it — `MapFailed` when
+    /// the tracker doomed it, done otherwise. With `restart`, the tracker
+    /// is crashed right after the first wave of assignments and a second
+    /// incarnation recovers from the journal; the workers re-attach with
+    /// that wave still running. Returns the transient failures reported
+    /// over the whole job.
+    fn play(cfg: &ClusterConfig, restart: bool) -> u64 {
+        let mut t = start(cfg).unwrap();
+        let mut held: Vec<Vec<Assignment>> = vec![Vec::new(); cfg.n_nodes];
+        let mut failures = 0u64;
+        (0..cfg.n_nodes as u32).for_each(|n| register(&t, n));
+        for beat in 0..400 {
+            if restart && beat == 1 {
+                t.crash();
+                t = start(cfg).unwrap();
+                for (n, work) in held.iter().enumerate() {
+                    let running = |want_map: bool| -> Vec<(u32, u32)> {
+                        let ids = work.iter().filter_map(|a| match *a {
+                            Assignment::Map { map, attempt, .. } if want_map => {
+                                Some((map, attempt))
+                            }
+                            Assignment::Reduce { reduce, attempt, .. } if !want_map => {
+                                Some((reduce, attempt))
+                            }
+                            _ => None,
+                        });
+                        ids.collect()
+                    };
+                    let reply = call(
+                        &t,
+                        Msg::Reattach {
+                            node: n as u32,
+                            epoch: 0,
+                            data_addr: format!("w{n}"),
+                            finished_maps: Vec::new(),
+                            running_maps: running(true),
+                            running_reduces: running(false),
+                        },
+                    );
+                    assert!(
+                        matches!(reply, Msg::ReattachAck { dead: false, shutdown: false, .. }),
+                        "{reply:?}"
+                    );
+                }
+            }
+            for (n, work) in held.iter_mut().enumerate() {
+                let (mut done, mut failed, mut reduced) = (Vec::new(), Vec::new(), Vec::new());
+                for a in work.drain(..) {
+                    match a {
+                        Assignment::Map { map, attempt, doomed: true, .. } => {
+                            failed.push(MapFailed { map, attempt })
+                        }
+                        Assignment::Map { map, attempt, .. } => {
+                            done.push(MapDone { map, attempt, bytes: vec![7, 9] })
+                        }
+                        Assignment::Reduce { reduce, attempt, .. } => reduced.push(ReduceDone {
+                            reduce,
+                            attempt,
+                            output: Vec::new(),
+                            sources: Vec::new(),
+                        }),
+                    }
+                }
+                failures += failed.len() as u64;
+                let free = (cfg.map_slots, cfg.reduce_slots);
+                let reply = call(&t, heartbeat(n as u32, free, done, failed, reduced));
+                let Msg::HeartbeatReply { assignments, invalidate, dead, shutdown, .. } = reply
+                else {
+                    panic!("{reply:?}")
+                };
+                assert!(!dead && invalidate.is_empty(), "nothing here goes stale");
+                if shutdown {
+                    assert!(!t.state.lock().unwrap().failed, "the budget is ample");
+                    return failures;
+                }
+                *work = assignments;
+            }
+        }
+        panic!("job did not finish");
+    }
+
+    /// The retry budget and the seeded failure draw survive a tracker
+    /// restart exactly: the journal fold counts one start per
+    /// `MapAssigned`, so the recovered tracker neither re-draws a start
+    /// index its predecessor already used nor grants an extra attempt.
+    #[test]
+    fn transient_retries_match_the_uninterrupted_run_across_a_restart() {
+        let path = scratch("retry-budget");
+        let mut cfg = cfg(Some(path.clone()));
+        cfg.faults.transient_map_failure_p = 0.6;
+        cfg.faults.max_attempts = 64;
+        let expected: u64 = (0..n_maps(&cfg))
+            .map(|m| {
+                let doomed = |k: &u32| cfg.faults.map_attempt_fails(cfg.seed, m, *k);
+                (1u32..).take_while(doomed).count() as u64
+            })
+            .sum();
+        assert!(expected > 2, "the seed should doom several attempts");
+        assert_eq!(play(&cfg, false), expected, "uninterrupted run");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(play(&cfg, true), expected, "run with a tracker restart after wave 1");
+        let _ = std::fs::remove_file(&path);
     }
 }

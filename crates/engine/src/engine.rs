@@ -1,23 +1,19 @@
 //! The engine runtime: virtual nodes, slots, heartbeat-driven placement,
-//! threaded task execution.
+//! threaded task execution. Job bookkeeping and the offer loop are the
+//! shared [`JobScheduler`]'s; this file is the wall-clock, thread-spawning
+//! driver around it.
 
 use crate::api::EngineJob;
-use crate::exec::{execute_map, execute_reduce, slowstart_gate, MapProgressGauges};
-use pnats_core::context::{
-    MapCandidate, MapSchedContext, ReduceCandidate, ReduceSchedContext, ShuffleSource,
-};
+use crate::book::{JobScheduler, Launch, NodeFault, Slots, TaskEvent, Verdict};
+use crate::exec::{execute_map, execute_reduce, MapProgressGauges};
 use pnats_core::faults::FaultPlan;
 /// Re-exported from [`pnats_core::partition`] — one definition shared by
 /// every runtime (engine, simulator shuffle model, cluster).
 pub use pnats_core::partition::Partitioner;
-use pnats_core::placer::{Decision, TaskPlacer};
-use pnats_core::types::{JobId, MapTaskId, ReduceTaskId};
-use pnats_dfs::{BlockId, BlockStore, RackAware, ReplicaPlacement};
-use pnats_metrics::{LocalityClass, LocalityCounter};
-use pnats_net::{ClusterLayout, DistanceMatrix, NodeId, Topology};
-use pnats_obs::{DecisionObserver, FaultKind, FaultRecord, SchedCounters, TraceSink};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use pnats_core::placer::TaskPlacer;
+use pnats_metrics::LocalityCounter;
+use pnats_net::{DistanceMatrix, NodeId};
+use pnats_obs::{DecisionObserver, FaultKind, SchedCounters, TraceSink};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -110,16 +106,18 @@ pub struct EngineReport {
     pub failed: bool,
 }
 
-/// A map task's partitioned output: per-partition pairs plus byte sizes.
-type MapOutput = (Vec<Vec<(String, String)>>, Vec<u64>);
-/// Shared store of finished map outputs, filled by the driver.
+/// A finished map's output: the node holding it, per-partition pairs, and
+/// their byte sizes.
+type MapOutput = (u32, Vec<Vec<(String, String)>>, Vec<u64>);
+/// Shared store of finished map outputs, filled by the driver and read by
+/// reduce threads under one lock (holder and bytes can never disagree).
 type OutputStore = Arc<Mutex<Vec<Option<MapOutput>>>>;
 
 enum DoneMsg {
     Map {
-        map: usize,
-        node: NodeId,
-        /// Attempt tag: a message whose tag no longer matches the driver's
+        map: u32,
+        node: u32,
+        /// Attempt tag: a message whose tag no longer matches the book's
         /// current attempt belongs to a crash-killed attempt and is ignored.
         attempt: u32,
         /// Per-partition intermediate pairs and their byte sizes.
@@ -127,24 +125,35 @@ enum DoneMsg {
         bytes: Vec<u64>,
     },
     MapFailed {
-        map: usize,
-        node: NodeId,
+        map: u32,
+        node: u32,
         attempt: u32,
     },
     Reduce {
-        reduce: usize,
-        node: NodeId,
+        reduce: u32,
+        node: u32,
         attempt: u32,
         output: Vec<(String, String)>,
-        sources: Vec<(NodeId, u64)>,
+        sources: Vec<(u32, u64)>,
     },
+}
+
+/// What the driver shares with the task threads of one run.
+struct Shared<'a> {
+    cfg: &'a EngineConfig,
+    job: &'a EngineJob,
+    blocks: Arc<Vec<String>>,
+    hops: Arc<DistanceMatrix>,
+    progress: Arc<Vec<MapProgressGauges>>,
+    outputs: OutputStore,
+    all_maps_done: Arc<AtomicBool>,
+    abort: Arc<AtomicBool>,
+    tx: Sender<DoneMsg>,
 }
 
 /// The engine: a virtual cluster ready to run jobs.
 pub struct MapReduceEngine {
     cfg: EngineConfig,
-    hops: Arc<DistanceMatrix>,
-    layout: ClusterLayout,
 }
 
 impl MapReduceEngine {
@@ -152,26 +161,12 @@ impl MapReduceEngine {
     /// network realism lives in hop-proportional read delays, not in link
     /// contention — that is the simulator's job).
     pub fn new(cfg: EngineConfig) -> Self {
-        let topo = Topology::single_rack(cfg.n_nodes, 1e9);
-        Self {
-            hops: Arc::new(DistanceMatrix::hops(&topo)),
-            layout: topo.layout().clone(),
-            cfg,
-        }
+        Self { cfg }
     }
 
     /// Access the engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
-    }
-
-    /// Split text into blocks of roughly `block_bytes` on line boundaries.
-    fn split_blocks(&self, input: &str) -> Vec<String> {
-        crate::exec::split_blocks(input, self.cfg.block_bytes)
-    }
-
-    fn net_delay(&self, bytes: u64, hops: f64) -> Duration {
-        Duration::from_micros((bytes / 1024).max(1) * self.cfg.net_us_per_kib_hop * hops as u64)
     }
 
     /// Run `job` over `input` with the given task placer. Returns the full
@@ -200,518 +195,180 @@ impl MapReduceEngine {
         self.run_observed(job, input, placer, DecisionObserver::with_sink(sink))
     }
 
+    /// The engine as a driver of the shared [`JobScheduler`]: it owns the
+    /// wall clock, the slot counts (freed by completion messages) and the
+    /// task threads; every scheduling decision and every piece of job
+    /// bookkeeping is the scheduler's.
     fn run_observed(
         &self,
         job: &EngineJob,
         input: &str,
-        mut placer: Box<dyn TaskPlacer>,
-        mut observer: DecisionObserver,
+        placer: Box<dyn TaskPlacer>,
+        observer: DecisionObserver,
     ) -> EngineReport {
         let start = Instant::now();
-        let mut rng = SmallRng::seed_from_u64(self.cfg.seed);
-        let blocks: Arc<Vec<String>> = Arc::new(self.split_blocks(input));
-        let n_maps = blocks.len();
-        let n_reduces = job.n_reduces;
-
-        // Place replicas.
-        let mut store = BlockStore::new();
-        for b in 0..n_maps {
-            let writer = pnats_dfs::placement::random_writer(&self.layout, &mut rng);
-            let reps = RackAware.place(writer, self.cfg.replication, &self.layout, &mut rng);
-            store.set_replicas(BlockId(b as u32), reps);
-        }
-
-        // Scheduling state (driver-owned).
-        let jid = JobId(0);
-        let map_cands: Vec<MapCandidate> = (0..n_maps)
-            .map(|j| MapCandidate {
-                task: MapTaskId { job: jid, index: j as u32 },
-                block_size: blocks[j].len() as u64,
-                replicas: store.replicas(BlockId(j as u32)).to_vec(),
-            })
-            .collect();
-        let mut unassigned_maps: Vec<usize> = (0..n_maps).collect();
-        let mut unassigned_reduces: Vec<usize> = (0..n_reduces).collect();
-        let mut free_map: Vec<u32> = vec![self.cfg.map_slots; self.cfg.n_nodes];
-        let mut free_reduce: Vec<u32> = vec![self.cfg.reduce_slots; self.cfg.n_nodes];
-        let map_node: Arc<Mutex<Vec<Option<NodeId>>>> =
-            Arc::new(Mutex::new(vec![None; n_maps]));
-        let mut reduce_node: Vec<Option<NodeId>> = vec![None; n_reduces];
-        let mut job_reduce_nodes: Vec<NodeId> = Vec::new();
-        let mut maps_finished = 0usize;
-        let mut reduces_finished = 0usize;
-        let mut skipped_offers = 0u64;
-        let mut map_locality = LocalityCounter::default();
-        let mut reduce_locality = LocalityCounter::default();
-
-        // Fault state. Attempt tags make completions from crash-killed
-        // attempts detectable (threads cannot be killed, so their eventual
-        // messages must go stale instead).
-        self.cfg.faults.validate(self.cfg.n_nodes).expect("invalid fault plan");
-        let mut dead = vec![false; self.cfg.n_nodes];
-        let mut down_depth = vec![0u32; self.cfg.n_nodes];
-        let mut map_attempt: Vec<u32> = vec![0; n_maps];
-        let mut map_starts: Vec<u32> = vec![0; n_maps];
-        let mut reduce_attempt: Vec<u32> = vec![0; n_reduces];
-        let mut reduce_done: Vec<bool> = vec![false; n_reduces];
+        let cfg = &self.cfg;
+        let mut sched = JobScheduler::derive(cfg, input, job.n_reduces, placer, observer, ());
+        let (n_maps, n_reduces) = (sched.book().maps().len(), job.n_reduces);
+        let mut slots = Slots::new(cfg.n_nodes, cfg.map_slots, cfg.reduce_slots);
         let mut failed = false;
-        let abort = Arc::new(AtomicBool::new(false));
-        // Crash/recover schedule keyed by heartbeat round; within a round,
-        // crashes (tag 0) apply before recoveries (tag 1).
-        let mut fault_events: Vec<(u64, u8, usize)> = Vec::new();
-        for c in &self.cfg.faults.crashes {
-            fault_events.push((c.at as u64, 0, c.node));
-            if let Some(r) = c.recover_at {
-                fault_events.push((r as u64, 1, c.node));
-            }
-        }
-        fault_events.sort_unstable();
-        let mut next_fault = 0usize;
 
-        // Cross-thread state.
-        let progress: Arc<Vec<MapProgressGauges>> =
-            Arc::new((0..n_maps).map(|_| MapProgressGauges::new(n_reduces)).collect());
-        let outputs: OutputStore = Arc::new(Mutex::new((0..n_maps).map(|_| None).collect()));
-        let all_maps_done = Arc::new(AtomicBool::new(false));
+        // Threads cannot be killed, so a crash-killed attempt's eventual
+        // message must go stale instead: the book's attempt tags do that.
         let (tx, rx): (Sender<DoneMsg>, Receiver<DoneMsg>) = channel();
-
-        let mut final_output: Vec<Vec<(String, String)>> = vec![Vec::new(); n_reduces];
+        let shared = Shared {
+            cfg,
+            job,
+            blocks: sched.blocks().clone(),
+            hops: sched.hops().clone(),
+            progress: Arc::new((0..n_maps).map(|_| MapProgressGauges::new(n_reduces)).collect()),
+            outputs: Arc::new(Mutex::new((0..n_maps).map(|_| None).collect())),
+            all_maps_done: Arc::new(AtomicBool::new(false)),
+            abort: Arc::new(AtomicBool::new(false)),
+            tx,
+        };
 
         let mut round = 0u64;
         std::thread::scope(|scope| {
-            let mut last_hb = Instant::now() - self.cfg.heartbeat;
+            let mut last_hb = Instant::now() - cfg.heartbeat;
             loop {
+                sched.set_now(start.elapsed().as_secs_f64());
                 // Drain completions.
                 while let Ok(msg) = rx.try_recv() {
                     match msg {
                         DoneMsg::Map { map, node, attempt, partitions, bytes } => {
-                            if attempt != map_attempt[map] {
+                            if sched.map_done(map, attempt, node, &bytes) != Verdict::Accepted {
                                 continue; // crash-killed attempt; output discarded
                             }
-                            outputs.lock().unwrap()[map] = Some((partitions, bytes));
-                            maps_finished += 1;
-                            free_map[node.idx()] += 1;
-                            if maps_finished == n_maps {
-                                all_maps_done.store(true, Ordering::SeqCst);
+                            shared.outputs.lock().unwrap()[map as usize] =
+                                Some((node, partitions, bytes));
+                            slots.map[node as usize] += 1;
+                            if sched.book().maps_finished() == n_maps {
+                                shared.all_maps_done.store(true, Ordering::SeqCst);
                             }
                         }
                         DoneMsg::MapFailed { map, node, attempt } => {
-                            if attempt != map_attempt[map] {
-                                continue;
-                            }
-                            map_attempt[map] += 1;
-                            free_map[node.idx()] += 1;
-                            observer.observe_fault(&FaultRecord {
-                                t: start.elapsed().as_secs_f64(),
-                                kind: FaultKind::TransientFailure,
-                                node: node.0,
-                                job: Some(0),
-                                task: Some(map as u32),
-                            });
-                            if map_starts[map] >= self.cfg.faults.max_attempts {
-                                failed = true;
-                                abort.store(true, Ordering::SeqCst);
-                                observer.observe_fault(&FaultRecord {
-                                    t: start.elapsed().as_secs_f64(),
-                                    kind: FaultKind::JobFailed,
-                                    node: node.0,
-                                    job: Some(0),
-                                    task: Some(map as u32),
-                                });
-                            } else {
-                                map_node.lock().unwrap()[map] = None;
-                                unassigned_maps.push(map);
+                            if let Some(exhausted) = sched.map_failed(map, attempt, node) {
+                                slots.map[node as usize] += 1;
+                                failed |= exhausted;
                             }
                         }
                         DoneMsg::Reduce { reduce, node, attempt, output, sources } => {
-                            if attempt != reduce_attempt[reduce] {
-                                continue;
+                            if sched.reduce_done(reduce, attempt, node, output, &sources) {
+                                slots.reduce[node as usize] += 1;
                             }
-                            reduce_done[reduce] = true;
-                            reduces_finished += 1;
-                            free_reduce[node.idx()] += 1;
-                            if let Some(pos) =
-                                job_reduce_nodes.iter().position(|n| *n == node)
-                            {
-                                job_reduce_nodes.swap_remove(pos);
-                            }
-                            let dominant = sources
-                                .iter()
-                                .max_by_key(|(_, b)| *b)
-                                .map(|(n, _)| *n);
-                            reduce_locality.record(match dominant {
-                                Some(d) if d == node => LocalityClass::NodeLocal,
-                                Some(d) if self.layout.same_rack(d, node) => {
-                                    LocalityClass::RackLocal
-                                }
-                                Some(_) => LocalityClass::Remote,
-                                None => LocalityClass::NodeLocal,
-                            });
-                            final_output[reduce] = output;
                         }
                     }
                 }
-                if failed {
-                    break; // abort flag is set; task threads wind down on their own
-                }
-                if reduces_finished == n_reduces && maps_finished == n_maps {
+                if failed || sched.book().complete() {
                     break;
                 }
 
-                if last_hb.elapsed() < self.cfg.heartbeat {
+                if last_hb.elapsed() < cfg.heartbeat {
                     std::thread::sleep(Duration::from_micros(300));
                     continue;
                 }
                 last_hb = Instant::now();
                 round += 1;
-                placer.on_heartbeat_round(round);
-                observer.begin_round(round);
 
-                // Apply due crash/recover events.
-                while next_fault < fault_events.len() && fault_events[next_fault].0 <= round {
-                    let (_, tag, n) = fault_events[next_fault];
-                    next_fault += 1;
-                    if tag == 0 {
-                        down_depth[n] += 1;
-                        if down_depth[n] > 1 {
-                            continue;
+                for fault in sched.begin_round(round) {
+                    match fault {
+                        NodeFault::Crash(n) => {
+                            sched.fault(FaultKind::NodeCrash, n as u32, None);
+                            // No slot survives: recovery resets the counts
+                            // wholesale, and until then the node hosts
+                            // nothing.
+                            slots.set(n, 0, 0);
+                            for ev in sched.lose_node(n) {
+                                // Completed output lived on the dead node:
+                                // re-executed, exactly as Hadoop re-runs
+                                // lost map outputs.
+                                if let TaskEvent::MapInvalidated { map, .. } = ev {
+                                    shared.outputs.lock().unwrap()[map as usize] = None;
+                                    shared.all_maps_done.store(false, Ordering::SeqCst);
+                                }
+                            }
                         }
-                        dead[n] = true;
-                        observer.observe_fault(&FaultRecord {
-                            t: start.elapsed().as_secs_f64(),
-                            kind: FaultKind::NodeCrash,
-                            node: n as u32,
-                            job: None,
-                            task: None,
-                        });
-                        self.on_engine_crash(
-                            n,
-                            start,
-                            n_maps,
-                            n_reduces,
-                            &map_node,
-                            &outputs,
-                            &all_maps_done,
-                            &mut map_attempt,
-                            &mut unassigned_maps,
-                            &mut maps_finished,
-                            &mut reduce_attempt,
-                            &reduce_done,
-                            &mut reduce_node,
-                            &mut unassigned_reduces,
-                            &mut job_reduce_nodes,
-                            &mut observer,
-                        );
-                    } else {
-                        down_depth[n] = down_depth[n].saturating_sub(1);
-                        if down_depth[n] > 0 {
-                            continue;
+                        NodeFault::Recover(n) => {
+                            slots.set(n, cfg.map_slots, cfg.reduce_slots);
+                            sched.fault(FaultKind::NodeRecover, n as u32, None);
                         }
-                        dead[n] = false;
-                        free_map[n] = self.cfg.map_slots;
-                        free_reduce[n] = self.cfg.reduce_slots;
-                        observer.observe_fault(&FaultRecord {
-                            t: start.elapsed().as_secs_f64(),
-                            kind: FaultKind::NodeRecover,
-                            node: n as u32,
-                            job: None,
-                            task: None,
-                        });
                     }
                 }
                 // A whole-cluster permanent blackout can never finish the
                 // remaining work — fail the job instead of spinning forever.
-                if dead.iter().all(|&d| d)
-                    && !fault_events[next_fault..].iter().any(|e| e.1 == 1)
-                {
+                if sched.permanent_blackout() {
                     failed = true;
-                    abort.store(true, Ordering::SeqCst);
-                    observer.observe_fault(&FaultRecord {
-                        t: start.elapsed().as_secs_f64(),
-                        kind: FaultKind::JobFailed,
-                        node: 0,
-                        job: Some(0),
-                        task: None,
-                    });
+                    sched.fault(FaultKind::JobFailed, 0, None);
                     break;
                 }
 
-                // Heartbeat every node; fill slots through the placer.
-                for node_idx in 0..self.cfg.n_nodes {
-                    if dead[node_idx] {
-                        continue; // dead nodes neither heartbeat nor host work
-                    }
-                    let node = NodeId(node_idx as u32);
-                    // Map slots.
-                    while free_map[node.idx()] > 0 && !unassigned_maps.is_empty() {
-                        let cands: Vec<MapCandidate> = unassigned_maps
-                            .iter()
-                            .map(|&m| map_cands[m].clone())
-                            .collect();
-                        let free_nodes: Vec<NodeId> = (0..self.cfg.n_nodes)
-                            .filter(|n| !dead[*n] && free_map[*n] > 0)
-                            .map(|n| NodeId(n as u32))
-                            .collect();
-                        let ctx = MapSchedContext::new(
-                            jid,
-                            &cands,
-                            &free_nodes,
-                            self.hops.as_ref(),
-                            &self.layout,
-                        )
-                        .at(start.elapsed().as_secs_f64());
-                        let decision = placer.place_map(&ctx, node, &mut rng);
-                        observer.observe_map(&ctx, node, decision, placer.last_detail());
-                        match decision {
-                            Decision::Assign(i) => {
-                                let map = unassigned_maps.swap_remove(i);
-                                free_map[node.idx()] -= 1;
-                                map_node.lock().unwrap()[map] = Some(node);
-                                map_locality.record(if cands[i].is_local_to(node) {
-                                    LocalityClass::NodeLocal
-                                } else if cands[i].is_rack_local_to(node, &self.layout) {
-                                    LocalityClass::RackLocal
-                                } else {
-                                    LocalityClass::Remote
-                                });
-                                // Same 1-based attempt key as the simulator,
-                                // so retry verdicts agree across runtimes.
-                                map_starts[map] += 1;
-                                let doomed = self.cfg.faults.transient_map_failure_p > 0.0
-                                    && self.cfg.faults.map_attempt_fails(
-                                        self.cfg.seed,
-                                        map,
-                                        map_starts[map],
-                                    );
-                                self.spawn_map(
-                                    scope, job, map, node, map_attempt[map], doomed,
-                                    &store, &blocks, &progress, tx.clone(),
-                                );
+                // Publish the running maps' gauges, then heartbeat every
+                // node (dead ones have no free slot to fill).
+                for (m, g) in shared.progress.iter().enumerate() {
+                    let parts = g.part_bytes.iter().map(|b| b.load(Ordering::Relaxed));
+                    sched.note_progress(m as u32, g.d_read.load(Ordering::Relaxed), parts);
+                }
+                for n in 0..cfg.n_nodes {
+                    let node = NodeId(n as u32);
+                    for launch in sched.offer(node, &mut slots) {
+                        match launch {
+                            Launch::Map { map, attempt, doomed } => {
+                                let replicas = sched.replicas(map as usize);
+                                shared.spawn_map(scope, node, map, attempt, doomed, replicas)
                             }
-                            Decision::Skip(_) => {
-                                skipped_offers += 1;
-                                break;
-                            }
-                        }
-                    }
-                    // Reduce slots (after slowstart).
-                    if maps_finished < slowstart_gate(self.cfg.slowstart, n_maps) {
-                        continue;
-                    }
-                    while free_reduce[node.idx()] > 0 && !unassigned_reduces.is_empty() {
-                        let cands: Vec<ReduceCandidate> = unassigned_reduces
-                            .iter()
-                            .map(|&f| ReduceCandidate {
-                                task: ReduceTaskId { job: jid, index: f as u32 },
-                                sources: self.shuffle_sources(
-                                    f, &map_node.lock().unwrap(), &progress, &blocks,
-                                ),
-                            })
-                            .collect();
-                        let free_nodes: Vec<NodeId> = (0..self.cfg.n_nodes)
-                            .filter(|n| !dead[*n] && free_reduce[*n] > 0)
-                            .map(|n| NodeId(n as u32))
-                            .collect();
-                        let read_total: u64 = progress
-                            .iter()
-                            .map(|p| p.d_read.load(Ordering::Relaxed))
-                            .sum();
-                        let bytes_total: u64 =
-                            blocks.iter().map(|b| b.len() as u64).sum();
-                        let ctx = ReduceSchedContext::new(
-                            jid,
-                            &cands,
-                            &free_nodes,
-                            self.hops.as_ref(),
-                            &self.layout,
-                        )
-                        .running_on(&job_reduce_nodes)
-                        .map_phase(
-                            read_total as f64 / bytes_total.max(1) as f64,
-                            maps_finished,
-                            n_maps,
-                        )
-                        .reduce_phase(n_reduces - unassigned_reduces.len(), n_reduces)
-                        .at(start.elapsed().as_secs_f64());
-                        let decision = placer.place_reduce(&ctx, node, &mut rng);
-                        observer.observe_reduce(&ctx, node, decision, placer.last_detail());
-                        match decision {
-                            Decision::Assign(i) => {
-                                let red = unassigned_reduces.swap_remove(i);
-                                free_reduce[node.idx()] -= 1;
-                                reduce_node[red] = Some(node);
-                                job_reduce_nodes.push(node);
-                                self.spawn_reduce(
-                                    scope, job, red, node, reduce_attempt[red],
-                                    &map_node, &outputs, &all_maps_done, &abort,
-                                    tx.clone(),
-                                );
-                            }
-                            Decision::Skip(_) => {
-                                skipped_offers += 1;
-                                break;
+                            Launch::Reduce { reduce, attempt } => {
+                                shared.spawn_reduce(scope, node, reduce, attempt)
                             }
                         }
                     }
                 }
             }
+            // Task threads wind down on their own once the job is failed.
+            shared.abort.store(failed, Ordering::SeqCst);
         });
 
-        if let Some(stats) = placer.stats() {
-            observer.absorb_placer(stats);
-        }
-        observer.flush();
-        let trace_jsonl = observer.drain_jsonl();
-        let output: Vec<(String, String)> = final_output.into_iter().flatten().collect();
+        let o = sched.finish();
         EngineReport {
-            output,
-            map_locality,
-            reduce_locality,
+            output: o.output,
+            map_locality: o.map_locality,
+            reduce_locality: o.reduce_locality,
             wall: start.elapsed(),
             n_maps,
             n_reduces,
-            skipped_offers,
-            counters: observer.counters().clone(),
-            trace_jsonl,
+            skipped_offers: o.skipped_offers,
+            counters: o.counters,
+            trace_jsonl: o.trace_jsonl,
             failed,
         }
     }
+}
 
-    /// Apply a node crash to driver state: running map attempts on the node
-    /// are rescheduled (their in-flight messages go stale via the attempt
-    /// tag), completed map outputs on the node are invalidated and re-run,
-    /// and placed-but-unfinished reduces are rescheduled. The two shared
-    /// locks are never held together (the reduce threads take them in
-    /// sequence too).
-    #[allow(clippy::too_many_arguments)]
-    fn on_engine_crash(
-        &self,
-        n: usize,
-        start: Instant,
-        n_maps: usize,
-        n_reduces: usize,
-        map_node: &Arc<Mutex<Vec<Option<NodeId>>>>,
-        outputs: &OutputStore,
-        all_maps_done: &Arc<AtomicBool>,
-        map_attempt: &mut [u32],
-        unassigned_maps: &mut Vec<usize>,
-        maps_finished: &mut usize,
-        reduce_attempt: &mut [u32],
-        reduce_done: &[bool],
-        reduce_node: &mut [Option<NodeId>],
-        unassigned_reduces: &mut Vec<usize>,
-        job_reduce_nodes: &mut Vec<NodeId>,
-        observer: &mut DecisionObserver,
-    ) {
-        let node = NodeId(n as u32);
-        let t = start.elapsed().as_secs_f64();
-        let done: Vec<bool> = {
-            let outs = outputs.lock().unwrap();
-            (0..n_maps).map(|m| outs[m].is_some()).collect()
-        };
-        let on_node: Vec<bool> = {
-            let mn = map_node.lock().unwrap();
-            (0..n_maps).map(|m| mn[m] == Some(node)).collect()
-        };
-        for m in 0..n_maps {
-            if !on_node[m] || unassigned_maps.contains(&m) {
-                continue;
-            }
-            if done[m] {
-                // Completed output lived on the dead node: invalidate and
-                // re-execute, exactly as Hadoop re-runs lost map outputs.
-                outputs.lock().unwrap()[m] = None;
-                *maps_finished -= 1;
-                all_maps_done.store(false, Ordering::SeqCst);
-                observer.observe_fault(&FaultRecord {
-                    t,
-                    kind: FaultKind::MapInvalidated,
-                    node: n as u32,
-                    job: Some(0),
-                    task: Some(m as u32),
-                });
-            } else {
-                observer.observe_fault(&FaultRecord {
-                    t,
-                    kind: FaultKind::TaskRescheduled,
-                    node: n as u32,
-                    job: Some(0),
-                    task: Some(m as u32),
-                });
-            }
-            // No slot to free: the node is dead, and recovery resets its
-            // slot counts wholesale.
-            map_attempt[m] += 1;
-            map_node.lock().unwrap()[m] = None;
-            unassigned_maps.push(m);
-        }
-        for r in 0..n_reduces {
-            if reduce_node[r] != Some(node) || reduce_done[r] {
-                continue; // finished reduce output is driver-held, hence durable
-            }
-            reduce_attempt[r] += 1;
-            reduce_node[r] = None;
-            unassigned_reduces.push(r);
-            if let Some(pos) = job_reduce_nodes.iter().position(|x| *x == node) {
-                job_reduce_nodes.swap_remove(pos);
-            }
-            observer.observe_fault(&FaultRecord {
-                t,
-                kind: FaultKind::TaskRescheduled,
-                node: n as u32,
-                job: Some(0),
-                task: Some(r as u32),
-            });
-        }
+impl Shared<'_> {
+    fn net_delay(&self, bytes: u64, hops: f64) -> Duration {
+        Duration::from_micros((bytes / 1024).max(1) * self.cfg.net_us_per_kib_hop * hops as u64)
     }
 
-    /// Build a reduce candidate's shuffle sources from live progress.
-    fn shuffle_sources(
-        &self,
-        partition: usize,
-        map_node: &[Option<NodeId>],
-        progress: &Arc<Vec<MapProgressGauges>>,
-        blocks: &Arc<Vec<String>>,
-    ) -> Vec<ShuffleSource> {
-        map_node
-            .iter()
-            .enumerate()
-            .filter_map(|(m, node)| {
-                node.map(|n| ShuffleSource {
-                    node: n,
-                    current_bytes: progress[m].part_bytes[partition]
-                        .load(Ordering::Relaxed) as f64,
-                    input_read: progress[m].d_read.load(Ordering::Relaxed),
-                    input_total: blocks[m].len() as u64,
-                })
-            })
-            .collect()
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn spawn_map<'s>(
-        &'s self,
+        &self,
         scope: &'s Scope<'s, '_>,
-        job: &EngineJob,
-        map: usize,
         node: NodeId,
+        map: u32,
         attempt: u32,
         doomed: bool,
-        store: &BlockStore,
-        blocks: &Arc<Vec<String>>,
-        progress: &Arc<Vec<MapProgressGauges>>,
-        tx: Sender<DoneMsg>,
+        replicas: &[NodeId],
     ) {
-        let mapper = job.mapper.clone();
+        let mapper = self.job.mapper.clone();
         let partitioner = self.cfg.partitioner;
-        let n_reduces = job.n_reduces;
-        let blocks = blocks.clone();
-        let progress = progress.clone();
-        let (_, fetch_hops) = store
-            .nearest_replica(BlockId(map as u32), node, self.hops.as_ref())
-            .expect("blocks have replicas");
-        let fetch_delay = self.net_delay(blocks[map].len() as u64, fetch_hops);
+        let n_reduces = self.job.n_reduces;
+        let blocks = self.blocks.clone();
+        let progress = self.progress.clone();
+        let tx = self.tx.clone();
+        let hops_to = replicas.iter().map(|&r| self.hops.get(node, r));
+        let nearest = hops_to.fold(f64::INFINITY, f64::min);
+        let fetch_delay = self.net_delay(blocks[map as usize].len() as u64, nearest);
         let cpu_us = self.cfg.cpu_us_per_kib;
+        let node = node.0;
         scope.spawn(move || {
             std::thread::sleep(fetch_delay);
             if doomed {
@@ -726,38 +383,25 @@ impl MapReduceEngine {
             // by the scheduler between heartbeats.
             let (partitions, bytes) = execute_map(
                 mapper.as_ref(),
-                &blocks[map],
+                &blocks[map as usize],
                 n_reduces,
                 partitioner,
-                &progress[map],
+                &progress[map as usize],
                 || std::thread::sleep(Duration::from_micros(cpu_us * 8)),
             );
             let _ = tx.send(DoneMsg::Map { map, node, attempt, partitions, bytes });
         });
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_reduce<'s>(
-        &'s self,
-        scope: &'s Scope<'s, '_>,
-        job: &EngineJob,
-        reduce: usize,
-        node: NodeId,
-        attempt: u32,
-        map_node: &Arc<Mutex<Vec<Option<NodeId>>>>,
-        outputs: &OutputStore,
-        all_maps_done: &Arc<AtomicBool>,
-        abort: &Arc<AtomicBool>,
-        tx: Sender<DoneMsg>,
-    ) {
-        let reducer = job.reducer.clone();
-        let outputs = outputs.clone();
-        let all_maps_done = all_maps_done.clone();
-        let abort = abort.clone();
+    fn spawn_reduce<'s>(&self, scope: &'s Scope<'s, '_>, node: NodeId, reduce: u32, attempt: u32) {
+        let reducer = self.job.reducer.clone();
+        let outputs = self.outputs.clone();
+        let all_maps_done = self.all_maps_done.clone();
+        let abort = self.abort.clone();
         let hops = self.hops.clone();
+        let tx = self.tx.clone();
         let net_us = self.cfg.net_us_per_kib_hop;
-        let map_node = map_node.clone();
-        let n_maps = map_node.lock().unwrap().len();
+        let n_maps = self.blocks.len();
         scope.spawn(move || {
             // Shuffle: wait for the map phase, then pull this partition
             // from every map output (network delay per remote source).
@@ -768,30 +412,24 @@ impl MapReduceEngine {
                 std::thread::sleep(Duration::from_micros(500));
             }
             let mut pairs: Vec<(String, String)> = Vec::new();
-            let mut per_source: Vec<(NodeId, u64)> = Vec::new();
+            let mut per_source: Vec<(u32, u64)> = Vec::new();
             for m in 0..n_maps {
                 // Per-map wait: a crash can invalidate an output even after
                 // the map phase once looked complete — re-fetch from the
-                // re-executed attempt. The two locks are taken in sequence,
-                // never nested (same discipline as the driver).
-                let (part, sz, src) = loop {
+                // re-executed attempt.
+                let (src, part, sz) = loop {
                     if abort.load(Ordering::SeqCst) {
                         return;
                     }
-                    let snap = {
-                        let guard = outputs.lock().unwrap();
-                        guard[m]
-                            .as_ref()
-                            .map(|(parts, bytes)| (parts[reduce].clone(), bytes[reduce]))
-                    };
-                    if let Some((part, sz)) = snap {
-                        if let Some(src) = map_node.lock().unwrap()[m] {
-                            break (part, sz, src);
-                        }
+                    let snap = outputs.lock().unwrap()[m].as_ref().map(|(src, parts, bytes)| {
+                        (*src, parts[reduce as usize].clone(), bytes[reduce as usize])
+                    });
+                    if let Some(held) = snap {
+                        break held;
                     }
                     std::thread::sleep(Duration::from_micros(500));
                 };
-                let h = hops.get(src, NodeId(node.0));
+                let h = hops.get(NodeId(src), node);
                 if h > 0.0 && sz > 0 {
                     std::thread::sleep(Duration::from_micros(
                         (sz / 1024).max(1) * net_us * h as u64,
@@ -806,8 +444,13 @@ impl MapReduceEngine {
                 pairs.extend(part);
             }
             let output = execute_reduce(reducer.as_ref(), pairs);
-            let _ =
-                tx.send(DoneMsg::Reduce { reduce, node, attempt, output, sources: per_source });
+            let _ = tx.send(DoneMsg::Reduce {
+                reduce,
+                node: node.0,
+                attempt,
+                output,
+                sources: per_source,
+            });
         });
     }
 }
@@ -818,6 +461,14 @@ mod tests {
     use crate::jobs::WordCountJob;
     use pnats_core::prob_sched::ProbabilisticPlacer;
     use std::collections::HashMap;
+
+    impl MapReduceEngine {
+        /// Split text the way a run would (the driver itself splits inside
+        /// `JobScheduler::derive`).
+        fn split_blocks(&self, input: &str) -> Vec<String> {
+            crate::exec::split_blocks(input, self.cfg.block_bytes)
+        }
+    }
 
     fn tiny_engine() -> MapReduceEngine {
         MapReduceEngine::new(EngineConfig {

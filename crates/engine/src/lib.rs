@@ -27,10 +27,12 @@
 //! three applications.
 
 pub mod api;
+pub mod book;
 pub mod engine;
 pub mod exec;
 pub mod jobs;
 
 pub use api::{EngineJob, Mapper, Reducer};
+pub use book::{Book, EventLog, JobScheduler, TaskEvent};
 pub use engine::{EngineConfig, EngineReport, MapReduceEngine};
 pub use jobs::{GrepJob, TeraSortJob, WordCountJob};
