@@ -7,7 +7,8 @@
 //! the sweep, one calibration experiment is executed twice — serially
 //! (`PNATS_THREADS=1`) and at full width — to record the measured speedup
 //! and to verify the parallel harness is byte-identical to the serial one
-//! on stdout.
+//! on stdout. With a single worker there is no second width to compare, so
+//! it runs once and reports a speedup of 1.
 //!
 //! Usage: `cargo run --release -p pnats-bench --bin repro_all [seed]`
 
@@ -33,6 +34,35 @@ struct ChildRun {
     stdout: Vec<u8>,
     stderr: String,
     wall_s: f64,
+}
+
+/// What the calibration pair measured.
+struct Calibration {
+    serial_wall_s: f64,
+    parallel_wall_s: f64,
+    stdout_identical: bool,
+}
+
+impl Calibration {
+    fn speedup(&self) -> f64 {
+        self.serial_wall_s / self.parallel_wall_s.max(1e-9)
+    }
+}
+
+/// Run the calibration experiment through `run` serially and, when there
+/// is more than one worker, again at full width. With one worker both
+/// children would be serial — their ratio is process noise, and a byte
+/// compare of a run against a rerun of itself proves nothing about the
+/// parallel harness — so the single serial run stands for both.
+fn calibrate(threads: usize, mut run: impl FnMut(Option<usize>) -> ChildRun) -> Calibration {
+    let serial = run(Some(1));
+    let (parallel_wall_s, stdout_identical) = if threads == 1 {
+        (serial.wall_s, true)
+    } else {
+        let parallel = run(None);
+        (parallel.wall_s, serial.stdout == parallel.stdout)
+    };
+    Calibration { serial_wall_s: serial.wall_s, parallel_wall_s, stdout_identical }
 }
 
 fn run_child(dir: &std::path::Path, bin: &str, seed: &str, threads: Option<usize>) -> ChildRun {
@@ -155,15 +185,22 @@ fn main() {
     // Calibration: the same experiment serially and at full width. The
     // simulations seed their own RNGs, so stdout must match byte for byte.
     println!("######## calibration: {CALIBRATION_BIN} serial vs {threads} threads ########");
-    let serial = run_child(&dir, CALIBRATION_BIN, &seed, Some(1));
-    let parallel = run_child(&dir, CALIBRATION_BIN, &seed, None);
-    let identical = serial.stdout == parallel.stdout;
-    let speedup = serial.wall_s / parallel.wall_s.max(1e-9);
-    println!(
-        "serial {:.2}s  parallel {:.2}s  speedup {speedup:.2}x  stdout_identical={identical}",
-        serial.wall_s, parallel.wall_s
-    );
-    if !identical {
+    let cal = calibrate(threads, |t| run_child(&dir, CALIBRATION_BIN, &seed, t));
+    if threads == 1 {
+        println!(
+            "one worker: ran once ({:.2}s); speedup 1.00x by definition, nothing to byte-compare",
+            cal.serial_wall_s
+        );
+    } else {
+        println!(
+            "serial {:.2}s  parallel {:.2}s  speedup {:.2}x  stdout_identical={}",
+            cal.serial_wall_s,
+            cal.parallel_wall_s,
+            cal.speedup(),
+            cal.stdout_identical
+        );
+    }
+    if !cal.stdout_identical {
         eprintln!("FATAL: parallel stdout differs from serial stdout — determinism broken");
         std::process::exit(1);
     }
@@ -201,10 +238,10 @@ fn main() {
     json.push_str(&format!("  \"seed\": \"{}\",\n", json_escape(&seed)));
     json.push_str("  \"calibration\": {\n");
     json.push_str(&format!("    \"experiment\": \"{CALIBRATION_BIN}\",\n"));
-    json.push_str(&format!("    \"serial_wall_s\": {:.3},\n", serial.wall_s));
-    json.push_str(&format!("    \"parallel_wall_s\": {:.3},\n", parallel.wall_s));
-    json.push_str(&format!("    \"speedup\": {speedup:.3},\n"));
-    json.push_str(&format!("    \"stdout_identical\": {identical}\n"));
+    json.push_str(&format!("    \"serial_wall_s\": {:.3},\n", cal.serial_wall_s));
+    json.push_str(&format!("    \"parallel_wall_s\": {:.3},\n", cal.parallel_wall_s));
+    json.push_str(&format!("    \"speedup\": {:.3},\n", cal.speedup()));
+    json.push_str(&format!("    \"stdout_identical\": {}\n", cal.stdout_identical));
     json.push_str("  },\n");
     json.push_str("  \"experiments\": [\n");
     for (i, rec) in records.iter().enumerate() {
@@ -256,4 +293,43 @@ fn main() {
 
     println!("\nAll experiments completed in {total_wall_s:.1}s ({threads} threads).");
     println!("Wall-clock accounting written to BENCH_harness.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fake child: records the widths it was launched at and takes
+    /// `walls[i]` seconds on its i-th launch.
+    fn fake<'a>(
+        launched: &'a mut Vec<Option<usize>>,
+        walls: &'a [f64],
+    ) -> impl FnMut(Option<usize>) -> ChildRun + 'a {
+        move |threads| {
+            launched.push(threads);
+            ChildRun {
+                stdout: b"same bytes".to_vec(),
+                stderr: String::new(),
+                wall_s: walls[launched.len() - 1],
+            }
+        }
+    }
+
+    #[test]
+    fn one_worker_calibrates_with_a_single_run() {
+        let mut launched = Vec::new();
+        let cal = calibrate(1, fake(&mut launched, &[31.7]));
+        assert_eq!(launched, vec![Some(1)], "a second serial run is ~30 s of noise");
+        assert_eq!(format!("{:.3}", cal.speedup()), "1.000");
+        assert!(cal.stdout_identical);
+    }
+
+    #[test]
+    fn several_workers_run_the_serial_parallel_pair() {
+        let mut launched = Vec::new();
+        let cal = calibrate(4, fake(&mut launched, &[30.0, 10.0]));
+        assert_eq!(launched, vec![Some(1), None]);
+        assert_eq!(format!("{:.3}", cal.speedup()), "3.000");
+        assert!(cal.stdout_identical);
+    }
 }

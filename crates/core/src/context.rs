@@ -69,7 +69,7 @@ pub struct MapSchedContext<'a> {
     /// Current time in seconds (drives delay-based baselines).
     pub now: f64,
     /// Incremental cost index over the free set, when the runtime maintains
-    /// one (see [`CostView`]). `None` preserves the legacy recompute path.
+    /// one (see [`CostView`]). `None` selects the legacy per-node mean.
     pub cost_view: Option<CostView<'a>>,
 }
 
@@ -109,7 +109,7 @@ pub struct ReduceSchedContext<'a> {
     /// Current time in seconds.
     pub now: f64,
     /// Incremental cost index over the free set, when the runtime maintains
-    /// one (see [`CostView`]). `None` preserves the legacy recompute path.
+    /// one (see [`CostView`]). `None` selects the legacy per-node mean.
     pub cost_view: Option<CostView<'a>>,
 }
 

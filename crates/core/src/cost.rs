@@ -329,7 +329,7 @@ mod tests {
         total: u32,
     ) -> CostView<'a> {
         CostView {
-            classes: Some(classes),
+            classes,
             free_counts: counts,
             free_bits: bits,
             total_free: total,

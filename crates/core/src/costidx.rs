@@ -2,12 +2,12 @@
 //!
 //! Averaging a candidate's cost over every free-slot node (Algorithm 1
 //! line 6 / Algorithm 2 line 7) is `O(free nodes)` per candidate, and the
-//! free set changes on almost every placement or completion — at 10k nodes
-//! the recomputation dominates the whole simulation. The fix exploits the
-//! structure of hop metrics: in any switch hierarchy, all nodes hanging off
-//! one leaf switch are *interchangeable* as far as path costs go. Partition
-//! the nodes into such equivalence classes and `C_ave` collapses to a sum
-//! over classes weighted by **integer** per-class free-slot counts.
+//! mean is computed afresh for every candidate of every offer — at 10k
+//! nodes the per-node mean dominates the whole simulation. The fix exploits
+//! the structure of hop metrics: in any switch hierarchy, all nodes hanging
+//! off one leaf switch are *interchangeable* as far as path costs go.
+//! Partition the nodes into such equivalence classes and `C_ave` collapses
+//! to a sum over classes weighted by **integer** per-class free-slot counts.
 //!
 //! The integer counts are the key to the differential gate
 //! (`tests/scale_parity.rs`): the runtime maintains them incrementally
@@ -20,8 +20,9 @@
 //!
 //! Matrices without exploitable structure (the §II-B3 congestion-scaled
 //! matrices quickly make every row distinct) fail [`CostClasses::derive`]'s
-//! class cap, and every consumer falls back to the legacy per-node mean —
-//! preserving the exact floating-point behaviour of the unindexed code.
+//! class cap; the runtime then hands the placer no [`CostView`] at all and
+//! the placer uses the legacy per-node mean — preserving the exact
+//! floating-point behaviour of the unindexed code.
 
 use pnats_net::{NodeId, PathCost};
 
@@ -45,7 +46,7 @@ pub struct CostClasses {
     /// equivalence relation forces all intra-class pairs to one value.
     intra: Vec<f64>,
     /// The [`PathCost::version`] of the matrix this partition was derived
-    /// from; consumers key caches on it.
+    /// from; consumers key their derived tables on it.
     version: u64,
 }
 
@@ -223,15 +224,14 @@ impl CostClasses {
 ///
 /// `generation` must change whenever free-set membership changes (a node
 /// gaining its first or losing its last free slot); the placer keys its
-/// `C_ave` memo on `(generation, cost version)` instead of comparing free
-/// lists. `classes` is `None` when the matrix is unstructured — consumers
-/// then use the legacy per-node mean (bit-identical to the unindexed code)
-/// while still enjoying generation-keyed caching.
+/// reduce-side per-class distance sums on `(generation, cost version)`. A
+/// runtime whose matrix is unstructured builds no view, and the placer
+/// uses the legacy per-node mean (bit-identical to the unindexed code).
 #[derive(Clone, Copy, Debug)]
 pub struct CostView<'a> {
-    /// The partition, if the matrix has exploitable structure.
-    pub classes: Option<&'a CostClasses>,
-    /// Per-class free-slot node counts (empty when `classes` is `None`).
+    /// The partition of the matrix the context's costs come from.
+    pub classes: &'a CostClasses,
+    /// Per-class free-slot node counts.
     pub free_counts: &'a [u32],
     /// Free-node membership bitset, 64 nodes per word, node id = bit index.
     pub free_bits: &'a [u64],
@@ -373,7 +373,7 @@ mod tests {
         assert_eq!(total, 3);
         assert_eq!(bits, vec![0b1110]);
         let view = CostView {
-            classes: Some(&c),
+            classes: &c,
             free_counts: &counts,
             free_bits: &bits,
             total_free: total,
@@ -393,7 +393,7 @@ mod tests {
         let (_, bits, _) = recount_free(&c, &free);
         let stale = vec![2, 0]; // wrong: node 2 moved class
         let view = CostView {
-            classes: Some(&c),
+            classes: &c,
             free_counts: &stale,
             free_bits: &bits,
             total_free: 2,

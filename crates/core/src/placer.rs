@@ -119,20 +119,16 @@ pub struct DecisionDetail {
 }
 
 /// Decision tallies keyed by outcome: assignments plus one counter per
-/// [`SkipReason`] variant, with the probabilistic placer's cache/prune
-/// extras alongside.
+/// [`SkipReason`] variant, with the probabilistic placer's prune tally
+/// alongside.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PlacerStats {
     /// Tasks assigned (`Decision::Assign` returned).
     pub assigned: u64,
     /// Skips per [`SkipReason`] variant, indexed by `reason as usize`.
     pub skips: [u64; SkipReason::COUNT],
-    /// Candidates cost-ceiling-pruned before the full `C_ave` evaluation.
+    /// Candidates cost-ceiling-pruned before the probability evaluation.
     pub pruned: u64,
-    /// `C_ave` cache lookups answered from the memo.
-    pub cache_hits: u64,
-    /// `C_ave` cache lookups that had to recompute.
-    pub cache_misses: u64,
 }
 
 impl PlacerStats {

@@ -18,12 +18,19 @@
 //! Algorithm 2 additionally refuses to run two reduce tasks of one job on
 //! the same node (I/O contention and downlink congestion; paper §II-D).
 //!
+//! `C`, `C_ave` and `P` are pure functions of (candidate, free set, cost
+//! matrix) and are computed afresh for every candidate of every offer: the
+//! placer keeps no per-candidate state, so a decision never depends on the
+//! offers that came before it. With a [`CostView`] the mean is the
+//! `O(classes)` class-compressed sum (`crate::costidx`); without one it is
+//! the per-node mean.
+//!
 //! Every decision is booked into a [`PlacerStats`] keyed by
 //! [`SkipReason`], and the intermediates of the last decision (`C_i`,
 //! `C_ave`, `P`) are exposed through
 //! [`TaskPlacer::last_detail`] for the tracing layer.
 
-use crate::context::{MapCandidate, MapSchedContext, ReduceCandidate, ReduceSchedContext};
+use crate::context::{MapSchedContext, ReduceSchedContext};
 use crate::cost::{
     map_cost, map_cost_avg, map_cost_avg_classed, reduce_class_base, reduce_cost,
     reduce_cost_avg, reduce_cost_avg_classed,
@@ -35,24 +42,21 @@ use crate::prob::ProbabilityModel;
 use pnats_net::{NodeId, PathCost};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::collections::HashMap;
 
-/// Which `C_ave` maintenance strategy scores candidates when the context
-/// carries a [`CostView`]. Both strategies are bit-identical by
-/// construction — [`CostPath::Reference`] exists to *prove* it, decision by
-/// decision, in the differential parity tests.
+/// How far an incoming [`CostView`] is trusted. Both settings make
+/// bit-identical decisions by construction — [`CostPath::Reference`] exists
+/// to *prove* it, decision by decision, in the differential parity tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CostPath {
-    /// Trust the runtime's incrementally-maintained class counts and the
-    /// epoch-keyed `C_ave` memo (still audited under `debug_assertions`).
+    /// Trust the runtime's incrementally-maintained class counts (still
+    /// audited under `debug_assertions`).
     #[default]
     Incremental,
     /// Full-recompute reference: recount the class counts from the free
-    /// list before every decision, recompute every memoized `C_ave` from
-    /// scratch (asserting bit-equality against the cache), and cross-check
-    /// the classed formulas against the legacy per-node means. Booked
-    /// stats are identical to [`CostPath::Incremental`] — only assertions
-    /// are added — so traces and reports must match byte for byte.
+    /// list before every decision and cross-check every classed `C_ave`
+    /// against the legacy per-node mean. Booked stats are identical to
+    /// [`CostPath::Incremental`] — only assertions are added — so traces
+    /// and reports must match byte for byte.
     Reference,
 }
 
@@ -96,10 +100,6 @@ pub struct ProbabilisticPlacer {
     /// candidate satisfies `P ≥ P_min` iff `C ≤ C_ave · ceiling_factor`.
     /// Precomputed once; `+∞` when no finite cost can miss the threshold.
     ceiling_factor: f64,
-    /// Memoized `C_ave` per map candidate for the current free-node set.
-    map_avg_cache: AvgCostCache,
-    /// Memoized `C_ave` per reduce candidate for the current free-node set.
-    reduce_avg_cache: AvgCostCache,
     /// How to treat an incoming [`CostView`]: trust it or verify it.
     cost_path: CostPath,
     /// Class-index tables for map contexts (built from the map-side
@@ -129,6 +129,29 @@ struct ClassTables {
 }
 
 impl ClassTables {
+    /// Validate an incoming [`CostView`] against `free` and bring the class
+    /// distance table up to the matrix revision. The audit runs always
+    /// under [`CostPath::Reference`], and in debug builds under
+    /// [`CostPath::Incremental`] too.
+    fn admit(
+        &mut self,
+        cost_path: CostPath,
+        view: &CostView<'_>,
+        free: &[NodeId],
+        cost: &dyn PathCost,
+        side: &str,
+    ) {
+        debug_assert_eq!(
+            view.classes.version(),
+            cost.version(),
+            "{side}: class partition is for another matrix revision"
+        );
+        if cost_path == CostPath::Reference || cfg!(debug_assertions) {
+            audit_view(view.classes, free, view, side);
+        }
+        self.ensure_h(view.classes, cost);
+    }
+
     /// Rebuild the class distance table if the matrix revision moved.
     fn ensure_h(&mut self, classes: &CostClasses, cost: &dyn PathCost) {
         let key = (classes.version(), classes.n_classes());
@@ -149,108 +172,54 @@ impl ClassTables {
     }
 }
 
-/// Memoized per-candidate `C_ave` values, valid for one (free-node set,
-/// cost-matrix revision) pair. `C_ave` does not depend on the offered node,
-/// so within one heartbeat round — and across rounds while the free set and
-/// the §II-B3 congestion matrix are unchanged — recomputing it per offer is
-/// pure waste. Keys hash the candidate's full cost-relevant content
-/// (replicas / shuffle-source progress), so a candidate whose inputs moved
-/// simply misses the cache instead of reading a stale value.
-#[derive(Clone, Debug, Default)]
-struct AvgCostCache {
-    free_nodes: Vec<NodeId>,
-    cost_version: u64,
-    /// Free-set generation the values were computed at (epoch mode).
-    generation: u64,
-    /// Whether validity is keyed by `(generation, cost_version)` instead of
-    /// comparing free lists. Runtimes that maintain a [`CostView`] bump the
-    /// generation on every free-set membership change, making the `O(free)`
-    /// list comparison per decision unnecessary.
-    epoch_keyed: bool,
-    values: HashMap<u64, f64>,
-}
-
-impl AvgCostCache {
-    /// Drop every memoized value unless it was computed against exactly
-    /// this free-node set and cost-matrix revision.
-    fn sync(&mut self, free_nodes: &[NodeId], cost_version: u64) {
-        if self.epoch_keyed
-            || self.cost_version != cost_version
-            || self.free_nodes.as_slice() != free_nodes
-        {
-            self.values.clear();
-            self.free_nodes.clear();
-            self.free_nodes.extend_from_slice(free_nodes);
-            self.cost_version = cost_version;
-            self.epoch_keyed = false;
-        }
-    }
-
-    /// Drop every memoized value unless it was computed within this
-    /// `(free-set generation, cost-matrix revision)` epoch.
-    fn sync_epoch(&mut self, generation: u64, cost_version: u64) {
-        if !self.epoch_keyed || self.cost_version != cost_version || self.generation != generation
-        {
-            self.values.clear();
-            self.free_nodes.clear();
-            self.cost_version = cost_version;
-            self.generation = generation;
-            self.epoch_keyed = true;
-        }
-    }
-}
-
-/// SplitMix64-style word mixer for cache keys.
-#[inline]
-fn mix(h: u64, v: u64) -> u64 {
-    let mut x = (h ^ v).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn map_candidate_key(c: &MapCandidate) -> u64 {
-    let mut h = mix(
-        0x9E37_79B9_7F4A_7C15,
-        ((c.task.job.0 as u64) << 32) | c.task.index as u64,
-    );
-    h = mix(h, c.block_size);
-    for r in &c.replicas {
-        h = mix(h, r.0 as u64);
-    }
-    h
-}
-
-fn reduce_candidate_key(c: &ReduceCandidate) -> u64 {
-    let mut h = mix(
-        0xD1B5_4A32_D192_ED03,
-        ((c.task.job.0 as u64) << 32) | c.task.index as u64,
-    );
-    for s in &c.sources {
-        h = mix(h, s.node.0 as u64);
-        h = mix(h, s.current_bytes.to_bits());
-        h = mix(h, s.input_read);
-        h = mix(h, s.input_total);
-    }
-    h
-}
-
 /// The prune must never reject a candidate the exact probability
 /// computation would accept: compare against the ceiling inflated by one
 /// part in 10¹², so boundary candidates fall through to the full formula.
 const PRUNE_SLACK: f64 = 1.0 + 1e-12;
 
-/// What the per-candidate scoring loop observed besides the probabilities —
-/// decides the [`SkipReason`] when no candidate survives.
-#[derive(Default)]
-struct ScanFlags {
+/// One offer's scoring pass over the candidates (Algorithm 1 line 7 /
+/// Algorithm 2 line 8), plus what it observed besides the probabilities —
+/// which decides the [`SkipReason`] when no candidate survives.
+struct Scan<'a> {
+    model: ProbabilityModel,
+    /// `ceiling_factor · PRUNE_SLACK`.
+    prune: f64,
+    /// [`PlacerStats::pruned`].
+    pruned: &'a mut u64,
     /// Some candidate was pruned by the `P_min` cost ceiling.
     below_threshold: bool,
     /// Some candidate's probability evaluated to NaN (non-finite costs).
     non_finite: bool,
 }
 
-impl ScanFlags {
+impl<'a> Scan<'a> {
+    fn new(model: ProbabilityModel, ceiling_factor: f64, pruned: &'a mut u64) -> Self {
+        let prune = ceiling_factor * PRUNE_SLACK;
+        Self { model, prune, pruned, below_threshold: false, non_finite: false }
+    }
+
+    /// The candidate's placement probability, or NaN — invisible to
+    /// [`argmax_probability`] — when it cannot be scored or need not be.
+    fn probability(&mut self, c_here: f64, c_ave: f64) -> f64 {
+        // A NaN cost (poisoned metric) can be neither pruned nor
+        // scored — flag it so the skip is reported as NonFiniteCost.
+        // (±∞ is fine: the probability model maps it to 0 or 1.)
+        if c_here.is_nan() || c_ave.is_nan() {
+            self.non_finite = true;
+            return f64::NAN;
+        }
+        // Cost-ceiling prune: `C > C_ave · ceiling` already implies
+        // `P < P_min`, so skip the probability computation. All pruned
+        // candidates are tallied as one below-`P_min` skip after the
+        // argmax, exactly as the unpruned computation would decide.
+        if c_here > c_ave * self.prune {
+            self.below_threshold = true;
+            *self.pruned += 1;
+            return f64::NAN;
+        }
+        self.model.probability(c_ave, c_here)
+    }
+
     /// The reason to report when `argmax_probability` found nothing.
     fn empty_scan_reason(&self) -> SkipReason {
         if self.below_threshold {
@@ -271,8 +240,6 @@ impl ProbabilisticPlacer {
         Self {
             ceiling_factor: config.model.cost_ceiling(1.0, config.p_min),
             config,
-            map_avg_cache: AvgCostCache::default(),
-            reduce_avg_cache: AvgCostCache::default(),
             cost_path: CostPath::default(),
             map_tables: ClassTables::default(),
             reduce_tables: ClassTables::default(),
@@ -323,40 +290,6 @@ impl ProbabilisticPlacer {
         }
     }
 
-    /// Validate an incoming [`CostView`] against `free` and prepare the
-    /// class tables; returns the partition to score with, if any. The
-    /// audit runs always under [`CostPath::Reference`], and in debug
-    /// builds under [`CostPath::Incremental`] too.
-    fn admit_view<'a>(
-        tables: &mut ClassTables,
-        cost_path: CostPath,
-        view: &Option<CostView<'a>>,
-        free: &[NodeId],
-        cost: &dyn PathCost,
-        side: &str,
-    ) -> Option<&'a CostClasses> {
-        let v = view.as_ref()?;
-        let verify = cost_path == CostPath::Reference || cfg!(debug_assertions);
-        if verify {
-            assert_eq!(
-                v.total_free as usize,
-                free.len(),
-                "{side}: view total_free diverged from the free list"
-            );
-        }
-        let classes = v.classes?;
-        debug_assert_eq!(
-            classes.version(),
-            cost.version(),
-            "{side}: class partition is for another matrix revision"
-        );
-        if verify {
-            audit_view(classes, free, v, side);
-        }
-        tables.ensure_h(classes, cost);
-        Some(classes)
-    }
-
     /// Algorithm 1 body; the trait wrapper books the decision.
     fn decide_map(
         &mut self,
@@ -364,76 +297,30 @@ impl ProbabilisticPlacer {
         node: NodeId,
         rng: &mut SmallRng,
     ) -> Decision {
-        match &ctx.cost_view {
-            Some(v) => self.map_avg_cache.sync_epoch(v.generation, ctx.cost.version()),
-            None => self.map_avg_cache.sync(ctx.free_map_nodes, ctx.cost.version()),
+        if let Some(v) = &ctx.cost_view {
+            self.map_tables.admit(self.cost_path, v, ctx.free_map_nodes, ctx.cost, "map");
         }
-        let classes = Self::admit_view(
-            &mut self.map_tables,
-            self.cost_path,
-            &ctx.cost_view,
-            ctx.free_map_nodes,
-            ctx.cost,
-            "map",
-        );
         let reference = self.cost_path == CostPath::Reference;
-        let model = self.config.model;
-        let prune = self.ceiling_factor * PRUNE_SLACK;
-        let cache = &mut self.map_avg_cache;
-        let stats = &mut self.stats;
         let tables = &self.map_tables;
-        let mut flags = ScanFlags::default();
+        let mut scan = Scan::new(self.config.model, self.ceiling_factor, &mut self.stats.pruned);
         let best = argmax_probability(ctx.candidates.iter().map(|c| {
             let c_here = map_cost(c, node, ctx.cost); // line 4
-            let compute = || match (classes, &ctx.cost_view) {
-                (Some(cl), Some(v)) => {
-                    let ave = map_cost_avg_classed(c, cl, &tables.h, v); // line 6
+            let c_ave = match &ctx.cost_view {
+                Some(v) => {
+                    let ave = map_cost_avg_classed(c, v.classes, &tables.h, v); // line 6
                     if reference {
-                        let legacy = map_cost_avg(c, ctx.free_map_nodes, ctx.cost);
-                        assert!(
-                            nearly_equal(ave, legacy),
-                            "map: classed C_ave {ave} diverged from legacy mean {legacy}"
-                        );
+                        cross_check("map", ave, map_cost_avg(c, ctx.free_map_nodes, ctx.cost));
                     }
                     ave
                 }
-                _ => map_cost_avg(c, ctx.free_map_nodes, ctx.cost), // line 6
+                None => map_cost_avg(c, ctx.free_map_nodes, ctx.cost), // line 6
             };
-            let c_ave = if reference {
-                cached_avg_verified(cache, stats, map_candidate_key(c), compute)
-            } else {
-                cached_avg(cache, stats, map_candidate_key(c), compute)
-            };
-            // A NaN cost (poisoned metric) can be neither pruned nor
-            // scored — flag it so the skip is reported as NonFiniteCost.
-            // (±∞ is fine: the probability model maps it to 0 or 1.)
-            if c_here.is_nan() || c_ave.is_nan() {
-                flags.non_finite = true;
-                return f64::NAN;
-            }
-            // Cost-ceiling prune: `C > C_ave · ceiling` already implies
-            // `P < P_min`, so skip the probability computation. The NaN
-            // sentinel is invisible to `argmax_probability`; all pruned
-            // candidates are tallied as one below-`P_min` skip after the
-            // argmax, exactly as the unpruned computation would decide.
-            // (A NaN cost never prunes — both comparisons are false — and
-            // falls through to the full formula.)
-            if c_here > c_ave * prune {
-                flags.below_threshold = true;
-                stats.pruned += 1;
-                return f64::NAN;
-            }
-            model.probability(c_ave, c_here) // line 7
+            (scan.probability(c_here, c_ave), (c_here, c_ave)) // line 7
         }));
-        let Some((idx, p)) = best else {
-            return Decision::Skip(flags.empty_scan_reason());
+        let Some((idx, p, (cost, cost_avg))) = best else {
+            return Decision::Skip(scan.empty_scan_reason());
         };
-        let winner = &ctx.candidates[idx];
-        self.last_detail = Some(DecisionDetail {
-            cost: map_cost(winner, node, ctx.cost),
-            cost_avg: self.cached_map_avg(winner),
-            probability: p,
-        });
+        self.last_detail = Some(DecisionDetail { cost, cost_avg, probability: p });
         self.gate(idx, p, rng) // lines 9-16
     }
 
@@ -448,148 +335,52 @@ impl ProbabilisticPlacer {
         if ctx.job_reduce_nodes.contains(&node) {
             return Decision::Skip(SkipReason::Collocated);
         }
-        match &ctx.cost_view {
-            Some(v) => self.reduce_avg_cache.sync_epoch(v.generation, ctx.cost.version()),
-            None => self.reduce_avg_cache.sync(ctx.free_reduce_nodes, ctx.cost.version()),
-        }
-        let classes = Self::admit_view(
-            &mut self.reduce_tables,
-            self.cost_path,
-            &ctx.cost_view,
-            ctx.free_reduce_nodes,
-            ctx.cost,
-            "reduce",
-        );
-        if let (Some(cl), Some(v)) = (classes, &ctx.cost_view) {
-            self.reduce_tables.ensure_base(cl, v.free_counts, v.generation);
+        if let Some(v) = &ctx.cost_view {
+            let tables = &mut self.reduce_tables;
+            tables.admit(self.cost_path, v, ctx.free_reduce_nodes, ctx.cost, "reduce");
+            tables.ensure_base(v.classes, v.free_counts, v.generation);
         }
         let reference = self.cost_path == CostPath::Reference;
         let est = self.config.estimator;
-        let model = self.config.model;
-        let prune = self.ceiling_factor * PRUNE_SLACK;
-        let cache = &mut self.reduce_avg_cache;
-        let stats = &mut self.stats;
         let tables = &self.reduce_tables;
-        let mut flags = ScanFlags::default();
+        let mut scan = Scan::new(self.config.model, self.ceiling_factor, &mut self.stats.pruned);
         let best = argmax_probability(ctx.candidates.iter().map(|c| {
             let c_here = reduce_cost(c, node, ctx.cost, est); // line 5
-            let compute = || match (classes, &ctx.cost_view) {
-                (Some(cl), Some(v)) => {
-                    let ave = reduce_cost_avg_classed(c, cl, &tables.base, v, est); // line 7
+            let c_ave = match &ctx.cost_view {
+                Some(v) => {
+                    let ave = reduce_cost_avg_classed(c, v.classes, &tables.base, v, est); // line 7
                     if reference {
                         let legacy = reduce_cost_avg(c, ctx.free_reduce_nodes, ctx.cost, est);
-                        assert!(
-                            nearly_equal(ave, legacy),
-                            "reduce: classed C_ave {ave} diverged from legacy mean {legacy}"
-                        );
+                        cross_check("reduce", ave, legacy);
                     }
                     ave
                 }
-                _ => reduce_cost_avg(c, ctx.free_reduce_nodes, ctx.cost, est), // line 7
+                None => reduce_cost_avg(c, ctx.free_reduce_nodes, ctx.cost, est), // line 7
             };
-            let c_ave = if reference {
-                cached_avg_verified(cache, stats, reduce_candidate_key(c), compute)
-            } else {
-                cached_avg(cache, stats, reduce_candidate_key(c), compute)
-            };
-            if c_here.is_nan() || c_ave.is_nan() {
-                flags.non_finite = true;
-                return f64::NAN;
-            }
-            if c_here > c_ave * prune {
-                flags.below_threshold = true;
-                stats.pruned += 1;
-                return f64::NAN;
-            }
-            model.probability(c_ave, c_here) // line 8
+            (scan.probability(c_here, c_ave), (c_here, c_ave)) // line 8
         }));
-        let Some((idx, p)) = best else {
-            return Decision::Skip(flags.empty_scan_reason());
+        let Some((idx, p, (cost, cost_avg))) = best else {
+            return Decision::Skip(scan.empty_scan_reason());
         };
-        let winner = &ctx.candidates[idx];
-        self.last_detail = Some(DecisionDetail {
-            cost: reduce_cost(winner, node, ctx.cost, est),
-            cost_avg: self.cached_reduce_avg(winner),
-            probability: p,
-        });
+        self.last_detail = Some(DecisionDetail { cost, cost_avg, probability: p });
         self.gate(idx, p, rng) // lines 10-17
     }
-
-    /// The winner's memoized `C_ave` (always present — the scoring loop
-    /// just inserted it). Not booked as a cache hit: it is a re-read of
-    /// this call's own lookup, not a saved recomputation.
-    fn cached_map_avg(&self, c: &MapCandidate) -> f64 {
-        self.map_avg_cache
-            .values
-            .get(&map_candidate_key(c))
-            .copied()
-            .unwrap_or(f64::NAN)
-    }
-
-    /// See [`Self::cached_map_avg`].
-    fn cached_reduce_avg(&self, c: &ReduceCandidate) -> f64 {
-        self.reduce_avg_cache
-            .values
-            .get(&reduce_candidate_key(c))
-            .copied()
-            .unwrap_or(f64::NAN)
-    }
 }
 
-/// One memoized `C_ave` lookup, booking a hit or miss in `stats`.
-fn cached_avg(
-    cache: &mut AvgCostCache,
-    stats: &mut PlacerStats,
-    key: u64,
-    compute: impl FnOnce() -> f64,
-) -> f64 {
-    match cache.values.get(&key) {
-        Some(&v) => {
-            stats.cache_hits += 1;
-            v
-        }
-        None => {
-            stats.cache_misses += 1;
-            let v = compute();
-            cache.values.insert(key, v);
-            v
-        }
-    }
+/// [`CostPath::Reference`]'s cross-check of a classed `C_ave` against the
+/// legacy per-node mean. A free-set change whose generation bump went
+/// missing surfaces here too (through a stale reduce `base`), as a hard
+/// panic instead of a silently wrong decision.
+fn cross_check(side: &str, ave: f64, legacy: f64) {
+    assert!(
+        nearly_equal(ave, legacy),
+        "{side}: classed C_ave {ave} diverged from legacy mean {legacy}"
+    );
 }
 
-/// [`CostPath::Reference`]'s variant of [`cached_avg`]: recompute from
-/// scratch on *every* lookup and assert any cached value is bit-identical.
-/// A stale epoch — a free-set change whose generation bump went missing —
-/// surfaces here as a hard panic instead of a silently wrong decision.
-/// Books the same hits/misses as [`cached_avg`], so stats stay identical.
-fn cached_avg_verified(
-    cache: &mut AvgCostCache,
-    stats: &mut PlacerStats,
-    key: u64,
-    compute: impl FnOnce() -> f64,
-) -> f64 {
-    let fresh = compute();
-    match cache.values.get(&key) {
-        Some(&v) => {
-            assert!(
-                v.to_bits() == fresh.to_bits(),
-                "stale memoized C_ave: cached {v}, recomputed {fresh}"
-            );
-            stats.cache_hits += 1;
-            v
-        }
-        None => {
-            stats.cache_misses += 1;
-            cache.values.insert(key, fresh);
-            fresh
-        }
-    }
-}
-
-/// Loose equality for cross-checking the classed `C_ave` formulas against
-/// the legacy per-node means: the two summation orders differ, so allow a
-/// relative error of 1e-9. NaN matches NaN and ∞ matches same-signed ∞
-/// (degenerate inputs degenerate identically on both paths).
+/// Loose equality for [`cross_check`]: the two summation orders differ, so
+/// allow a relative error of 1e-9. NaN matches NaN and ∞ matches
+/// same-signed ∞ (degenerate inputs degenerate identically on both paths).
 fn nearly_equal(a: f64, b: f64) -> bool {
     if a.is_nan() || b.is_nan() {
         return a.is_nan() && b.is_nan();
@@ -600,18 +391,19 @@ fn nearly_equal(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * b.abs().max(1.0)
 }
 
-/// Select the candidate with the largest probability; ties broken toward
-/// the lower index (stable, deterministic). NaN probabilities are never
-/// selected: a NaN arriving first would otherwise survive as "best" because
-/// `p > bp` is false both ways against NaN.
-fn argmax_probability(probs: impl Iterator<Item = f64>) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, p) in probs.enumerate() {
+/// Select the candidate with the largest probability, together with
+/// whatever the scan carried alongside it; ties broken toward the lower
+/// index (stable, deterministic). NaN probabilities are never selected: a
+/// NaN arriving first would otherwise survive as "best" because `p > bp` is
+/// false both ways against NaN.
+fn argmax_probability<T>(scored: impl Iterator<Item = (f64, T)>) -> Option<(usize, f64, T)> {
+    let mut best: Option<(usize, f64, T)> = None;
+    for (i, (p, carried)) in scored.enumerate() {
         if p.is_nan() {
             continue;
         }
-        if best.is_none_or(|(_, bp)| p > bp) {
-            best = Some((i, p));
+        if best.as_ref().is_none_or(|(_, bp, _)| p > *bp) {
+            best = Some((i, p, carried));
         }
     }
     best
@@ -704,10 +496,6 @@ mod tests {
             assert_eq!(p.place_map(&ctx, NodeId(2), &mut rng), Decision::Assign(0));
         }
         assert_eq!(p.stats.assigned, 20);
-        // Within one (free set, cost version) epoch the candidate's C_ave
-        // is computed once and re-read 19 times.
-        assert_eq!(p.stats.cache_misses, 1);
-        assert_eq!(p.stats.cache_hits, 19);
         // The winner's intermediates are exposed for tracing.
         let d = p.last_detail().expect("detail after an assign");
         assert_eq!(d.cost, 0.0);
@@ -919,15 +707,13 @@ mod tests {
     #[test]
     fn argmax_never_selects_nan() {
         // NaN first: must not survive as "best".
-        assert_eq!(
-            argmax_probability([f64::NAN, 0.3, 0.7].into_iter()),
-            Some((2, 0.7))
-        );
+        let argmax = |ps: &[f64]| argmax_probability(ps.iter().map(|&p| (p, ())));
+        assert_eq!(argmax(&[f64::NAN, 0.3, 0.7]), Some((2, 0.7, ())));
         // NaN after a real value: must not displace it.
-        assert_eq!(argmax_probability([0.9, f64::NAN].into_iter()), Some((0, 0.9)));
+        assert_eq!(argmax(&[0.9, f64::NAN]), Some((0, 0.9, ())));
         // All NaN: no candidate at all.
-        assert_eq!(argmax_probability([f64::NAN, f64::NAN].into_iter()), None);
-        assert_eq!(argmax_probability(std::iter::empty()), None);
+        assert_eq!(argmax(&[f64::NAN, f64::NAN]), None);
+        assert_eq!(argmax(&[]), None);
     }
 
     #[test]
@@ -977,56 +763,38 @@ mod tests {
     }
 
     #[test]
-    fn cached_placer_matches_fresh_placer() {
-        // The C_ave cache must be pure memoization: a placer reused across
-        // calls (warm cache) must make exactly the decisions a fresh placer
-        // (cold cache) makes, including after the free set shrinks and
-        // after the cost matrix is mutated (version bump).
-        let mut h = DistanceMatrix::paper_figure2();
+    fn detail_cost_avg_is_the_winners_mean() {
+        // Without a `CostView`, the traced `C_ave` is exactly the per-node
+        // mean of the *winning* candidate, bit for bit — carried out of the
+        // scoring scan, not looked up or recomputed afterwards.
+        let h = DistanceMatrix::paper_figure2();
         let layout = layout4();
-        let cands = vec![
-            mcand(0, 128, vec![NodeId(1)]),
-            mcand(1, 128, vec![NodeId(2)]),
-            mcand(2, 64, vec![NodeId(0), NodeId(3)]),
-        ];
-        let free_all = vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
-        let free_few = vec![NodeId(1), NodeId(2)];
+        let free = vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
+        let cands = vec![mcand(0, 128, vec![NodeId(1)]), mcand(1, 64, vec![NodeId(2)])];
+        let ctx = map_ctx(&cands, &free, &h, &layout);
+        let mut p = ProbabilisticPlacer::paper();
+        let mut rng = rng();
+        assert_eq!(p.place_map(&ctx, NodeId(2), &mut rng), Decision::Assign(1));
+        let d = p.last_detail().expect("detail after an assign");
+        assert_eq!(d.cost.to_bits(), map_cost(&cands[1], NodeId(2), &h).to_bits());
+        assert_eq!(d.cost_avg.to_bits(), map_cost_avg(&cands[1], &free, &h).to_bits());
 
-        let mut warm = ProbabilisticPlacer::new(ProbConfig::with_p_min(0.2));
-        let mut warm_rng = rng();
-        let mut phase = 0;
-        loop {
-            let free: &[NodeId] = if phase == 1 { &free_few } else { &free_all };
-            if phase == 2 {
-                // Same free set as phase 0, but the matrix changed: the
-                // version bump must invalidate, not the value equality.
-                h.set(NodeId(1), NodeId(2), 3.0);
-            }
-            let ctx = map_ctx(&cands, free, &h, &layout);
-            for &node in &free_all {
-                let mut fresh = ProbabilisticPlacer::new(ProbConfig::with_p_min(0.2));
-                let mut fresh_rng = warm_rng.clone();
-                let expect = fresh.place_map(&ctx, node, &mut fresh_rng);
-                let got = warm.place_map(&ctx, node, &mut warm_rng);
-                assert_eq!(got, expect, "phase {phase}, node {node:?}");
-                assert_eq!(
-                    warm.last_detail(),
-                    fresh.last_detail(),
-                    "details diverged: phase {phase}, node {node:?}"
-                );
-                assert_eq!(
-                    warm_rng.gen::<u64>(),
-                    fresh_rng.gen::<u64>(),
-                    "RNG streams diverged: phase {phase}, node {node:?}"
-                );
-            }
-            phase += 1;
-            if phase == 3 {
-                break;
-            }
-        }
-        assert!(warm.stats.assigned > 0, "test never exercised the assign path");
-        assert!(warm.stats.cache_hits > 0, "warm placer never hit its cache");
+        let est = IntermediateEstimator::ProgressExtrapolated;
+        let src = |node, bytes| ShuffleSource {
+            node: NodeId(node),
+            current_bytes: bytes,
+            input_read: 30,
+            input_total: 70,
+        };
+        let rcands = vec![
+            rcand(0, vec![src(0, 5.0), src(1, 7.0)]),
+            rcand(1, vec![src(3, 9.0), src(2, 0.3)]),
+        ];
+        let ctx = reduce_ctx(&rcands, &free, &[], &h, &layout);
+        assert_eq!(p.place_reduce(&ctx, NodeId(3), &mut rng), Decision::Assign(1));
+        let d = p.last_detail().expect("detail after an assign");
+        assert_eq!(d.cost.to_bits(), reduce_cost(&rcands[1], NodeId(3), &h, est).to_bits());
+        assert_eq!(d.cost_avg.to_bits(), reduce_cost_avg(&rcands[1], &free, &h, est).to_bits());
     }
 
     #[test]

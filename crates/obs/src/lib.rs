@@ -18,8 +18,8 @@
 //!   [`InMemorySink`](sink::InMemorySink) (ring-buffered),
 //!   [`JsonlFileSink`](sink::JsonlFileSink) (streaming JSONL file).
 //! * [`counters`] — [`SchedCounters`](counters::SchedCounters), monotonic
-//!   per-scheduler counters (offers, assigns, skips by reason, prune and
-//!   `C_ave`-cache hits) with the invariant `offers = assigns + Σ skips`.
+//!   per-scheduler counters (offers, assigns, skips by reason, the prune
+//!   tally) with the invariant `offers = assigns + Σ skips`.
 //! * [`observer`] — [`DecisionObserver`](observer::DecisionObserver), the
 //!   single instrumented choke point runtimes call after each placement
 //!   decision.

@@ -137,7 +137,7 @@ impl DecisionObserver {
         }
     }
 
-    /// Fold the placer's internal prune/cache tallies into the counters.
+    /// Fold the placer's internal prune tally into the counters.
     /// Call once, at end of run.
     pub fn absorb_placer(&mut self, stats: &PlacerStats) {
         self.counters.absorb_placer(stats);
@@ -276,15 +276,8 @@ mod tests {
     #[test]
     fn absorbs_placer_extras() {
         let mut obs = DecisionObserver::disabled();
-        let stats = PlacerStats {
-            pruned: 4,
-            cache_hits: 9,
-            cache_misses: 3,
-            ..PlacerStats::default()
-        };
+        let stats = PlacerStats { pruned: 4, ..PlacerStats::default() };
         obs.absorb_placer(&stats);
         assert_eq!(obs.counters().pruned, 4);
-        assert_eq!(obs.counters().cache_hits, 9);
-        assert_eq!(obs.counters().cache_misses, 3);
     }
 }

@@ -7,10 +7,11 @@
 //!   maintained as a bitset plus a lazily rebuilt ascending node list and,
 //!   when a cost-class partition is installed, per-class free counts. The
 //!   list replaces the per-offer `O(n)` scan that rebuilt the free-node
-//!   vector from scratch, and the counts back the scheduler's incremental
-//!   `C_ave` maintenance (`pnats_core::costidx`). A `generation` stamp
-//!   bumps only on real 0↔1 membership flips, so cached averages keyed on
-//!   it are invalidated exactly when the free set changes.
+//!   vector from scratch, and the counts back the scheduler's
+//!   class-compressed `C_ave` (`pnats_core::costidx`). A `generation` stamp
+//!   bumps only on real 0↔1 membership flips, so the placer's per-class
+//!   distance sums keyed on it are rebuilt exactly when the free set
+//!   changes.
 //! * [`PendingList`] — an intrusive doubly-linked list over task indices
 //!   with O(1) push/remove/contains, replacing `VecDeque` pending queues
 //!   whose mid-queue `remove` was `O(len)`. Iteration order is identical
@@ -21,6 +22,7 @@
 //! simulator's decision stream is byte-identical to the scan-based code as
 //! long as membership and iteration order match — which the tests below pin.
 
+use pnats_core::costidx::{CostClasses, CostView};
 use pnats_net::NodeId;
 
 /// Set of nodes with at least one free slot of one kind.
@@ -94,14 +96,23 @@ impl FreeSet {
         self.generation
     }
 
-    /// The raw membership bitset.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Per-class free counts (empty when no partition is installed).
     pub fn counts(&self) -> &[u32] {
         &self.counts
+    }
+
+    /// The incremental cost index over this set, for a placer context.
+    /// `classes` must be the partition last given to
+    /// [`FreeSet::set_classes`].
+    pub fn view<'a>(&'a self, classes: &'a CostClasses) -> CostView<'a> {
+        debug_assert_eq!(classes.n_classes(), self.counts.len(), "partition not installed");
+        CostView {
+            classes,
+            free_counts: &self.counts,
+            free_bits: &self.words,
+            total_free: self.total,
+            generation: self.generation,
+        }
     }
 
     /// Whether a class partition is installed.

@@ -5,7 +5,7 @@
 //!
 //! The check runs each generated scenario twice with the cost index
 //! forced on — once under [`CostPath::Incremental`] (class-compressed
-//! tables, generation-keyed `C_ave` cache) and once under
+//! tables, generation-keyed per-class distance sums) and once under
 //! [`CostPath::Reference`], which recomputes the legacy per-node mean at
 //! every decision and asserts the classed value against it *inside* the
 //! placer (`nearly_equal`, plus a full audit of the free-set view). Byte

@@ -8,10 +8,11 @@
 //! paths of the probabilistic placer —
 //!
 //! * [`CostPath::Incremental`] — the production path (class-compressed
-//!   cost tables, cached `C_ave` keyed on the free-set generation), and
-//! * [`CostPath::Reference`] — the original full-recompute path, kept
-//!   alive permanently as the reference implementation (debug builds also
-//!   cross-check the incremental path against it per decision),
+//!   cost tables over incrementally maintained free-set class counts), and
+//! * [`CostPath::Reference`] — the full-recompute path, kept alive
+//!   permanently as the reference implementation (recounts the class
+//!   counts and checks every classed `C_ave` against the per-node mean;
+//!   debug builds run the recount audit on the production path too),
 //!
 //! and asserts byte-identical decision-trace JSONL and reports. A third
 //! axis pins that installing the cost index itself (`cost_index =
