@@ -15,8 +15,14 @@
 //! The resulting per-flow rates are also what the paper's §II-B3 "network
 //! condition" monitor observes: the measured transmission rate of a path is
 //! exactly the rate contention leaves available on it.
+//!
+//! The refill runs on every change of the flow set in the simulator, so it
+//! is kept linear and allocation-free: the per-link lists of step 3 are
+//! maintained by `add_flow` / `remove_flow` rather than rebuilt, and
+//! everything else a refill needs lives in scratch buffers the network owns.
+//! Neither changes a bit of any rate — see the note on `link_flows`.
 
-use crate::topology::{LinkId, NodeId, Topology};
+use crate::topology::{check_capacity, LinkId, NodeId, Topology};
 
 /// Handle of an active flow. Never reused within one [`FlowNetwork`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -33,6 +39,12 @@ struct Flow {
 
 /// A set of concurrent flows over a capacitated topology, with max-min
 /// fair rate assignment.
+///
+/// Flows sit in one vector that only ever grows by `push`
+/// ([`FlowNetwork::add_flow`]) and shrinks by `swap_remove`
+/// ([`FlowNetwork::remove_flow`]); [`FlowNetwork::rates`] iterates it in that
+/// order. A caller that mirrors the same two moves on a vector of its own
+/// can therefore zip the two instead of looking flows up by id.
 #[derive(Clone, Debug)]
 pub struct FlowNetwork {
     capacities: Vec<f64>,
@@ -40,22 +52,56 @@ pub struct FlowNetwork {
     next_id: u64,
     /// Rates valid only when `clean`; recomputed lazily.
     clean: bool,
+    /// Per link, the indices into `flows` of the flows crossing it (once per
+    /// occurrence on the route), kept current by `add_flow` / `remove_flow`
+    /// so a refill never rebuilds them.
+    ///
+    /// Their order follows the history of `swap_remove`s and is free to,
+    /// because flow order never reaches a float: a round's bottleneck is
+    /// picked by an ascending scan over *link* ids, and every flow frozen in
+    /// that round subtracts the same `share` from each link it crosses, so a
+    /// link's residual afterwards depends only on how many of its flows
+    /// froze. The allocation is a pure function of the capacities and the
+    /// multiset of routes.
+    link_flows: Vec<Vec<u32>>,
+    scratch: Scratch,
+}
+
+/// Working memory of [`FlowNetwork::recompute`], kept between calls so a
+/// refill allocates nothing once these have grown to the link and flow
+/// counts in use. Every buffer is reset on entry; nothing carries over.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// Capacity not yet handed to a frozen flow, per link.
+    residual: Vec<f64>,
+    /// Flows crossing the link that are not frozen yet, per link.
+    unfrozen_count: Vec<u32>,
+    /// Whether the flow's rate is final, per flow.
+    frozen: Vec<bool>,
+    /// Ascending ids of the links that still carry an unfrozen flow.
+    loaded: Vec<u32>,
 }
 
 impl FlowNetwork {
     /// An empty flow set over the links of `topo`.
     pub fn new(topo: &Topology) -> Self {
-        Self {
-            capacities: topo.links().iter().map(|l| l.capacity_bps).collect(),
-            flows: Vec::new(),
-            next_id: 0,
-            clean: true,
-        }
+        Self::with_capacities(topo.links().iter().map(|l| l.capacity_bps).collect())
     }
 
     /// An empty flow set over explicit link capacities (for tests).
     pub fn with_capacities(capacities: Vec<f64>) -> Self {
-        Self { capacities, flows: Vec::new(), next_id: 0, clean: true }
+        for (i, &c) in capacities.iter().enumerate() {
+            check_capacity(LinkId(i as u32), c);
+        }
+        let link_flows = vec![Vec::new(); capacities.len()];
+        Self {
+            capacities,
+            flows: Vec::new(),
+            next_id: 0,
+            clean: true,
+            link_flows,
+            scratch: Scratch::default(),
+        }
     }
 
     /// Number of active flows.
@@ -69,6 +115,9 @@ impl FlowNetwork {
     pub fn add_flow(&mut self, src: NodeId, dst: NodeId, route: &[LinkId]) -> FlowId {
         let id = FlowId(self.next_id);
         self.next_id += 1;
+        for l in route {
+            self.link_flows[l.idx()].push(self.flows.len() as u32);
+        }
         self.flows.push(Flow { id, src, dst, route: route.to_vec(), rate: f64::INFINITY });
         self.clean = false;
         id
@@ -81,6 +130,21 @@ impl FlowNetwork {
             .iter()
             .position(|f| f.id == id)
             .expect("remove_flow: unknown flow id");
+        let last = self.flows.len() - 1;
+        for l in &self.flows[pos].route {
+            let on_link = &mut self.link_flows[l.idx()];
+            let at = listed_at(on_link, pos);
+            on_link.swap_remove(at);
+        }
+        // `swap_remove` below moves the last flow to `pos`: rename it on its
+        // links.
+        if pos != last {
+            for l in &self.flows[last].route {
+                let on_link = &mut self.link_flows[l.idx()];
+                let at = listed_at(on_link, last);
+                on_link[at] = pos as u32;
+            }
+        }
         self.flows.swap_remove(pos);
         self.clean = false;
     }
@@ -94,16 +158,6 @@ impl FlowNetwork {
             .find(|f| f.id == id)
             .expect("rate: unknown flow id")
             .rate
-    }
-
-    /// Endpoints of `id`.
-    pub fn endpoints(&self, id: FlowId) -> (NodeId, NodeId) {
-        let f = self
-            .flows
-            .iter()
-            .find(|f| f.id == id)
-            .expect("endpoints: unknown flow id");
-        (f.src, f.dst)
     }
 
     /// Recompute (if needed) and iterate all `(id, src, dst, rate)` tuples.
@@ -124,42 +178,28 @@ impl FlowNetwork {
     /// Progressive filling. O(L·B + F·P) where L = links carrying flows,
     /// B = bottleneck iterations (≤ L), F = flows, P = path length.
     fn recompute(&mut self) {
-        let n_links = self.capacities.len();
-        // Per-link state: residual capacity + unfrozen flow count.
-        let mut residual = self.capacities.clone();
-        let mut unfrozen_count = vec![0u32; n_links];
-        // Per-link list of flow indices (rebuilt each recompute; cheaper and
-        // simpler than incremental maintenance at our flow churn rates).
-        let mut link_flows: Vec<Vec<u32>> = vec![Vec::new(); n_links];
-        let mut frozen = vec![false; self.flows.len()];
-
-        for (fi, f) in self.flows.iter_mut().enumerate() {
-            if f.route.is_empty() {
-                // Node-local transfer: unconstrained.
-                f.rate = f64::INFINITY;
-                frozen[fi] = true;
-            } else {
-                for l in &f.route {
-                    unfrozen_count[l.idx()] += 1;
-                    link_flows[l.idx()].push(fi as u32);
-                }
-            }
-        }
+        let Scratch { residual, unfrozen_count, frozen, loaded } = &mut self.scratch;
+        residual.clear();
+        residual.extend_from_slice(&self.capacities);
+        unfrozen_count.clear();
+        unfrozen_count.extend(self.link_flows.iter().map(|on_link| on_link.len() as u32));
+        frozen.clear();
+        frozen.resize(self.flows.len(), false);
 
         // Only links carrying ≥ 1 flow can ever be the bottleneck; scan that
-        // (usually tiny) ascending subset instead of all `n_links`. Ascending
+        // (usually tiny) ascending subset instead of all links. Ascending
         // order preserves the exact first-strict-minimum selection of the
         // full scan, so allocations — and simulation traces — are unchanged.
-        let mut loaded: Vec<u32> = (0..n_links as u32)
-            .filter(|&l| unfrozen_count[l as usize] > 0)
-            .collect();
-        let mut remaining = frozen.iter().filter(|f| !**f).count();
-        while remaining > 0 {
-            // Find the bottleneck link: the smallest equal share.
+        loaded.clear();
+        loaded.extend((0..unfrozen_count.len() as u32).filter(|&l| unfrozen_count[l as usize] > 0));
+        // Node-local flows (empty route) sit on no link and keep the infinite
+        // rate they were added with; every other flow is frozen below.
+        while !loaded.is_empty() {
+            // Find the bottleneck link: the smallest equal share. Capacities
+            // are finite (checked where they enter), so one always exists.
             let mut best_link = usize::MAX;
             let mut best_share = f64::INFINITY;
-            loaded.retain(|&l| unfrozen_count[l as usize] > 0);
-            for &l in &loaded {
+            for &l in loaded.iter() {
                 let l = l as usize;
                 let share = residual[l] / unfrozen_count[l] as f64;
                 if share < best_share {
@@ -167,16 +207,15 @@ impl FlowNetwork {
                     best_link = l;
                 }
             }
-            debug_assert!(best_link != usize::MAX, "unfrozen flows but no loaded link");
+            debug_assert!(best_link != usize::MAX, "loaded links but no finite share");
             let share = best_share.max(0.0);
             // Freeze every unfrozen flow crossing the bottleneck.
-            for &fi in &link_flows[best_link] {
+            for &fi in &self.link_flows[best_link] {
                 let fi = fi as usize;
                 if frozen[fi] {
                     continue;
                 }
                 frozen[fi] = true;
-                remaining -= 1;
                 self.flows[fi].rate = share;
                 for l in &self.flows[fi].route {
                     let li = l.idx();
@@ -184,6 +223,7 @@ impl FlowNetwork {
                     unfrozen_count[li] -= 1;
                 }
             }
+            loaded.retain(|&l| unfrozen_count[l as usize] > 0);
         }
     }
 
@@ -191,7 +231,7 @@ impl FlowNetwork {
     /// degradation windows scale a node's NIC down and back up). Rates are
     /// lazily recomputed on the next query. Panics on unknown link.
     pub fn set_capacity(&mut self, link: LinkId, capacity_bps: f64) {
-        assert!(capacity_bps > 0.0, "link capacity must stay positive");
+        check_capacity(link, capacity_bps);
         self.capacities[link.idx()] = capacity_bps;
         self.clean = false;
     }
@@ -210,6 +250,14 @@ impl FlowNetwork {
             .map(|f| f.rate)
             .sum()
     }
+}
+
+/// Where flow index `fi` sits in a link's list.
+fn listed_at(on_link: &[u32], fi: usize) -> usize {
+    on_link
+        .iter()
+        .position(|&listed| listed as usize == fi)
+        .expect("a flow is listed on every link of its route")
 }
 
 #[cfg(test)]
@@ -346,6 +394,19 @@ mod tests {
         fx.set_capacity(nic, GB);
         assert!((fx.rate(f) - GB).abs() < 1e-6, "restore brings the rate back");
         assert!((fx.capacity(nic) - GB).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "link 1: capacity must be positive and finite, got inf")]
+    fn infinite_capacity_rejected_at_construction() {
+        FlowNetwork::with_capacities(vec![GB, f64::INFINITY]);
+    }
+
+    #[test]
+    #[should_panic(expected = "link 0: capacity must be positive and finite, got inf")]
+    fn infinite_capacity_rejected_by_set_capacity() {
+        let (t, _) = star(2);
+        FlowNetwork::new(&t).set_capacity(LinkId(0), f64::INFINITY);
     }
 
     #[test]

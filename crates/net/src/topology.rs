@@ -354,8 +354,8 @@ impl TopologyBuilder {
 
     /// Add an undirected link of the given capacity; returns its id.
     pub fn link(&mut self, a: Vertex, b: Vertex, capacity_bps: f64) -> LinkId {
-        assert!(capacity_bps > 0.0, "link capacity must be positive");
         let id = LinkId(self.links.len() as u32);
+        check_capacity(id, capacity_bps);
         self.links.push(Link { a, b, capacity_bps });
         id
     }
@@ -378,6 +378,18 @@ impl TopologyBuilder {
         }
         topo
     }
+}
+
+/// Every place a link capacity enters the crate goes through here. The
+/// max-min refill divides residual capacity among flows: zero, negative or
+/// NaN starves or poisons it, and an infinite capacity makes every share on
+/// the link infinite, leaving the refill no bottleneck to pick.
+pub(crate) fn check_capacity(link: LinkId, capacity_bps: f64) {
+    assert!(
+        capacity_bps.is_finite() && capacity_bps > 0.0,
+        "link {}: capacity must be positive and finite, got {capacity_bps}",
+        link.0
+    );
 }
 
 #[cfg(test)]
@@ -475,6 +487,15 @@ mod tests {
         let a = b.add_node(RackId(0));
         let c = b.add_node(RackId(0));
         b.link(Vertex::Node(a), Vertex::Node(c), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "link 0: capacity must be positive and finite, got inf")]
+    fn infinite_capacity_link_rejected() {
+        let mut b = TopologyBuilder::new();
+        let a = b.add_node(RackId(0));
+        let c = b.add_node(RackId(0));
+        b.link(Vertex::Node(a), Vertex::Node(c), f64::INFINITY);
     }
 
     #[test]

@@ -7,6 +7,21 @@
 //! predicts the next completion. The runner schedules a wake-up event for
 //! that prediction, tagged with a version number — any later mutation bumps
 //! the version, turning stale wake-ups into no-ops.
+//!
+//! **Lock-step invariant.** `active[i]` is the transfer carried by the
+//! network's `i`-th flow, always: [`Transfers::start`] pushes onto both, and
+//! every removal goes through `Transfers::remove_at`, which `swap_remove`s
+//! position `i` here while the network `swap_remove`s the same flow there.
+//! Integration and wake prediction therefore read rates with one zip over
+//! [`FlowNetwork::rates`] (`Transfers::rated`) — no lookup by id, no
+//! temporary vector — and `debug_assert` that the ids agree.
+//!
+//! **Integration stays eager.** Each transfer's `remaining` is decremented
+//! at every mutation instant, not lazily when its own rate changes. That is
+//! one multiply-subtract per transfer — far below the cost of the refill the
+//! same mutation triggers — and it keeps the sequence of float operations,
+//! hence every simulated time, bit-identical to what the golden traces
+//! record. Lazy integration would round differently for no measurable gain.
 
 use pnats_net::topology::Vertex;
 use pnats_net::{FlowId, FlowNetwork, LinkId, NodeId, RoutingTable, Topology};
@@ -106,18 +121,23 @@ impl Transfers {
         self.active.len()
     }
 
+    /// Every in-flight transfer beside its flow's current rate (recomputed
+    /// if the flow set changed): one zip, by the lock-step invariant.
+    fn rated(&mut self) -> impl Iterator<Item = (&mut Active, f64)> + '_ {
+        debug_assert_eq!(self.active.len(), self.fx.n_active());
+        self.active.iter_mut().zip(self.fx.rates()).map(|(a, (flow, _, _, rate))| {
+            debug_assert_eq!(a.flow, flow, "active and the network's flows out of lock-step");
+            (a, rate)
+        })
+    }
+
     /// Integrate all in-flight transfers up to `now` under the rates that
     /// held since the last mutation.
     fn advance(&mut self, now: f64) {
         let dt = now - self.last_advance;
         debug_assert!(dt >= -1e-9, "time went backwards: {dt}");
-        if dt > 0.0 && !self.active.is_empty() {
-            // Collect rates first (recomputes lazily under old flow set).
-            let rates: Vec<f64> = {
-                let fx = &mut self.fx;
-                self.active.iter().map(|a| fx.rate(a.flow)).collect()
-            };
-            for (a, r) in self.active.iter_mut().zip(rates) {
+        if dt > 0.0 {
+            for (a, r) in self.rated() {
                 if r.is_finite() {
                     a.remaining -= r * dt;
                 }
@@ -126,6 +146,39 @@ impl Transfers {
             }
         }
         self.last_advance = now;
+    }
+
+    /// Remove `active[i]` and its flow. The one place either vector shrinks:
+    /// both `swap_remove` the same position, which is the lock-step
+    /// invariant of the module header.
+    fn remove_at(&mut self, i: usize) -> Active {
+        let a = self.active.swap_remove(i);
+        self.fx.remove_flow(a.flow);
+        a
+    }
+
+    /// Advance to `now`, remove every transfer `gone` selects and return
+    /// what `out` makes of each, bumping the version if any went.
+    fn remove_where<T>(
+        &mut self,
+        now: f64,
+        gone: impl Fn(&Active) -> bool,
+        out: impl Fn(Active) -> T,
+    ) -> Vec<T> {
+        self.advance(now);
+        let mut removed = Vec::new();
+        let mut i = 0;
+        while i < self.active.len() {
+            if gone(&self.active[i]) {
+                removed.push(out(self.remove_at(i)));
+            } else {
+                i += 1;
+            }
+        }
+        if !removed.is_empty() {
+            self.version += 1;
+        }
+        removed
     }
 
     /// Start a transfer of `bytes` from `src` to `dst` at time `now`.
@@ -147,15 +200,7 @@ impl Transfers {
         }
         self.advance(now);
         let flow = self.fx.add_flow(src, dst, self.routes.route(src, dst));
-        self.active.push(Active {
-            flow,
-            tag,
-            src,
-            dst,
-            remaining: bytes,
-            total: bytes,
-            started: now,
-        });
+        self.active.push(Active { flow, tag, src, dst, remaining: bytes, total: bytes, started: now });
         self.version += 1;
         None
     }
@@ -165,8 +210,7 @@ impl Transfers {
     pub fn cancel(&mut self, now: f64, tag: TransferTag) {
         self.advance(now);
         if let Some(pos) = self.active.iter().position(|a| a.tag == tag) {
-            let a = self.active.swap_remove(pos);
-            self.fx.remove_flow(a.flow);
+            self.remove_at(pos);
             self.version += 1;
         }
     }
@@ -177,53 +221,30 @@ impl Transfers {
     /// cancelled transfer so the runner can fix task state. Background flows
     /// are left alone: they model co-tenant traffic, not this node's work.
     pub fn cancel_involving(&mut self, now: f64, node: NodeId) -> Vec<(TransferTag, NodeId, NodeId)> {
-        self.advance(now);
-        let mut cancelled = Vec::new();
-        let mut i = 0;
-        while i < self.active.len() {
-            let a = &self.active[i];
-            let involved = (a.src == node || a.dst == node)
-                && !matches!(a.tag, TransferTag::Background { .. });
-            if involved {
-                let a = self.active.swap_remove(i);
-                self.fx.remove_flow(a.flow);
-                cancelled.push((a.tag, a.src, a.dst));
-            } else {
-                i += 1;
-            }
-        }
-        if !cancelled.is_empty() {
-            self.version += 1;
-        }
-        cancelled
+        self.remove_where(
+            now,
+            |a| {
+                (a.src == node || a.dst == node)
+                    && !matches!(a.tag, TransferTag::Background { .. })
+            },
+            |a| (a.tag, a.src, a.dst),
+        )
     }
 
     /// Cancel every transfer belonging to job `job` (the job failed; its
     /// fetches and shuffles stop consuming bandwidth). Returns the cancelled
     /// tags.
     pub fn cancel_job(&mut self, now: f64, job: usize) -> Vec<TransferTag> {
-        self.advance(now);
-        let mut cancelled = Vec::new();
-        let mut i = 0;
-        while i < self.active.len() {
-            let owned = match self.active[i].tag {
+        self.remove_where(
+            now,
+            |a| match a.tag {
                 TransferTag::MapFetch { job: j, .. } | TransferTag::Shuffle { job: j, .. } => {
                     j == job
                 }
                 TransferTag::Background { .. } => false,
-            };
-            if owned {
-                let a = self.active.swap_remove(i);
-                self.fx.remove_flow(a.flow);
-                cancelled.push(a.tag);
-            } else {
-                i += 1;
-            }
-        }
-        if !cancelled.is_empty() {
-            self.version += 1;
-        }
-        cancelled
+            },
+            |a| a.tag,
+        )
     }
 
     /// Scale `node`'s access link(s) to `scale` × nominal capacity
@@ -241,45 +262,25 @@ impl Transfers {
     /// Advance to `now` and remove every transfer that has finished,
     /// returning their completions (possibly empty — wake-ups may race).
     pub fn reap(&mut self, now: f64) -> Vec<Completion> {
-        self.advance(now);
-        let mut done = Vec::new();
-        let mut i = 0;
-        while i < self.active.len() {
-            if self.active[i].remaining <= DONE_EPSILON {
-                let a = self.active.swap_remove(i);
-                self.fx.remove_flow(a.flow);
-                let dt = (now - a.started).max(1e-9);
-                done.push(Completion {
-                    tag: a.tag,
-                    src: a.src,
-                    dst: a.dst,
-                    bytes: a.total,
-                    avg_rate: a.total / dt,
-                });
-            } else {
-                i += 1;
-            }
-        }
-        if !done.is_empty() {
-            self.version += 1;
-        }
-        done
+        self.remove_where(
+            now,
+            |a| a.remaining <= DONE_EPSILON,
+            |a| Completion {
+                tag: a.tag,
+                src: a.src,
+                dst: a.dst,
+                bytes: a.total,
+                avg_rate: a.total / (now - a.started).max(1e-9),
+            },
+        )
     }
 
     /// Predicted absolute time of the next completion under current rates,
     /// with the version to stamp on the wake-up event. `None` when nothing
     /// is in flight (or only unbounded background flows are).
     pub fn next_wake(&mut self) -> Option<(f64, u64)> {
-        if self.active.is_empty() {
-            return None;
-        }
-        let now = self.last_advance;
         let mut best: Option<f64> = None;
-        let rates: Vec<f64> = {
-            let fx = &mut self.fx;
-            self.active.iter().map(|a| fx.rate(a.flow)).collect()
-        };
-        for (a, r) in self.active.iter().zip(rates) {
+        for (a, r) in self.rated() {
             if !a.remaining.is_finite() {
                 continue; // background flows never complete
             }
@@ -288,13 +289,12 @@ impl Transfers {
                 best = Some(best.map_or(dt, |b: f64| b.min(dt)));
             }
         }
-        best.map(|dt| (now + dt.max(1e-9), self.version))
+        best.map(|dt| (self.last_advance + dt.max(1e-9), self.version))
     }
 
     /// Current rate of the transfer with `tag` (diagnostics/tests).
     pub fn rate_of(&mut self, tag: TransferTag) -> Option<f64> {
-        let flow = self.active.iter().find(|a| a.tag == tag)?.flow;
-        Some(self.fx.rate(flow))
+        self.rated().find(|(a, _)| a.tag == tag).map(|(_, r)| r)
     }
 }
 
@@ -796,6 +796,179 @@ mod tests {
         let mut tr = Transfers::new(&topo3());
         let c = tr.start(0.0, NodeId(0), NodeId(1), 0.0, TAG_A);
         assert!(c.is_some());
+    }
+
+    // ---- differential: the lock-step zip against lookup by id ----
+
+    /// A `Transfers` that does not rely on lock-step: a flow network of its
+    /// own, every rate looked up by `FlowNetwork::rate(id)`.
+    struct Naive {
+        fx: FlowNetwork,
+        active: Vec<Active>,
+        last_advance: f64,
+        version: u64,
+    }
+
+    impl Naive {
+        fn advance(&mut self, now: f64) {
+            let dt = now - self.last_advance;
+            if dt > 0.0 {
+                for a in &mut self.active {
+                    let r = self.fx.rate(a.flow);
+                    if r.is_finite() {
+                        a.remaining -= r * dt;
+                    }
+                }
+            }
+            self.last_advance = now;
+        }
+
+        fn start(&mut self, now: f64, tag: TransferTag, src: NodeId, dst: NodeId, bytes: f64, route: &[LinkId]) {
+            self.advance(now);
+            let flow = self.fx.add_flow(src, dst, route);
+            self.active.push(Active { flow, tag, src, dst, remaining: bytes, total: bytes, started: now });
+            self.version += 1;
+        }
+
+        /// One removal loop for every removal site; `at_most_one` is `cancel`.
+        fn remove(&mut self, now: f64, at_most_one: bool, gone: impl Fn(&Active) -> bool) -> Vec<Active> {
+            self.advance(now);
+            let mut removed = Vec::new();
+            let mut i = 0;
+            while i < self.active.len() && (removed.is_empty() || !at_most_one) {
+                if gone(&self.active[i]) {
+                    let a = self.active.swap_remove(i);
+                    self.fx.remove_flow(a.flow);
+                    removed.push(a);
+                } else {
+                    i += 1;
+                }
+            }
+            self.version += u64::from(!removed.is_empty());
+            removed
+        }
+
+        fn next_wake(&mut self) -> Option<(f64, u64)> {
+            let mut best: Option<f64> = None;
+            for a in self.active.iter().filter(|a| a.remaining.is_finite()) {
+                let r = self.fx.rate(a.flow);
+                let dt = if r > 0.0 { (a.remaining / r).max(0.0) } else { f64::INFINITY };
+                if dt.is_finite() {
+                    best = Some(best.map_or(dt, |b: f64| b.min(dt)));
+                }
+            }
+            best.map(|dt| (self.last_advance + dt.max(1e-9), self.version))
+        }
+    }
+
+    /// `active[i]` is the transfer on the network's `i`-th flow. Looks at a
+    /// clone so the network under test stays as dirty as it was.
+    fn assert_lock_step(tr: &Transfers) {
+        let flows: Vec<FlowId> = tr.fx.clone().rates().map(|(id, ..)| id).collect();
+        let active: Vec<FlowId> = tr.active.iter().map(|a| a.flow).collect();
+        assert_eq!(active, flows);
+    }
+
+    fn job_of(tag: TransferTag) -> Option<usize> {
+        match tag {
+            TransferTag::MapFetch { job, .. } | TransferTag::Shuffle { job, .. } => Some(job),
+            TransferTag::Background { .. } => None,
+        }
+    }
+
+    #[test]
+    fn lock_step_zip_matches_lookup_by_id() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        const N: u32 = 9;
+        let topo = Topology::palmetto_slice(N as usize, GB);
+        let mut tr = Transfers::new(&topo);
+        let mut naive = Naive { fx: FlowNetwork::new(&topo), active: Vec::new(), last_advance: 0.0, version: 0 };
+        let mut rng = SmallRng::seed_from_u64(17);
+        let mut now = 0.0;
+        let (mut completed, mut cancelled) = (0, 0);
+
+        for step in 0..2_000 {
+            // Mutations often share an instant, as they do inside one event.
+            if rng.gen_bool(0.5) {
+                now += rng.gen_range(0.0..0.05);
+            }
+            let node = NodeId(rng.gen_range(0..N));
+            // Twelve tags for hundreds of transfers: most tags carry several.
+            let shuffle = TransferTag::Shuffle { job: rng.gen_range(0..3), reduce: rng.gen_range(0..4) };
+            let background = TransferTag::Background { idx: rng.gen_range(0..2) };
+            match rng.gen_range(0..100) {
+                0..=44 => {
+                    let (src, dst) = (node, NodeId(rng.gen_range(0..N)));
+                    let (tag, bytes) = match rng.gen_range(0..10) {
+                        0 => (background, f64::INFINITY),
+                        1 => (shuffle, 0.5), // tiny: completes inline
+                        _ => (shuffle, rng.gen_range(1e6..5e7)),
+                    };
+                    // `src == dst` now and then: local, completes inline.
+                    match tr.start(now, src, dst, bytes, tag) {
+                        Some(c) => assert!(c.avg_rate.is_infinite() && (src == dst || bytes <= DONE_EPSILON)),
+                        None => naive.start(now, tag, src, dst, bytes, tr.routes.route(src, dst)),
+                    }
+                }
+                45..=49 => {
+                    let tag = if rng.gen_bool(0.5) { background } else { shuffle };
+                    tr.cancel(now, tag);
+                    cancelled += naive.remove(now, true, |a| a.tag == tag).len();
+                }
+                50..=52 => {
+                    let got = tr.cancel_involving(now, node);
+                    let want = naive.remove(now, false, |a| {
+                        (a.src == node || a.dst == node) && job_of(a.tag).is_some()
+                    });
+                    assert_eq!(got, want.iter().map(|a| (a.tag, a.src, a.dst)).collect::<Vec<_>>());
+                    cancelled += want.len();
+                }
+                53..=54 => {
+                    let job = rng.gen_range(0..3);
+                    let got = tr.cancel_job(now, job);
+                    let want = naive.remove(now, false, |a| job_of(a.tag) == Some(job));
+                    assert_eq!(got, want.iter().map(|a| a.tag).collect::<Vec<_>>());
+                    cancelled += want.len();
+                }
+                55..=59 => {
+                    let scale = [0.25, 0.5, 1.0][rng.gen_range(0..3)];
+                    tr.scale_node_links(now, node, scale);
+                    naive.advance(now);
+                    for &l in &tr.node_links[node.idx()] {
+                        naive.fx.set_capacity(l, tr.base_caps[l.idx()] * scale);
+                    }
+                    naive.version += 1;
+                }
+                _ => {
+                    let wake = tr.next_wake();
+                    let want = naive.next_wake();
+                    assert_eq!(wake.map(|(t, v)| (t.to_bits(), v)), want.map(|(t, v)| (t.to_bits(), v)), "step {step}");
+                    if let Some((t, _)) = wake {
+                        // One wake in four fires early, as a stale one would.
+                        now = if rng.gen_bool(0.25) { now + 0.5 * (t - now) } else { t };
+                        let got = tr.reap(now);
+                        let want = naive.remove(now, false, |a| a.remaining <= DONE_EPSILON);
+                        assert_eq!(got.len(), want.len(), "step {step}");
+                        for (c, a) in got.iter().zip(&want) {
+                            let avg_rate = a.total / (now - a.started).max(1e-9);
+                            assert_eq!(
+                                (c.tag, c.src, c.dst, c.bytes.to_bits(), c.avg_rate.to_bits()),
+                                (a.tag, a.src, a.dst, a.total.to_bits(), avg_rate.to_bits()),
+                                "step {step}"
+                            );
+                        }
+                        completed += got.len();
+                    }
+                }
+            }
+            assert_eq!(tr.version(), naive.version, "step {step}");
+            assert_eq!(tr.n_active(), naive.active.len(), "step {step}");
+            assert_lock_step(&tr);
+        }
+        // The script must have exercised what it claims to.
+        assert!(completed > 200 && cancelled > 50, "{completed} completed, {cancelled} cancelled");
     }
 
     // ---- nominal engine ----
