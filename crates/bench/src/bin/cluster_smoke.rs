@@ -125,6 +125,7 @@ fn main() -> ExitCode {
     }
 
     let (rtt_mean, rtt_p99) = heartbeat_rtt_us(256);
+    println!("cluster_smoke stages {}", report.stages.to_kv());
     println!(
         "cluster_smoke ok seed={seed} nodes={} n_maps={} n_reduces={} \
          engine_ms={engine_ms:.1} cluster_ms={cluster_ms:.1} \
@@ -137,12 +138,26 @@ fn main() -> ExitCode {
 
     // The machine-readable trail CI diffs across commits, mirroring
     // repro_all's BENCH_harness.json.
+    let st = &report.stages;
+    let ms = |at: Option<f64>| at.map_or("null".to_string(), |ms| format!("{ms:.1}"));
     let json = format!(
         "{{\n  \"bench\": \"cluster_smoke\",\n  \"seed\": {seed},\n  \"n_nodes\": {},\n  \
          \"n_maps\": {},\n  \"n_reduces\": {},\n  \"engine_ms\": {engine_ms:.1},\n  \
-         \"cluster_ms\": {cluster_ms:.1},\n  \"hb_rtt_mean_us\": {rtt_mean:.1},\n  \
-         \"hb_rtt_p99_us\": {rtt_p99:.1}\n}}\n",
-        cfg.n_nodes, report.n_maps, report.n_reduces
+         \"cluster_ms\": {cluster_ms:.1},\n  \"stage_all_registered_ms\": {},\n  \
+         \"stage_first_assign_ms\": {},\n  \"stage_maps_done_ms\": {},\n  \
+         \"stage_job_done_ms\": {},\n  \"stage_workers_told_ms\": {},\n  \
+         \"stage_torn_down_ms\": {},\n  \"rounds\": {},\n  \
+         \"hb_rtt_mean_us\": {rtt_mean:.1},\n  \"hb_rtt_p99_us\": {rtt_p99:.1}\n}}\n",
+        cfg.n_nodes,
+        report.n_maps,
+        report.n_reduces,
+        ms(st.all_registered),
+        ms(st.first_assign),
+        ms(st.maps_done),
+        ms(st.job_done),
+        ms(st.workers_told),
+        ms(st.torn_down),
+        st.rounds
     );
     if let Err(e) = pnats_obs::json::validate_json(&json) {
         eprintln!("cluster_smoke: malformed BENCH_cluster.json: {e}");

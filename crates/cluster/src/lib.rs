@@ -41,7 +41,7 @@ pub use jobspec::JobSpec;
 pub use journal::{
     check_journal_recovery, read_journal, FsyncPolicy, Journal, JournalRecord, JournalState,
 };
-pub use report::{check_cluster_report, ClusterReport, ReportSummary};
+pub use report::{check_cluster_report, ClusterReport, ReportSummary, Stages};
 pub use tracker::JobTracker;
 pub use worker::{run_worker, WorkerConfig};
 pub use pnats_rpc::{BreakerPolicy, ChaosFault, LinkRule};

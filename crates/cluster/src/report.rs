@@ -6,6 +6,115 @@ use pnats_metrics::LocalityCounter;
 use pnats_obs::{SchedCounters, TaskCompletion};
 use std::time::Duration;
 
+/// Where one run's wall time went: the moment (ms since tracker start) the
+/// tracker passed each transition of a job's life, plus how far its round
+/// clock ticked. A stage is `None` when the run never reached it — a failed
+/// job may never finish its maps, a recovery incarnation that inherited
+/// every finished map never sees the last one land, a fleet with a dead
+/// member never has everyone registered.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Stages {
+    /// The last of the `n_nodes` workers registered.
+    pub all_registered: Option<f64>,
+    /// The first assignment was handed out (the instant behind
+    /// [`ClusterReport::first_assign_ms`]).
+    pub first_assign: Option<f64>,
+    /// A map completion made every map finished for the first time.
+    pub maps_done: Option<f64>,
+    /// The verdict was reached (complete, failed, or stopped).
+    pub job_done: Option<f64>,
+    /// Every worker this incarnation ever heard from (or its journal
+    /// names) had been answered `shutdown`. `None` when the shutdown-ack
+    /// ceiling ran out first — some worker never called again.
+    pub workers_told: Option<f64>,
+    /// RPC server and tick thread stopped and joined.
+    pub torn_down: Option<f64>,
+    /// Rounds the tracker's clock ticked. Only the timer advances it —
+    /// heartbeats, in-band or out-of-band, never do.
+    pub rounds: u64,
+}
+
+impl Stages {
+    /// The six stages in timeline order, each under its report name.
+    fn named(&self) -> [(&'static str, Option<f64>); 6] {
+        [
+            ("all_registered", self.all_registered),
+            ("first_assign", self.first_assign),
+            ("maps_done", self.maps_done),
+            ("job_done", self.job_done),
+            ("workers_told", self.workers_told),
+            ("torn_down", self.torn_down),
+        ]
+    }
+
+    /// `name=ms` for every reached stage, in timeline order, then
+    /// `rounds=n` — the `stages` line of [`ClusterReport::to_text`].
+    pub fn to_kv(&self) -> String {
+        let mut s = String::new();
+        for (name, at) in self.named() {
+            if let Some(ms) = at {
+                s.push_str(&format!("{name}={ms:.3} "));
+            }
+        }
+        s.push_str(&format!("rounds={}", self.rounds));
+        s
+    }
+
+    /// Inverse of [`to_kv`](Self::to_kv); unknown or malformed tokens are
+    /// skipped, absent stages stay `None`.
+    pub fn from_kv<'a>(tokens: impl Iterator<Item = &'a str>) -> Self {
+        let mut st = Self::default();
+        for (k, v) in tokens.filter_map(|t| t.split_once('=')) {
+            let slot = match k {
+                "all_registered" => &mut st.all_registered,
+                "first_assign" => &mut st.first_assign,
+                "maps_done" => &mut st.maps_done,
+                "job_done" => &mut st.job_done,
+                "workers_told" => &mut st.workers_told,
+                "torn_down" => &mut st.torn_down,
+                "rounds" => {
+                    st.rounds = v.parse().unwrap_or(0);
+                    continue;
+                }
+                _ => continue,
+            };
+            *slot = v.parse().ok();
+        }
+        st
+    }
+
+    /// The orderings that hold by construction, over the stages that were
+    /// reached: registration, the first assignment and the last map all
+    /// precede the verdict, which precedes the goodbyes, which precede
+    /// teardown; and an incarnation that started the job itself (`fresh`)
+    /// assigned a map before the last one finished. Registration and the
+    /// first assignment are *not* ordered — the first worker to register
+    /// is offered work while the others are still dialing.
+    pub fn check(&self, fresh: bool) -> Result<(), String> {
+        let ordered = |chain: &[(&str, Option<f64>)]| {
+            let mut prev: Option<(&str, f64)> = None;
+            for (name, ms) in chain.iter().filter_map(|(n, at)| at.map(|ms| (*n, ms))) {
+                if let Some((before, t)) = prev.filter(|(_, t)| ms < *t) {
+                    return Err(format!(
+                        "stage timeline not monotone: {name} at {ms:.3} ms precedes {before} \
+                         at {t:.3} ms"
+                    ));
+                }
+                prev = Some((name, ms));
+            }
+            Ok(())
+        };
+        let [registered, assigned, maps, done, told, down] = self.named();
+        ordered(&[registered, done, told, down])?;
+        ordered(&[assigned, done])?;
+        ordered(&[maps, done])?;
+        if fresh {
+            ordered(&[assigned, maps])?;
+        }
+        Ok(())
+    }
+}
+
 /// Result of one cluster job — the distributed twin of
 /// [`pnats_engine::EngineReport`].
 pub struct ClusterReport {
@@ -38,6 +147,8 @@ pub struct ClusterReport {
     /// On a recovery incarnation this is the failover latency probe: the
     /// time from restart to the first post-recovery assignment.
     pub first_assign_ms: Option<u64>,
+    /// The run's stage timeline and final round count.
+    pub stages: Stages,
     /// True when the job was aborted (retry budget exhausted, the whole
     /// fleet permanently down, or the `max_wall` deadline fired).
     pub failed: bool,
@@ -48,6 +159,8 @@ pub struct ClusterReport {
 ///
 /// * every offer became exactly one decision (`counters.consistent`),
 /// * the report's skip tally matches the counters',
+///
+/// * the stage timeline is monotone ([`Stages::check`]),
 ///
 /// and for completed runs additionally:
 ///
@@ -103,8 +216,9 @@ pub fn check_cluster_report(r: &ClusterReport) -> Result<(), String> {
             r.counters.peers_expired, r.counters.node_crashes
         ));
     }
+    r.stages.check(c.tracker_restarts == 0)?;
     if r.failed {
-        return Ok(()); // partial runs only owe the offer identities
+        return Ok(()); // partial runs only owe the identities above
     }
     let expected = (r.n_maps + r.n_reduces) as i128 + c.retries as i128
         + c.reexecuted_maps as i128
@@ -155,9 +269,10 @@ pub fn check_cluster_report(r: &ClusterReport) -> Result<(), String> {
 
 impl ClusterReport {
     /// Flat text form: a `status` line, a `counters` line (the
-    /// [`SchedCounters::to_kv`] form), then one tab-separated line per
-    /// output pair. Keys/values containing tabs or newlines are not
-    /// representable — the built-in jobs never emit them.
+    /// [`SchedCounters::to_kv`] form), a `stages` line ([`Stages::to_kv`]),
+    /// then one tab-separated line per output pair. Keys/values containing
+    /// tabs or newlines are not representable — the built-in jobs never
+    /// emit them.
     pub fn to_text(&self) -> String {
         let mut s = format!(
             "status failed={} n_maps={} n_reduces={} skipped={} wall_ms={}",
@@ -172,6 +287,7 @@ impl ClusterReport {
         }
         s.push('\n');
         s.push_str(&format!("counters {}\n", self.counters.to_kv()));
+        s.push_str(&format!("stages {}\n", self.stages.to_kv()));
         for (k, v) in &self.output {
             s.push_str(k);
             s.push('\t');
@@ -199,6 +315,8 @@ pub struct ReportSummary {
     pub output: Vec<(String, String)>,
     /// Wall ms from tracker start to first assignment, when reported.
     pub first_assign_ms: Option<u64>,
+    /// Stage timeline; all-`None` when read from a report that predates it.
+    pub stages: Stages,
 }
 
 impl ReportSummary {
@@ -224,6 +342,12 @@ impl ReportSummary {
         }
         let counters_line = lines.next()?.strip_prefix("counters ")?;
         let counters = SchedCounters::from_kv(counters_line.split_whitespace());
+        // Output lines carry a tab, the stages line never does.
+        let mut lines = lines.peekable();
+        let stages = lines
+            .next_if(|l| l.starts_with("stages ") && !l.contains('\t'))
+            .map(|l| Stages::from_kv(l.split_whitespace().skip(1)))
+            .unwrap_or_default();
         let output = lines
             .filter_map(|l| l.split_once('\t').map(|(k, v)| (k.to_string(), v.to_string())))
             .collect();
@@ -235,6 +359,7 @@ impl ReportSummary {
             counters,
             output,
             first_assign_ms,
+            stages,
         })
     }
 }
@@ -258,6 +383,15 @@ mod tests {
             trace_jsonl: None,
             completions: Vec::new(),
             first_assign_ms: Some(4),
+            stages: Stages {
+                all_registered: Some(2.5),
+                first_assign: Some(4.25),
+                maps_done: Some(7.0),
+                job_done: Some(9.5),
+                workers_told: None,
+                torn_down: Some(11.125),
+                rounds: 3,
+            },
             failed: false,
         }
     }
@@ -286,6 +420,33 @@ mod tests {
         assert_eq!(s.counters, r.counters);
         assert_eq!(s.output, r.output);
         assert_eq!(s.first_assign_ms, r.first_assign_ms);
+        assert_eq!(s.stages, r.stages);
+        // A report written before the timeline existed still parses.
+        let text = r.to_text();
+        let old: String =
+            text.lines().filter(|l| !l.starts_with("stages ")).map(|l| format!("{l}\n")).collect();
+        let s = ReportSummary::parse(&old).expect("parses");
+        assert_eq!(s.stages, Stages::default());
+        assert_eq!(s.output, r.output);
+    }
+
+    #[test]
+    fn oracle_rejects_a_timeline_that_runs_backwards() {
+        let mut r = sample();
+        r.stages.torn_down = Some(9.0); // before job_done at 9.5
+        let err = check_cluster_report(&r).unwrap_err();
+        assert!(err.contains("torn_down") && err.contains("job_done"), "{err}");
+        // Registration and the first assignment are unordered ...
+        let mut r = sample();
+        r.stages.all_registered = Some(5.0);
+        check_cluster_report(&r).unwrap();
+        // ... and a recovery incarnation may inherit the running maps, see
+        // the last one land, and only then place its first assignment.
+        r.stages.first_assign = Some(8.0);
+        assert!(check_cluster_report(&r).unwrap_err().contains("maps_done"));
+        r.counters.tracker_restarts = 1;
+        r.counters.journal_replays = 1;
+        check_cluster_report(&r).unwrap();
     }
 
     #[test]

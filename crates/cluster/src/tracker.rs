@@ -24,7 +24,7 @@
 use crate::config::ClusterConfig;
 use crate::jobspec::JobSpec;
 use crate::journal::{read_journal, Journal, JournalRecord, JournalState, Wal};
-use crate::report::ClusterReport;
+use crate::report::{ClusterReport, Stages};
 use pnats_core::placer::TaskPlacer;
 use pnats_engine::book::{JobScheduler, Launch, NodeFault, Phase, Slots, TaskEvent, Verdict};
 use pnats_net::NodeId;
@@ -75,10 +75,14 @@ struct TrackerState {
     /// `attempt_reconciled` fault + journal record; an entry whose attempt
     /// was since abandoned can never match again.
     inherited: Vec<(TaskKind, u32, u32)>,
-    /// Wall-clock ms (since this incarnation started) of the first
-    /// assignment it handed out — the recovery-latency probe the failover
-    /// bench reads.
-    first_assign_ms: Option<u64>,
+    /// When this incarnation passed each stage of the job's life (ms since
+    /// `start`). `first_assign` doubles as the recovery-latency probe the
+    /// failover bench reads.
+    stages: Stages,
+    /// Workers this incarnation has heard from (or its journal names) and
+    /// not yet answered `shutdown`. A worker still owed one that finds the
+    /// server gone falls into its orphan hold.
+    owed: Vec<bool>,
     /// Whether any worker ever registered; safe-mode cannot trigger on a
     /// fleet that has not shown up yet.
     ever_registered: bool,
@@ -89,6 +93,11 @@ struct TrackerState {
 }
 
 impl TrackerState {
+    /// Milliseconds since this incarnation started — the stage clock.
+    fn ms(&self) -> f64 {
+        self.start.elapsed().as_secs_f64() * 1e3
+    }
+
     /// Transition to `done`, journaling the verdict first. Idempotent.
     fn finish(&mut self, failed: bool) {
         if self.done {
@@ -97,6 +106,31 @@ impl TrackerState {
         self.sched.log_mut().record(&JournalRecord::JobFinished { failed });
         self.failed = failed;
         self.done = true;
+        self.stages.job_done = Some(self.ms());
+        self.note_told();
+    }
+
+    /// Worker `n` is part of this incarnation's fleet: it is owed a
+    /// `shutdown` answer when the job ends.
+    fn note_joined(&mut self, n: usize) {
+        self.owed[n] = true;
+        if self.stages.all_registered.is_none() && self.nodes.iter().all(|s| s.registered) {
+            self.stages.all_registered = Some(self.ms());
+        }
+    }
+
+    /// Worker `n` is being answered `shutdown`.
+    fn goodbye(&mut self, n: usize) {
+        self.owed[n] = false;
+        self.note_told();
+    }
+
+    /// Stamp `workers_told` once the job is done and nobody is owed a
+    /// goodbye any more.
+    fn note_told(&mut self) {
+        if self.done && self.stages.workers_told.is_none() && !self.owed.contains(&true) {
+            self.stages.workers_told = Some(self.ms());
+        }
     }
 
     /// A node is a placement target when it is registered and not
@@ -208,7 +242,11 @@ impl TrackerState {
 
     fn on_register(&mut self, node: u32, epoch: u32, data_addr: String) -> Msg {
         let n = node as usize;
-        if n >= self.cfg.n_nodes || self.done {
+        if n >= self.cfg.n_nodes {
+            return Msg::Shutdown;
+        }
+        if self.done {
+            self.goodbye(n);
             return Msg::Shutdown;
         }
         if self.sched.is_down(n) {
@@ -229,6 +267,7 @@ impl TrackerState {
             last_heard: self.round,
             awaiting_reattach: false,
         };
+        self.note_joined(n);
         self.slots.set(n, self.cfg.map_slots, self.cfg.reduce_slots);
         let blocks = self.sched.blocks();
         let shard: Vec<(u32, String)> = (0..blocks.len())
@@ -278,6 +317,7 @@ impl TrackerState {
             return reply(Vec::new(), Vec::new(), false, true, false);
         }
         if self.done {
+            self.goodbye(n);
             return reply(Vec::new(), Vec::new(), false, false, true);
         }
         let known_epoch = self.nodes[n].epoch == *epoch && !self.sched.is_down(n);
@@ -345,6 +385,13 @@ impl TrackerState {
                 invalidate.push(d.map);
             }
         }
+        let book = self.sched.book();
+        if self.stages.maps_done.is_none()
+            && !map_done.is_empty()
+            && book.maps_finished() == book.maps().len()
+        {
+            self.stages.maps_done = Some(self.ms());
+        }
         for f in map_failed {
             self.failed |= self.sched.map_failed(f.map, f.attempt, node) == Some(true);
         }
@@ -355,6 +402,7 @@ impl TrackerState {
 
         if self.failed || self.sched.book().complete() {
             self.finish(self.failed);
+            self.goodbye(n);
             return reply(Vec::new(), invalidate, false, false, true);
         }
         reply(self.schedule(NodeId(node)), invalidate, false, false, false)
@@ -430,8 +478,8 @@ impl TrackerState {
     /// dress each launch as a wire assignment.
     fn schedule(&mut self, node: NodeId) -> Vec<Assignment> {
         let launches = self.sched.offer(node, &mut self.slots);
-        if !launches.is_empty() && self.first_assign_ms.is_none() {
-            self.first_assign_ms = Some(self.start.elapsed().as_millis() as u64);
+        if !launches.is_empty() && self.stages.first_assign.is_none() {
+            self.stages.first_assign = Some(self.ms());
         }
         let mut out = Vec::with_capacity(launches.len());
         for launch in launches {
@@ -490,6 +538,7 @@ impl TrackerState {
             return dead;
         }
         if self.done {
+            self.goodbye(n);
             return Msg::ReattachAck { invalidate: Vec::new(), dead: false, shutdown: true };
         }
         let was_awaiting = self.nodes[n].awaiting_reattach;
@@ -509,6 +558,7 @@ impl TrackerState {
             last_heard: self.round,
             awaiting_reattach: false,
         };
+        self.note_joined(n);
         // Slots sync on the next heartbeat; claim nothing until then.
         self.slots.set(n, 0, 0);
         if was_awaiting {
@@ -602,6 +652,7 @@ impl TrackerState {
             if let Some(s) = self.nodes.get_mut(node as usize) {
                 s.epoch = epoch;
                 s.awaiting_reattach = true;
+                self.owed[node as usize] = true;
             }
         }
         self.ever_registered = !st.node_epochs.is_empty();
@@ -613,6 +664,7 @@ impl TrackerState {
             // journal: nothing left to run.
             self.failed = failed;
             self.done = true;
+            self.stages.job_done = Some(self.ms());
         }
         self.sched.restore(st.book);
     }
@@ -716,7 +768,8 @@ impl JobTracker {
             map_assigned_round: vec![0; n_maps],
             reduce_assigned_round: vec![0; n_reduces],
             inherited: Vec::new(),
-            first_assign_ms: None,
+            stages: Stages::default(),
+            owed: vec![false; cfg.n_nodes],
             ever_registered: false,
             degraded: false,
             failed: false,
@@ -773,6 +826,8 @@ impl JobTracker {
         std::thread::sleep(heartbeat * 20);
         self.teardown();
         let mut s = self.state.lock().unwrap();
+        s.stages.torn_down = Some(s.ms());
+        s.stages.rounds = s.round;
         let (n_maps, n_reduces) = (s.sched.book().maps().len(), s.sched.book().reduces().len());
         let o = s.sched.finish();
         ClusterReport {
@@ -786,7 +841,8 @@ impl JobTracker {
             counters: o.counters,
             trace_jsonl: o.trace_jsonl,
             completions: o.completions,
-            first_assign_ms: s.first_assign_ms,
+            first_assign_ms: s.stages.first_assign.map(|ms| ms as u64),
+            stages: s.stages,
             failed: s.failed,
         }
     }
