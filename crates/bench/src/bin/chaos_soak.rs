@@ -18,8 +18,18 @@
 //! over its journal (see [`pnats_bench::failover`]), with the same fatal
 //! engine byte-parity gate as every other stage.
 //!
+//! A rung that injected nothing proves nothing, so every rung but the
+//! control must leave chaos events behind (and `dirty` a retry or checksum
+//! trail) or the soak fails. Per-frame faults only fire if enough frames
+//! flow: the seeded draws hit a connection's first few frames rarely, and
+//! a job too small to get past them — 4 maps was, at `p` = 0.03 — passes
+//! its rung untouched.
+//!
 //! Usage: `chaos_soak [seed] [--smoke]`. `--smoke` shrinks the input so
-//! the whole ladder fits in a CI smoke budget.
+//! the whole ladder fits in a CI smoke budget — to 8 maps, no further: the
+//! wire rungs need the frames, and the partition rung needs a first map
+//! wave wider than the other two workers' slots so that worker 0 holds
+//! output someone has to fetch.
 
 use pnats_bench::failover::{cluster_bin, run_kill_trial, KillTrial};
 use pnats_bench::usage_on_help;
@@ -108,7 +118,7 @@ fn main() -> ExitCode {
         ..ClusterConfig::default()
     };
     let n_reduces = 3;
-    let input = words_input(if smoke { 16 } else { 64 });
+    let input = words_input(if smoke { 32 } else { 64 });
 
     // Fault-free engine reference: every stage must reproduce these bytes.
     let engine = MapReduceEngine::new(cfg.engine_config());
@@ -166,6 +176,18 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         let c = &report.counters;
+        let events = net.events().len();
+        if name != "clean" && events == 0 {
+            eprintln!("chaos_soak: stage {stage} ({name}): the plan injected nothing");
+            return ExitCode::FAILURE;
+        }
+        if name == "dirty" && c.corrupt_frames + c.rpc_retries == 0 {
+            eprintln!(
+                "chaos_soak: stage {stage} ({name}): {events} damaged frames left no retry or \
+                 checksum trail: {c:?}"
+            );
+            return ExitCode::FAILURE;
+        }
         if name == "partitioned" && (c.breaker_trips == 0 || c.reexecuted_maps == 0) {
             eprintln!(
                 "chaos_soak: stage {stage} ({name}): partition left no breaker/re-execution \
@@ -174,9 +196,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!(
-            "chaos_soak stage={stage} name={name} ok wall_ms={ms:.0} events={} retries={} \
+            "chaos_soak stage={stage} name={name} ok wall_ms={ms:.0} events={events} retries={} \
              corrupt={} trips={} closes={} alt={} reexec={}",
-            net.events().len(),
             c.rpc_retries,
             c.corrupt_frames,
             c.breaker_trips,

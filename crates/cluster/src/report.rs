@@ -36,7 +36,7 @@ pub struct Stages {
 
 impl Stages {
     /// The six stages in timeline order, each under its report name.
-    fn named(&self) -> [(&'static str, Option<f64>); 6] {
+    pub fn named(&self) -> [(&'static str, Option<f64>); 6] {
         [
             ("all_registered", self.all_registered),
             ("first_assign", self.first_assign),

@@ -20,6 +20,37 @@
 //! tracker restart, and the lost-reply ack grace complete the
 //! tracker-only plane; recovery itself is a fold of the journal through
 //! the book's live transition function.
+//!
+//! **What wakes whom.** Nothing here sleeps a fixed period waiting for
+//! something another thread does. RPC threads run the handlers; one
+//! [`Condvar`] beside the state mutex is notified when the verdict is
+//! reached and when a worker is answered `shutdown`, and that is what
+//! [`JobTracker::wait`] and the tick thread sleep on. The **round clock is
+//! the only timer**: the tick thread lets one heartbeat period run out,
+//! ticks one round, and repeats, so `expire_after`,
+//! `ASSIGNMENT_ACK_GRACE`, `reattach_grace` and the fault plan's
+//! heartbeat-loss windows all still count wall time in periods. A worker's
+//! out-of-band heartbeat (sent the moment a task ends, see
+//! [`crate::worker`]) is one more [`Msg::Heartbeat`]: it is scheduled on
+//! like any other and never advances `round`.
+//!
+//! **Fleet assembly.** The price of out-of-band refills is that the first
+//! workers to connect can finish a short job before the last one has its
+//! first heartbeat through — connection set-up on a busy host takes
+//! milliseconds, and once took 25 here. So while a configured worker has
+//! not been offered anything yet, `schedule` leaves a first wave of the
+//! pending maps for it; the hold ends when everyone has been offered work
+//! or the liveness window (`expire_after` rounds) is over, and a recovery
+//! incarnation, whose fleet assembled under its predecessor, never holds.
+//!
+//! **Teardown is a join.** After the verdict the tracker keeps serving
+//! until every worker it has heard from (or its journal names) has been
+//! answered `shutdown` — in a heartbeat reply, a `Register` →
+//! [`Msg::Shutdown`], or a `ReattachAck` — and stops the moment the last
+//! one has, because a worker that is still owed its answer and finds the
+//! server gone re-dials it for its whole `orphan_grace`. The wait has a
+//! ceiling, `SHUTDOWN_ACK_CEILING` periods, for the one worker that can
+//! never be told: a killed process the round clock had not expired yet.
 
 use crate::config::ClusterConfig;
 use crate::jobspec::JobSpec;
@@ -31,9 +62,17 @@ use pnats_net::NodeId;
 use pnats_obs::{DecisionObserver, FaultKind, TaskKind};
 use pnats_rpc::{Assignment, Msg, RpcServer};
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How many heartbeat periods [`JobTracker::wait`] keeps serving after the
+/// verdict for workers that have not been answered `shutdown` yet. Reached
+/// only when some worker never calls again (a SIGKILLed process the round
+/// clock had not expired): every live worker beats at least once a period,
+/// and one that found the server gone would sit out its whole
+/// `orphan_grace` re-dialing it.
+const SHUTDOWN_ACK_CEILING: u32 = 20;
 
 /// How many rounds an assignment may stay unacknowledged (absent from the
 /// owner's reported running/completed work) before the tracker concludes
@@ -80,9 +119,14 @@ struct TrackerState {
     /// failover bench reads.
     stages: Stages,
     /// Workers this incarnation has heard from (or its journal names) and
-    /// not yet answered `shutdown`. A worker still owed one that finds the
-    /// server gone falls into its orphan hold.
+    /// not yet answered `shutdown`: the ones that will call again. A worker
+    /// still owed its answer that finds the server gone re-dials it for its
+    /// whole `orphan_grace`.
     owed: Vec<bool>,
+    /// Configured workers that have not been offered work yet — the fleet
+    /// `schedule` is still holding a first wave for. All `false` on a
+    /// recovery incarnation: its fleet assembled under its predecessor.
+    unoffered: Vec<bool>,
     /// Whether any worker ever registered; safe-mode cannot trigger on a
     /// fleet that has not shown up yet.
     ever_registered: bool,
@@ -90,6 +134,10 @@ struct TrackerState {
     degraded: bool,
     failed: bool,
     done: bool,
+    /// Paired with the mutex this state lives in; notified whenever
+    /// something `wait` or the tick thread sleeps on changes — `done`, or
+    /// the last goodbye going out.
+    wake: Arc<Condvar>,
 }
 
 impl TrackerState {
@@ -110,27 +158,40 @@ impl TrackerState {
         self.note_told();
     }
 
-    /// Worker `n` is part of this incarnation's fleet: it is owed a
-    /// `shutdown` answer when the job ends.
-    fn note_joined(&mut self, n: usize) {
-        self.owed[n] = true;
+    /// Every call from worker `n` starts here. While the job runs, it
+    /// marks the worker as owed a `shutdown` answer; once the job is done,
+    /// this call is where it gets one — `true` tells the handler to reply
+    /// `shutdown` and nothing else.
+    fn leaving(&mut self, n: usize) -> bool {
+        self.owed[n] = !self.done;
+        if self.done {
+            self.note_told();
+        }
+        self.done
+    }
+
+    /// A worker registered or re-attached: stamp the moment the fleet is
+    /// whole for the first time.
+    fn note_registered(&mut self) {
         if self.stages.all_registered.is_none() && self.nodes.iter().all(|s| s.registered) {
             self.stages.all_registered = Some(self.ms());
         }
     }
 
-    /// Worker `n` is being answered `shutdown`.
-    fn goodbye(&mut self, n: usize) {
-        self.owed[n] = false;
-        self.note_told();
-    }
-
     /// Stamp `workers_told` once the job is done and nobody is owed a
-    /// goodbye any more.
+    /// goodbye any more, and wake `wait` and the tick thread to look.
     fn note_told(&mut self) {
         if self.done && self.stages.workers_told.is_none() && !self.owed.contains(&true) {
             self.stages.workers_told = Some(self.ms());
         }
+        self.wake.notify_all();
+    }
+
+    /// Abandon the job without a verdict (crash, drop): stops the tick
+    /// thread, journals nothing.
+    fn abandon(&mut self) {
+        self.done = true;
+        self.wake.notify_all();
     }
 
     /// A node is a placement target when it is registered and not
@@ -245,8 +306,7 @@ impl TrackerState {
         if n >= self.cfg.n_nodes {
             return Msg::Shutdown;
         }
-        if self.done {
-            self.goodbye(n);
+        if self.leaving(n) {
             return Msg::Shutdown;
         }
         if self.sched.is_down(n) {
@@ -267,7 +327,7 @@ impl TrackerState {
             last_heard: self.round,
             awaiting_reattach: false,
         };
-        self.note_joined(n);
+        self.note_registered();
         self.slots.set(n, self.cfg.map_slots, self.cfg.reduce_slots);
         let blocks = self.sched.blocks();
         let shard: Vec<(u32, String)> = (0..blocks.len())
@@ -316,8 +376,7 @@ impl TrackerState {
         if n >= self.cfg.n_nodes {
             return reply(Vec::new(), Vec::new(), false, true, false);
         }
-        if self.done {
-            self.goodbye(n);
+        if self.leaving(n) {
             return reply(Vec::new(), Vec::new(), false, false, true);
         }
         let known_epoch = self.nodes[n].epoch == *epoch && !self.sched.is_down(n);
@@ -401,8 +460,8 @@ impl TrackerState {
         self.requeue_unacked(hb);
 
         if self.failed || self.sched.book().complete() {
+            self.owed[n] = false; // the verdict and this worker's goodbye in one reply
             self.finish(self.failed);
-            self.goodbye(n);
             return reply(Vec::new(), invalidate, false, false, true);
         }
         reply(self.schedule(NodeId(node)), invalidate, false, false, false)
@@ -477,6 +536,23 @@ impl TrackerState {
     /// Fill `node`'s free slots through the scheduler's offer loop and
     /// dress each launch as a wire assignment.
     fn schedule(&mut self, node: NodeId) -> Vec<Assignment> {
+        // Fleet assembly. A worker comes back for more the moment a map
+        // ends, so the first arrivals can drain a short job in the
+        // milliseconds the rest of the fleet still needs to connect and get
+        // a first heartbeat through. While configured workers have not had
+        // an offer yet, leave each of them a first wave of what is pending
+        // (its slots, or its even share of a job smaller than the fleet);
+        // the hold lapses with the liveness window, after which a worker
+        // that never dialed in is as absent as a silent one.
+        self.unoffered[node.idx()] = false;
+        let waiting = self.unoffered.iter().filter(|u| **u).count();
+        if waiting > 0 && self.round <= self.cfg.expire_after {
+            let book = self.sched.book();
+            let wave = (book.maps().len() / self.cfg.n_nodes).min(self.cfg.map_slots as usize);
+            let spare = book.pending_maps().len().saturating_sub(waiting * wave);
+            let free = &mut self.slots.map[node.idx()];
+            *free = (*free).min(spare as u32);
+        }
         let launches = self.sched.offer(node, &mut self.slots);
         if !launches.is_empty() && self.stages.first_assign.is_none() {
             self.stages.first_assign = Some(self.ms());
@@ -537,8 +613,7 @@ impl TrackerState {
         if n >= self.cfg.n_nodes {
             return dead;
         }
-        if self.done {
-            self.goodbye(n);
+        if self.leaving(n) {
             return Msg::ReattachAck { invalidate: Vec::new(), dead: false, shutdown: true };
         }
         let was_awaiting = self.nodes[n].awaiting_reattach;
@@ -558,7 +633,7 @@ impl TrackerState {
             last_heard: self.round,
             awaiting_reattach: false,
         };
-        self.note_joined(n);
+        self.note_registered();
         // Slots sync on the next heartbeat; claim nothing until then.
         self.slots.set(n, 0, 0);
         if was_awaiting {
@@ -656,6 +731,7 @@ impl TrackerState {
             }
         }
         self.ever_registered = !st.node_epochs.is_empty();
+        self.unoffered.fill(false);
         self.sched.fault(FaultKind::TrackerRestart, 0, None);
         self.sched.fault(FaultKind::JournalReplayed, 0, Some(st.records_applied as u32));
         self.sched.observer_mut().absorb_recovery(rm, rr, inherited, reexec);
@@ -676,7 +752,28 @@ impl TrackerState {
 pub struct JobTracker {
     server: Option<RpcServer>,
     state: Arc<Mutex<TrackerState>>,
+    wake: Arc<Condvar>,
     tick: Option<JoinHandle<()>>,
+}
+
+/// Sleep on `wake` until `ready(state)` or `until`, whichever is first;
+/// `true` when it was `ready`.
+fn sleep_until<'a>(
+    wake: &Condvar,
+    mut s: MutexGuard<'a, TrackerState>,
+    until: Instant,
+    ready: impl Fn(&TrackerState) -> bool,
+) -> (MutexGuard<'a, TrackerState>, bool) {
+    loop {
+        if ready(&s) {
+            return (s, true);
+        }
+        let left = until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return (s, false);
+        }
+        s = wake.wait_timeout(s, left).unwrap().0;
+    }
 }
 
 fn invalid(msg: String) -> io::Error {
@@ -758,6 +855,7 @@ impl JobTracker {
             }
         }
         let heartbeat = cfg.heartbeat;
+        let wake = Arc::new(Condvar::new());
         let mut state = TrackerState {
             spec,
             sched,
@@ -770,10 +868,12 @@ impl JobTracker {
             inherited: Vec::new(),
             stages: Stages::default(),
             owed: vec![false; cfg.n_nodes],
+            unoffered: vec![true; cfg.n_nodes],
             ever_registered: false,
             degraded: false,
             failed: false,
             done: false,
+            wake: wake.clone(),
             cfg,
         };
         if let Some(st) = recovered {
@@ -785,16 +885,22 @@ impl JobTracker {
         let handler: pnats_rpc::Handler =
             Arc::new(move |msg| handler_state.lock().unwrap().handle(msg));
         let server = RpcServer::bind(listen, handler, Duration::from_millis(50))?;
-        let tick_state = state.clone();
-        let tick = std::thread::spawn(move || loop {
-            std::thread::sleep(heartbeat);
+        // The round clock: the one timer in the tracker. A period is slept
+        // on the condvar so the verdict ends the thread at once, but only
+        // the period running out ticks a round.
+        let (tick_state, tick_wake) = (state.clone(), wake.clone());
+        let tick = std::thread::spawn(move || {
             let mut s = tick_state.lock().unwrap();
-            if s.done {
-                break;
+            loop {
+                let done;
+                (s, done) = sleep_until(&tick_wake, s, Instant::now() + heartbeat, |s| s.done);
+                if done {
+                    break;
+                }
+                s.tick();
             }
-            s.tick();
         });
-        Ok(JobTracker { server: Some(server), state, tick: Some(tick) })
+        Ok(JobTracker { server: Some(server), state, wake, tick: Some(tick) })
     }
 
     /// The tracker's bound address.
@@ -803,29 +909,24 @@ impl JobTracker {
     }
 
     /// Block until the job completes (or the config's `max_wall` fires, in
-    /// which case the report is marked failed), give departing workers a
-    /// grace window of shutdown replies, then tear down and assemble the
-    /// report.
+    /// which case the report is marked failed), keep serving until every
+    /// worker has been answered `shutdown` in its next call (or
+    /// [`SHUTDOWN_ACK_CEILING`] periods pass), then tear down and assemble
+    /// the report.
     pub fn wait(mut self) -> ClusterReport {
-        let (deadline, heartbeat) = {
-            let s = self.state.lock().unwrap();
-            (s.start + s.cfg.max_wall, s.cfg.heartbeat)
-        };
-        loop {
-            std::thread::sleep(heartbeat);
-            let mut s = self.state.lock().unwrap();
-            if s.done {
-                break;
-            }
-            if Instant::now() > deadline {
-                s.finish(true);
-                break;
-            }
+        let state = self.state.clone();
+        let mut s = state.lock().unwrap();
+        let deadline = s.start + s.cfg.max_wall;
+        let done;
+        (s, done) = sleep_until(&self.wake, s, deadline, |s| s.done);
+        if !done {
+            s.finish(true);
         }
-        // Grace: let workers hear `shutdown` in their next heartbeat reply.
-        std::thread::sleep(heartbeat * 20);
+        let ceiling = Instant::now() + s.cfg.heartbeat * SHUTDOWN_ACK_CEILING;
+        (s, _) = sleep_until(&self.wake, s, ceiling, |s| !s.owed.contains(&true));
+        drop(s);
         self.teardown();
-        let mut s = self.state.lock().unwrap();
+        let mut s = state.lock().unwrap();
         s.stages.torn_down = Some(s.ms());
         s.stages.rounds = s.round;
         let (n_maps, n_reduces) = (s.sched.book().maps().len(), s.sched.book().reduces().len());
@@ -857,7 +958,7 @@ impl JobTracker {
         if let Some(mut server) = self.server.take() {
             server.stop();
         }
-        self.state.lock().unwrap().done = true; // stops the tick thread
+        self.state.lock().unwrap().abandon();
         if let Some(t) = self.tick.take() {
             let _ = t.join();
         }
@@ -875,7 +976,11 @@ impl JobTracker {
 
 impl Drop for JobTracker {
     fn drop(&mut self) {
-        self.state.lock().unwrap().done = true; // stops the tick thread
+        // Not `unwrap`: this also runs while a panic that poisoned the
+        // mutex unwinds, and a second panic there aborts the process.
+        if let Ok(mut s) = self.state.lock() {
+            s.abandon();
+        }
         self.teardown();
     }
 }
@@ -1010,9 +1115,10 @@ mod tests {
     /// the tracker doomed it, done otherwise. With `restart`, the tracker
     /// is crashed right after the first wave of assignments and a second
     /// incarnation recovers from the journal; the workers re-attach with
-    /// that wave still running. Returns the transient failures reported
-    /// over the whole job.
-    fn play(cfg: &ClusterConfig, restart: bool) -> u64 {
+    /// that wave still running. Returns the tracker as the first worker is
+    /// answered `shutdown`, that worker's id, and the transient failures
+    /// reported over the whole job.
+    fn play(cfg: &ClusterConfig, restart: bool) -> (JobTracker, usize, u64) {
         let mut t = start(cfg).unwrap();
         let mut held: Vec<Vec<Assignment>> = vec![Vec::new(); cfg.n_nodes];
         let mut failures = 0u64;
@@ -1079,7 +1185,7 @@ mod tests {
                 assert!(!dead && invalidate.is_empty(), "nothing here goes stale");
                 if shutdown {
                     assert!(!t.state.lock().unwrap().failed, "the budget is ample");
-                    return failures;
+                    return (t, n, failures);
                 }
                 *work = assignments;
             }
@@ -1104,9 +1210,94 @@ mod tests {
             })
             .sum();
         assert!(expected > 2, "the seed should doom several attempts");
-        assert_eq!(play(&cfg, false), expected, "uninterrupted run");
+        assert_eq!(play(&cfg, false).2, expected, "uninterrupted run");
         let _ = std::fs::remove_file(&path);
-        assert_eq!(play(&cfg, true), expected, "run with a tracker restart after wave 1");
+        assert_eq!(play(&cfg, true).2, expected, "run with a tracker restart after wave 1");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Worker `node` beats `beats` times, each beat reporting the maps the
+    /// last one handed it as done and asking to have its map slots refilled
+    /// — a worker coming back out-of-band the moment its maps end. Returns
+    /// how many maps it was given in all.
+    fn drain(t: &JobTracker, cfg: &ClusterConfig, node: u32, beats: usize) -> usize {
+        let (mut held, mut taken) = (Vec::new(), 0);
+        for _ in 0..beats {
+            let done = held
+                .drain(..)
+                .map(|a| match a {
+                    Assignment::Map { map, attempt, .. } => {
+                        MapDone { map, attempt, bytes: vec![7, 9] }
+                    }
+                    other => panic!("no reduce slot was offered: {other:?}"),
+                })
+                .collect();
+            let reply = call(t, heartbeat(node, (cfg.map_slots, 0), done, vec![], vec![]));
+            let Msg::HeartbeatReply { assignments, .. } = reply else { panic!("{reply:?}") };
+            taken += assignments.len();
+            held = assignments;
+        }
+        taken
+    }
+
+    /// Fleet assembly: a worker that comes back for more the moment its
+    /// maps end cannot drain the job while a configured worker has yet to
+    /// be offered anything — a first wave is left pending for it — and the
+    /// hold lapses once the liveness window has passed.
+    #[test]
+    fn first_arrivals_leave_a_first_wave_for_workers_still_to_come() {
+        // A period no test outlasts: only the test moves the round clock.
+        let hour = Duration::from_secs(3600);
+        let cfg = ClusterConfig { expire_after: 2, heartbeat: hour, ..cfg(None) };
+        let (n_maps, wave) = (n_maps(&cfg), cfg.map_slots as usize);
+        assert!(n_maps > 2 * wave, "the job must outsize one worker's slots");
+
+        let t = start(&cfg).unwrap();
+        register(&t, 0);
+        assert_eq!(drain(&t, &cfg, 0, n_maps), n_maps - wave, "worker 0 took the held wave");
+        assert_eq!(t.state.lock().unwrap().sched.book().pending_maps().len(), wave);
+        register(&t, 1);
+        assert_eq!(drain(&t, &cfg, 1, 1), wave, "the late worker finds its first wave");
+        assert_eq!(drain(&t, &cfg, 0, 1), 0, "nothing is left");
+
+        // The same lone worker once the window is over: the job is its own.
+        let t = start(&cfg).unwrap();
+        register(&t, 0);
+        t.state.lock().unwrap().round = cfg.expire_after + 1;
+        assert_eq!(drain(&t, &cfg, 0, n_maps), n_maps);
+    }
+
+    /// Teardown is a join on the goodbyes, not a nap: once every worker's
+    /// next heartbeat has been answered `shutdown`, `wait` returns — well
+    /// inside two periods, where the fixed grace it replaced took twenty.
+    #[test]
+    fn wait_returns_once_every_worker_has_been_told() {
+        let cfg = ClusterConfig { heartbeat: Duration::from_millis(100), ..cfg(None) };
+        let (t, told, _) = play(&cfg, false);
+        for n in (0..cfg.n_nodes).filter(|n| *n != told) {
+            let reply = call(&t, heartbeat(n as u32, (0, 0), vec![], vec![], vec![]));
+            assert!(matches!(reply, Msg::HeartbeatReply { shutdown: true, .. }), "{reply:?}");
+        }
+        let st = t.wait().stages;
+        let (done, told, down) = (st.job_done.unwrap(), st.workers_told.unwrap(), st.torn_down);
+        assert!(done <= told, "{st:?}");
+        let teardown = down.unwrap() - done;
+        assert!(teardown < 2.0 * cfg.heartbeat.as_secs_f64() * 1e3, "took {teardown} ms: {st:?}");
+    }
+
+    /// The ceiling stays: a registered worker that never calls again (a
+    /// SIGKILLed process the round clock has not expired yet) is waited for
+    /// — tearing down under a live one would strand it in its orphan hold
+    /// — but only for `SHUTDOWN_ACK_CEILING` periods.
+    #[test]
+    fn wait_gives_up_on_a_silent_worker_at_the_ceiling() {
+        let cfg = ClusterConfig { heartbeat: Duration::from_millis(20), ..cfg(None) };
+        let (t, _, _) = play(&cfg, false);
+        let st = t.wait().stages;
+        assert_eq!(st.workers_told, None, "one worker never heard: {st:?}");
+        let ceiling = f64::from(SHUTDOWN_ACK_CEILING) * cfg.heartbeat.as_secs_f64() * 1e3;
+        let teardown = st.torn_down.unwrap() - st.job_done.unwrap();
+        assert!(teardown >= ceiling, "left before the ceiling: {teardown} ms");
+        assert!(teardown < 1.5 * ceiling, "overstayed the ceiling: {teardown} ms");
     }
 }

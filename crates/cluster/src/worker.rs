@@ -1,9 +1,24 @@
 //! The TaskTracker: one worker process/thread owning a dfs shard, a data
-//! server for peers, and map/reduce slots. It heartbeats the tracker every
-//! `T` ms over TCP, executes assignments on task threads via the engine's
-//! shared execution primitives ([`execute_map`]/[`execute_reduce`] — so
-//! output bytes are identical to the engine's), and serves its finished
-//! map partitions to reducers.
+//! server for peers, and map/reduce slots. It heartbeats the tracker over
+//! TCP, executes assignments on task threads via the engine's shared
+//! execution primitives ([`execute_map`]/[`execute_reduce`] — so output
+//! bytes are identical to the engine's), and serves its finished map
+//! partitions to reducers.
+//!
+//! **When it beats.** The heartbeat loop sleeps on the channel its task
+//! threads report to, for at most one period `T`. An idle worker therefore
+//! beats every `T` ms, exactly as before; a worker whose task just finished
+//! or failed beats *at once* — an **out-of-band heartbeat**, as a Hadoop
+//! 1.x TaskTracker sends when a slot frees — carrying the status and
+//! getting the freed slot refilled in the reply instead of a period later.
+//! To the tracker it is an ordinary heartbeat; its round clock, which all
+//! liveness windows count in, is a timer and does not see it. The sleeps
+//! that remain in this file either model work (map pacing, the doomed
+//! attempt's burn) or back off a call the peer refused: `NotReady` at
+//! registration, the re-attach probe's jitter, and the reducer's `WhereIs`
+//! poll for a map that has not finished — the next wait worth removing,
+//! but not by holding the shared resolver connection open (that would
+//! stall this worker's block fetches).
 //!
 //! Crash-epoch semantics: when the tracker answers a heartbeat with
 //! `dead`, the worker wipes all held state (its map outputs are gone from
@@ -212,8 +227,10 @@ fn run_epoch(cfg: &WorkerConfig, epoch: u32) -> Result<EpochEnd, RpcError> {
     let mut reported_retries = 0u64;
     let mut reported_health = (0u64, 0u64, 0u64, 0u64);
 
+    // What woke the loop, if it was a task ending and not the period.
+    let mut woken_by: Option<TaskEvent> = None;
     loop {
-        while let Ok(ev) = rx.try_recv() {
+        while let Some(ev) = woken_by.take().or_else(|| rx.try_recv().ok()) {
             match ev {
                 TaskEvent::MapDone(d) => {
                     running_maps.remove(&d.map);
@@ -396,7 +413,11 @@ fn run_epoch(cfg: &WorkerConfig, epoch: u32) -> Result<EpochEnd, RpcError> {
             }
             _ => {} // protocol noise; try again next round
         }
-        std::thread::sleep(cfg.heartbeat);
+        // Beat again when the period is up — or at once when a task ends:
+        // an out-of-band heartbeat that reports it and gets the freed slot
+        // refilled without waiting out the timer. `tx` lives in this frame,
+        // so the channel cannot disconnect.
+        woken_by = rx.recv_timeout(cfg.heartbeat).ok();
     }
 }
 

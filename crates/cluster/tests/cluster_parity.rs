@@ -112,3 +112,34 @@ fn empty_input_still_completes() {
     assert_eq!(report.n_maps, 1, "empty input still yields one map");
     assert!(report.output.is_empty());
 }
+
+/// Nothing on a job's critical path waits out a fixed period any more: at
+/// a 100 ms heartbeat — long enough that only naps, not work, could fill
+/// it — a whole WordCount takes a handful of periods (the fixed shutdown
+/// grace alone used to take twenty). And the beats that bought that are
+/// out-of-band: the round clock, which every liveness window counts in,
+/// still ticks once per period of wall time and no faster.
+#[test]
+fn a_job_takes_heartbeats_not_naps_and_the_round_clock_stays_a_timer() {
+    let cfg = ClusterConfig { heartbeat: Duration::from_millis(100), ..ClusterConfig::default() };
+    let input = words_input(24);
+    let job = JobSpec::WordCount.job(3);
+    let hb = cfg.heartbeat.as_secs_f64();
+    let expected = engine_for(&cfg).run(&job, &input, placer_by_name("paper", hb).unwrap());
+
+    let t = std::time::Instant::now();
+    let report =
+        run_cluster(&cfg, &JobSpec::WordCount, 3, &input, placer_by_name("paper", hb).unwrap());
+    let periods = t.elapsed().as_secs_f64() / hb;
+
+    assert!(!report.failed);
+    check_cluster_report(&report).expect("cluster oracle");
+    assert_eq!(report.output, expected.output, "cluster output diverged from engine output");
+    assert!(periods < 12.0, "the job took {periods:.1} heartbeat periods: {:?}", report.stages);
+    assert!(
+        report.stages.rounds as f64 <= report.wall.as_secs_f64() / hb + 1.0,
+        "{} rounds in {:?}: something other than the timer ticked the clock",
+        report.stages.rounds,
+        report.wall
+    );
+}

@@ -29,13 +29,13 @@
 //! forwards a partial payload then closes, so the receiver sees a short
 //! read, not a forged short frame.
 
+use crate::server::AcceptLoop;
 use crate::wire::MAX_FRAME;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// One way a link can misbehave.
@@ -414,75 +414,39 @@ impl ChaosNet {
     /// [`addr`](ChaosProxy::addr) are relayed to `upstream` through the
     /// plan's faults. An empty plan relays transparently.
     pub fn proxy(self: &Arc<Self>, link: &str, upstream: &str) -> io::Result<ChaosProxy> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?.to_string();
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
         let net = self.clone();
         let link = link.to_string();
         let upstream = upstream.to_string();
-        let accept = std::thread::spawn(move || {
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            while !stop2.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let conn = net.next_conn(&link);
-                        let net = net.clone();
-                        let link = link.clone();
-                        let upstream = upstream.clone();
-                        let stop = stop2.clone();
-                        conns.push(std::thread::spawn(move || {
-                            handle_conn(stream, &upstream, &net, &link, conn, &stop);
-                        }));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-                conns.retain(|c| !c.is_finished());
-            }
-            for c in conns {
-                let _ = c.join();
-            }
-        });
-        Ok(ChaosProxy { addr, stop, accept: Some(accept) })
+        AcceptLoop::spawn("127.0.0.1:0", move |stream, stop| {
+            // Numbered on the accept thread: a link's connection indices
+            // follow accept order, whatever the relay threads do.
+            let conn = net.next_conn(&link);
+            let (net, link, upstream) = (net.clone(), link.clone(), upstream.clone());
+            move || handle_conn(&stream, &upstream, &net, &link, conn, &stop)
+        })
+        .map(ChaosProxy)
     }
 }
 
 /// One running per-link proxy. Dropping it (or [`stop`](Self::stop)) tears
 /// the accept loop and every relay down.
-pub struct ChaosProxy {
-    addr: String,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-}
+pub struct ChaosProxy(AcceptLoop);
 
 impl ChaosProxy {
     /// The proxy's bound address — hand this out instead of the upstream's.
     pub fn addr(&self) -> &str {
-        &self.addr
+        self.0.addr()
     }
 
     /// Stop accepting and join every relay thread.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ChaosProxy {
-    fn drop(&mut self) {
-        self.stop();
+        self.0.stop();
     }
 }
 
 /// Swallow everything `from` sends until EOF or stop — the receiving half
 /// of a black hole or one-way partition.
-fn discard(mut from: TcpStream, stop: &AtomicBool) {
+fn discard(mut from: &TcpStream, stop: &AtomicBool) {
     let _ = from.set_read_timeout(Some(Duration::from_millis(50)));
     let mut buf = [0u8; 4096];
     loop {
@@ -500,7 +464,7 @@ fn discard(mut from: TcpStream, stop: &AtomicBool) {
 
 /// Fill `buf` from `from`, polling `stop` across read deadlines. `false`
 /// on EOF, hard error, or stop.
-fn read_full(from: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> bool {
+fn read_full(mut from: &TcpStream, buf: &mut [u8], stop: &AtomicBool) -> bool {
     let mut filled = 0;
     while filled < buf.len() {
         match from.read(&mut buf[filled..]) {
@@ -528,14 +492,14 @@ struct RelayCtx {
 
 /// Relay frames `from` → `to`, injecting the plan's frame faults. Closing
 /// either stream (ours or the peer relay's) ends both directions.
-fn relay_frames(mut from: TcpStream, mut to: TcpStream, ctx: RelayCtx, stop: &AtomicBool) {
+fn relay_frames(from: &TcpStream, mut to: &TcpStream, ctx: RelayCtx, stop: &AtomicBool) {
     let _ = from.set_read_timeout(Some(Duration::from_millis(50)));
     let plan = ctx.net.plan.clone();
     let rules = plan.frame_rules(&ctx.link, ctx.conn);
     let mut frame: u64 = 0;
     loop {
         let mut header = [0u8; 8];
-        if !read_full(&mut from, &mut header, stop) {
+        if !read_full(from, &mut header, stop) {
             break;
         }
         let len = u32::from_be_bytes(header[..4].try_into().unwrap()) as usize;
@@ -543,7 +507,7 @@ fn relay_frames(mut from: TcpStream, mut to: TcpStream, ctx: RelayCtx, stop: &At
             break; // not our protocol; refuse to relay it
         }
         let mut payload = vec![0u8; len];
-        if !read_full(&mut from, &mut payload, stop) {
+        if !read_full(from, &mut payload, stop) {
             break;
         }
         let idx = frame;
@@ -648,7 +612,7 @@ impl RelayCtx {
 }
 
 fn handle_conn(
-    client: TcpStream,
+    client: &TcpStream,
     upstream: &str,
     net: &Arc<ChaosNet>,
     link: &str,
@@ -676,11 +640,9 @@ fn handle_conn(
         let _ = client.shutdown(Shutdown::Both);
         return;
     };
+    let up = &up;
     let _ = client.set_nodelay(true);
     let _ = up.set_nodelay(true);
-    let (Ok(client2), Ok(up2)) = (client.try_clone(), up.try_clone()) else {
-        return;
-    };
     let ctx = |dir: u8, reset: Option<(u64, Arc<AtomicU64>)>| RelayCtx {
         net: net.clone(),
         link: link.to_string(),
@@ -693,14 +655,14 @@ fn handle_conn(
             log_conn(ChaosAction::PartitionedToUpstream);
             // Client→upstream vanishes; upstream→client still relays.
             std::thread::scope(|s| {
-                s.spawn(|| discard(client2, stop));
+                s.spawn(|| discard(client, stop));
                 relay_frames(up, client, ctx(1, None), stop);
             });
         }
         Some(ChaosFault::PartitionFromUpstream) => {
             log_conn(ChaosAction::PartitionedFromUpstream);
             std::thread::scope(|s| {
-                s.spawn(|| discard(up2, stop));
+                s.spawn(|| discard(up, stop));
                 relay_frames(client, up, ctx(0, None), stop);
             });
         }
@@ -709,13 +671,13 @@ fn handle_conn(
             let fwd = ctx(0, Some((k, counter.clone())));
             let rev = ctx(1, Some((k, counter)));
             std::thread::scope(|s| {
-                s.spawn(|| relay_frames(up2, client2, rev, stop));
+                s.spawn(|| relay_frames(up, client, rev, stop));
                 relay_frames(client, up, fwd, stop);
             });
         }
         _ => {
             std::thread::scope(|s| {
-                s.spawn(|| relay_frames(up2, client2, ctx(1, None), stop));
+                s.spawn(|| relay_frames(up, client, ctx(1, None), stop));
                 relay_frames(client, up, ctx(0, None), stop);
             });
         }

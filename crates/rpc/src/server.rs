@@ -1,11 +1,19 @@
 //! The RPC server: a TCP listener, a thread per connection, a handler
 //! closure per message. The handshake rejects peers with version skew
 //! before any application message is exchanged.
+//!
+//! Nothing here polls. The accept thread blocks in `accept` and each
+//! connection thread blocks in `read`; [`RpcServer::stop`] wakes them by
+//! the events they are blocked on — a connection to its own listener for
+//! the first, a read-half `shutdown` of every live socket for the rest —
+//! so stopping costs a loopback connect, not an accept-poll period plus a
+//! read deadline. `AcceptLoop` is that lifecycle, shared with the chaos
+//! proxy ([`crate::chaos`]): the one accept loop of this crate.
 
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::msg::{Msg, MAGIC, PROTOCOL_VERSION};
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -14,77 +22,128 @@ use std::time::Duration;
 /// The per-message application handler. Returns the reply to frame back.
 pub type Handler = Arc<dyn Fn(Msg) -> Msg + Send + Sync>;
 
-/// A running RPC server. Dropping it (or calling [`stop`](Self::stop))
-/// shuts the accept loop down and joins it; in-flight connection threads
-/// notice the stop flag at their next read deadline.
-pub struct RpcServer {
+/// A listener thread handing each accepted connection to a thread of its
+/// own. The owner holds the handle; [`stop`](Self::stop) (or drop) ends the
+/// accept thread and every connection thread and joins them.
+pub(crate) struct AcceptLoop {
     addr: String,
     stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
-impl RpcServer {
-    /// Bind `addr` (use port 0 for an OS-assigned port — the actual
-    /// address is [`addr`](Self::addr)) and serve each decoded message
-    /// through `handler`. `read_timeout` doubles as the stop-flag poll
-    /// interval for idle connections.
-    pub fn bind(
-        addr: &str,
-        handler: Handler,
-        read_timeout: Duration,
-    ) -> io::Result<Self> {
+impl AcceptLoop {
+    /// Bind `addr` and start accepting. `on_accept` runs on the accept
+    /// thread, in accept order, and returns the job to run on the new
+    /// connection's thread; it is handed the stream and the loop's stop
+    /// flag. The connection is shut down when its job returns.
+    ///
+    /// The stream is shared, not `try_clone`d: a descriptor per connection
+    /// more, in a process full of threads, brings the kernel's descriptor
+    /// table to its next doubling sooner, and every thread opening a socket
+    /// waits out that resize (an RCU grace period — 10–25 ms measured).
+    pub(crate) fn spawn<A, C>(addr: &str, mut on_accept: A) -> io::Result<Self>
+    where
+        A: FnMut(Arc<TcpStream>, Arc<AtomicBool>) -> C + Send + 'static,
+        C: FnOnce() + Send + 'static,
+    {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?.to_string();
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
-        let accept_thread = std::thread::spawn(move || {
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            while !stop2.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let handler = handler.clone();
-                        let stop = stop2.clone();
-                        conns.push(std::thread::spawn(move || {
-                            let _ = serve_conn(stream, handler, stop, read_timeout);
-                        }));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
+        let thread = std::thread::spawn(move || {
+            // Each live connection's thread, and its socket to wake that
+            // thread with.
+            let mut conns: Vec<(JoinHandle<()>, Arc<TcpStream>)> = Vec::new();
+            loop {
+                let accepted = listener.accept();
+                if stop2.load(Ordering::SeqCst) {
+                    break; // `stop` woke us (or raced a real peer: too late)
                 }
-                conns.retain(|c| !c.is_finished());
+                let Ok((stream, _)) = accepted else { break };
+                conns.retain(|(thread, _)| !thread.is_finished());
+                let stream = Arc::new(stream);
+                let job = on_accept(stream.clone(), stop2.clone());
+                let ours = stream.clone();
+                let thread = std::thread::spawn(move || {
+                    job();
+                    // This list's handle keeps the descriptor open past the
+                    // job, so hanging up has to be said, not left to a drop.
+                    let _ = ours.shutdown(Shutdown::Both);
+                });
+                conns.push((thread, stream));
             }
-            for c in conns {
-                let _ = c.join();
+            // Read half only: a thread blocked in `read` sees end-of-stream
+            // at once, one that is mid-reply still gets its bytes out.
+            for (_, stream) in &conns {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+            for (thread, _) in conns {
+                let _ = thread.join();
             }
         });
-        Ok(Self { addr: local, stop, accept_thread: Some(accept_thread) })
+        Ok(Self { addr: local, stop, thread: Some(thread) })
     }
 
     /// The bound address (resolves port 0 to the real port).
-    pub fn addr(&self) -> &str {
+    pub(crate) fn addr(&self) -> &str {
         &self.addr
     }
 
-    /// Stop accepting, wake idle connections, join all threads.
-    pub fn stop(&mut self) {
+    /// Stop accepting, wake every connection, join all threads.
+    pub(crate) fn stop(&mut self) {
+        let Some(thread) = self.thread.take() else { return };
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        // The accept thread is blocked in `accept`: connecting to it is the
+        // event that wakes it. If even that fails, joining would hang; the
+        // thread is left to exit at its next connection.
+        if thread.is_finished() || TcpStream::connect(&self.addr).is_ok() {
+            let _ = thread.join();
         }
     }
 }
 
-impl Drop for RpcServer {
+impl Drop for AcceptLoop {
     fn drop(&mut self) {
         self.stop();
     }
 }
 
+/// A running RPC server. Dropping it (or calling [`stop`](Self::stop))
+/// shuts the accept loop and every connection down and joins them.
+pub struct RpcServer(AcceptLoop);
+
+impl RpcServer {
+    /// Bind `addr` (use port 0 for an OS-assigned port — the actual
+    /// address is [`addr`](Self::addr)) and serve each decoded message
+    /// through `handler`. `read_timeout` is the read and write deadline on
+    /// every connection; an idle connection just re-arms it.
+    pub fn bind(
+        addr: &str,
+        handler: Handler,
+        read_timeout: Duration,
+    ) -> io::Result<Self> {
+        AcceptLoop::spawn(addr, move |stream, stop| {
+            let handler = handler.clone();
+            move || {
+                let _ = serve_conn(&stream, handler, stop, read_timeout);
+            }
+        })
+        .map(Self)
+    }
+
+    /// The bound address (resolves port 0 to the real port).
+    pub fn addr(&self) -> &str {
+        self.0.addr()
+    }
+
+    /// Stop accepting, wake idle connections, join all threads.
+    pub fn stop(&mut self) {
+        self.0.stop();
+    }
+}
+
 fn serve_conn(
-    mut stream: TcpStream,
+    mut stream: &TcpStream,
     handler: Handler,
     stop: Arc<AtomicBool>,
     read_timeout: Duration,
@@ -242,5 +301,81 @@ mod tests {
         drop(server);
         let err = client.call(&Msg::Ack).expect_err("server is gone");
         assert!(matches!(err, RpcError::Frame(_)), "{err}");
+    }
+
+    /// `stop` wakes a connection blocked in `read` instead of waiting for
+    /// its read deadline to notice the flag: with a 5 s deadline and an
+    /// idle client attached, stopping takes milliseconds.
+    #[test]
+    fn stop_does_not_wait_out_an_idle_connections_read_timeout() {
+        let mut server =
+            RpcServer::bind("127.0.0.1:0", Arc::new(|msg| msg), Duration::from_secs(5))
+                .expect("bind");
+        let mut idle =
+            RpcClient::connect(server.addr(), RetryPolicy::default(), Duration::from_secs(5))
+                .expect("connect");
+        assert_eq!(idle.call(&Msg::Ack).expect("call"), Msg::Ack);
+        let t = std::time::Instant::now();
+        server.stop();
+        let took = t.elapsed();
+        assert!(took < Duration::from_millis(500), "stop took {took:?}");
+    }
+
+    /// The accept thread blocks in `accept`, so a dial is served when it
+    /// arrives, not at the next poll: 100 connect + handshake round trips
+    /// take less than 100 periods of the 2 ms poll this replaced.
+    #[test]
+    fn connects_are_accepted_without_a_poll_period() {
+        let server = echo_server();
+        let t = std::time::Instant::now();
+        for _ in 0..100 {
+            RpcClient::connect(server.addr(), RetryPolicy::default(), Duration::from_secs(2))
+                .expect("connect");
+        }
+        let took = t.elapsed();
+        assert!(took < Duration::from_millis(200), "100 connects took {took:?}");
+    }
+
+    /// A call the handler is still working on when `stop` lands gets its
+    /// reply: stopping shuts the read half only.
+    #[test]
+    fn stop_lets_a_reply_in_flight_out() {
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (entered_tx, release_rx) =
+            (std::sync::Mutex::new(entered_tx), std::sync::Mutex::new(release_rx));
+        let mut server = RpcServer::bind(
+            "127.0.0.1:0",
+            Arc::new(move |msg| {
+                entered_tx.lock().unwrap().send(()).unwrap();
+                release_rx.lock().unwrap().recv().unwrap();
+                msg
+            }),
+            Duration::from_secs(5),
+        )
+        .expect("bind");
+        let addr = server.addr().to_string();
+        let caller = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let policy = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
+                RpcClient::connect(addr, policy, Duration::from_secs(5))
+                    .and_then(|mut c| c.call(&Msg::WhereIs { map: 7 }))
+            })
+        };
+        entered_rx.recv().expect("the handler is running");
+        // A second, idle connection, accepted after the caller's. `stop`
+        // wakes connections in accept order, so when this one is hung up
+        // on, the caller's read half has already been shut.
+        let mut idle = TcpStream::connect(&addr).unwrap();
+        idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write_frame(&mut idle, &Msg::Hello { magic: MAGIC, version: PROTOCOL_VERSION }.encode())
+            .unwrap();
+        read_frame(&mut idle).expect("HelloAck: the idle connection is being served");
+        let stopper = std::thread::spawn(move || server.stop());
+        assert!(read_frame(&mut idle).is_err(), "stop hangs up on the idle connection");
+        release_tx.send(()).unwrap();
+        stopper.join().unwrap();
+        assert_eq!(caller.join().unwrap().expect("reply"), Msg::WhereIs { map: 7 });
     }
 }
