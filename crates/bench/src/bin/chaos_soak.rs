@@ -96,6 +96,7 @@ fn ladder(seed: u64) -> Vec<(&'static str, ChaosPlan)> {
 
 fn main() -> ExitCode {
     usage_on_help("[seed] [--smoke]");
+    pnats_cluster::pregrow_descriptor_table();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let seed: u64 =

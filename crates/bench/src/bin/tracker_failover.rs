@@ -94,6 +94,7 @@ fn merge_bench_json(mean: f64, p99: f64, trials: usize) -> Result<(), String> {
 
 fn main() -> ExitCode {
     usage_on_help("[seed] [--smoke]");
+    pnats_cluster::pregrow_descriptor_table();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let seed: u64 =

@@ -73,6 +73,7 @@ fn reference_output(
 /// injected events, no breaker activity.
 #[test]
 fn transparent_chaos_net_preserves_engine_parity() {
+    pnats_cluster::pregrow_descriptor_table();
     let cfg = chaos_cfg();
     let input = words_input(16);
     let expected = reference_output(&cfg, &JobSpec::WordCount, 3, &input);
@@ -106,6 +107,7 @@ fn transparent_chaos_net_preserves_engine_parity() {
 /// counters accounting for the trips.
 #[test]
 fn one_way_partition_recovers_via_reexecution() {
+    pnats_cluster::pregrow_descriptor_table();
     let cfg = chaos_cfg();
     let input = words_input(32);
     let expected = reference_output(&cfg, &JobSpec::WordCount, 3, &input);

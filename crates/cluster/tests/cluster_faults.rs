@@ -64,6 +64,7 @@ fn reference_output(cfg: &ClusterConfig, spec: &JobSpec, n_reduces: usize, input
 /// passes — the job completes with the exact no-fault output.
 #[test]
 fn heartbeat_loss_window_expires_and_recovers() {
+    pnats_cluster::pregrow_descriptor_table();
     let mut cfg = ClusterConfig {
         heartbeat: Duration::from_millis(4),
         expire_after: 5,
@@ -96,6 +97,7 @@ fn heartbeat_loss_window_expires_and_recovers() {
 /// outputs; its re-registration after recovery must not corrupt the job.
 #[test]
 fn scripted_crash_window_reexecutes_lost_maps() {
+    pnats_cluster::pregrow_descriptor_table();
     let mut cfg = ClusterConfig {
         heartbeat: Duration::from_millis(4),
         // Paced maps (~32 ms each, see above) keep the job alive well past
@@ -124,6 +126,7 @@ fn scripted_crash_window_reexecutes_lost_maps() {
 /// no invalidation, one `degraded_mode` record, identical output.
 #[test]
 fn safe_mode_holds_expiry_during_mass_silence() {
+    pnats_cluster::pregrow_descriptor_table();
     let mut cfg = ClusterConfig {
         heartbeat: Duration::from_millis(4),
         expire_after: 5,
@@ -152,6 +155,7 @@ fn safe_mode_holds_expiry_during_mass_silence() {
 /// count is exactly reproducible and the output is unchanged.
 #[test]
 fn transient_failures_retry_to_the_same_output() {
+    pnats_cluster::pregrow_descriptor_table();
     let cfg = ClusterConfig {
         heartbeat: Duration::from_millis(3),
         faults: FaultPlan { transient_map_failure_p: 0.35, ..FaultPlan::none() },

@@ -40,6 +40,7 @@ impl Drop for Reaper {
 
 #[test]
 fn sigkilled_worker_is_survived() {
+    pnats_cluster::pregrow_descriptor_table();
     let dir = std::env::temp_dir().join(format!("pnats-kill-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let input_path = dir.join("input.txt");

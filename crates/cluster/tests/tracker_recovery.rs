@@ -169,6 +169,7 @@ fn crash_and_recover(tag: &str, crash_after: Duration) {
 
 #[test]
 fn tracker_killed_mid_map_recovers_to_engine_parity() {
+    pnats_cluster::pregrow_descriptor_table();
     // First map wave (~320ms/map) is still running: the journal holds
     // assignments but few or no completions.
     crash_and_recover("mid-map", Duration::from_millis(200));
@@ -176,6 +177,7 @@ fn tracker_killed_mid_map_recovers_to_engine_parity() {
 
 #[test]
 fn tracker_killed_mid_reduce_recovers_to_engine_parity() {
+    pnats_cluster::pregrow_descriptor_table();
     // Slowstart has launched the reduces while the second map wave runs:
     // the outage orphans running reduces mid-shuffle.
     crash_and_recover("mid-reduce", Duration::from_millis(450));
@@ -185,6 +187,7 @@ fn tracker_killed_mid_reduce_recovers_to_engine_parity() {
 /// recovery is a pure function of the record sequence.
 #[test]
 fn journal_replay_is_deterministic() {
+    pnats_cluster::pregrow_descriptor_table();
     let journal = scratch_journal("determinism");
     let _ = std::fs::remove_file(&journal);
     let cfg = cfg(journal.clone());
