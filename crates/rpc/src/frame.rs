@@ -9,9 +9,17 @@
 //! [`WireError::ChecksumMismatch`] instead of decoding into a valid but
 //! wrong message. A checksum failure poisons the *connection* (the peer or
 //! the link is damaging bytes) — never the process.
+//!
+//! **One write per frame.** [`write_frame`] hands header and payload to
+//! the writer in one vectored write — one `writev` on a socket or a file.
+//! Every socket here is `TCP_NODELAY`, so each write leaves as a segment of
+//! its own and can wake the reader blocked on it: written as length,
+//! checksum and payload, a frame cost three syscalls, three segments and up
+//! to three wake-ups. As one `writev` it is one of each, the payload is not
+//! copied into a joined buffer, and the bytes are the same.
 
 use crate::wire::{fnv1a32, WireError, MAX_FRAME};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Errors a framed read/write can produce.
 #[derive(Debug)]
@@ -48,16 +56,34 @@ impl From<WireError> for FrameError {
 /// Bytes of frame header: payload length + payload checksum.
 pub const FRAME_HEADER: usize = 8;
 
-/// Write one frame. Oversize payloads are refused locally — a bug here
-/// must not become a peer's problem.
+/// Write one frame, in one write. Oversize payloads are refused locally —
+/// a bug here must not become a peer's problem.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError> {
     if payload.len() > MAX_FRAME {
         return Err(WireError::OversizeFrame(payload.len() as u64).into());
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(&fnv1a32(payload).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut header = [0u8; FRAME_HEADER];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    header[4..].copy_from_slice(&fnv1a32(payload).to_be_bytes());
+    write_parts(w, &header, payload)?;
     w.flush()?;
+    Ok(())
+}
+
+/// Write `head` then `tail` in one vectored write, looping only on a short
+/// write.
+pub(crate) fn write_parts(w: &mut impl Write, head: &[u8], tail: &[u8]) -> io::Result<()> {
+    let mut parts = [IoSlice::new(head), IoSlice::new(tail)];
+    let mut parts = &mut parts[..];
+    IoSlice::advance_slices(&mut parts, 0); // drop empty parts
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     Ok(())
 }
 
@@ -94,6 +120,47 @@ mod tests {
         assert_eq!(read_frame(&mut cur).unwrap(), b"hello");
         assert_eq!(read_frame(&mut cur).unwrap(), b"");
         assert!(matches!(read_frame(&mut cur), Err(FrameError::Io(_))), "EOF");
+    }
+
+    /// A writer that records every write call, taking whatever it is
+    /// handed in full, as a socket with room in its buffer does.
+    #[derive(Default)]
+    struct Counting {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writes += 1;
+            bufs.iter().for_each(|b| self.bytes.extend_from_slice(b));
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Each frame is one write call, and its bytes are the ones the
+    /// three-write encoder put on the wire (headers captured from it).
+    #[test]
+    fn a_frame_is_one_write_with_unchanged_bytes() {
+        let golden: [(&[u8], [u8; FRAME_HEADER]); 3] = [
+            (b"hello", [0, 0, 0, 5, 0x4f, 0x9f, 0x2c, 0xab]),
+            (b"", [0, 0, 0, 0, 0x81, 0x1c, 0x9d, 0xc5]),
+            (b"pnats frame", [0, 0, 0, 11, 0xd0, 0x79, 0x80, 0x5e]),
+        ];
+        for (payload, header) in golden {
+            let mut w = Counting::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "{payload:?}");
+            assert_eq!(w.bytes, [&header[..], payload].concat(), "{payload:?}");
+        }
     }
 
     #[test]
