@@ -113,22 +113,23 @@ pub fn execute_map(
 /// Run one reduce attempt: stable sort by key, group, reduce. `pairs` must
 /// be the task's partition from every map output concatenated in
 /// *map-index order* — the stable sort then yields a deterministic value
-/// order within each key, independent of fetch timing or placement.
+/// order within each key, independent of fetch timing or placement. Each
+/// group's values are moved out of `pairs`, not copied.
 pub fn execute_reduce(
     reducer: &dyn Reducer,
     mut pairs: Vec<(String, String)>,
 ) -> Vec<(String, String)> {
     pairs.sort_by(|a, b| a.0.cmp(&b.0));
     let mut output = Vec::new();
-    let mut i = 0;
-    while i < pairs.len() {
-        let mut j = i + 1;
-        while j < pairs.len() && pairs[j].0 == pairs[i].0 {
-            j += 1;
+    let mut values: Vec<String> = Vec::new();
+    let mut pairs = pairs.into_iter().peekable();
+    while let Some((key, value)) = pairs.next() {
+        values.push(value);
+        while let Some((_, v)) = pairs.next_if(|(k, _)| *k == key) {
+            values.push(v);
         }
-        let values: Vec<String> = pairs[i..j].iter().map(|(_, v)| v.clone()).collect();
-        reducer.reduce(&pairs[i].0, &values, &mut |k, v| output.push((k, v)));
-        i = j;
+        reducer.reduce(&key, &values, &mut |k, v| output.push((k, v)));
+        values.clear();
     }
     output
 }
@@ -193,6 +194,53 @@ mod tests {
             out,
             vec![("a".to_string(), "2".to_string()), ("b".to_string(), "2".to_string())]
         );
+    }
+
+    /// `execute_reduce` as it was before it moved values: a clone of every
+    /// group's values. The reference the moving body must agree with.
+    fn execute_reduce_cloning(
+        reducer: &dyn Reducer,
+        mut pairs: Vec<(String, String)>,
+    ) -> Vec<(String, String)> {
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut output = Vec::new();
+        let mut i = 0;
+        while i < pairs.len() {
+            let mut j = i + 1;
+            while j < pairs.len() && pairs[j].0 == pairs[i].0 {
+                j += 1;
+            }
+            let values: Vec<String> = pairs[i..j].iter().map(|(_, v)| v.clone()).collect();
+            reducer.reduce(&pairs[i].0, &values, &mut |k, v| output.push((k, v)));
+            i = j;
+        }
+        output
+    }
+
+    /// Joins a key's values in the order they arrive: a value lost,
+    /// duplicated or reordered changes its output.
+    struct Concat;
+
+    impl Reducer for Concat {
+        fn reduce(&self, key: &str, values: &[String], emit: &mut Emit<'_>) {
+            emit(key.to_string(), values.join(","));
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn moving_values_reduces_like_cloning_them(
+            raw in proptest::collection::vec((0u8..6, 0u32..1000), 0..200),
+        ) {
+            let pairs: Vec<(String, String)> =
+                raw.iter().map(|(k, v)| (format!("k{k}"), v.to_string())).collect();
+            for reducer in [&WordCountJob as &dyn Reducer, &Concat] {
+                proptest::prop_assert_eq!(
+                    execute_reduce(reducer, pairs.clone()),
+                    execute_reduce_cloning(reducer, pairs.clone())
+                );
+            }
+        }
     }
 
     #[test]
