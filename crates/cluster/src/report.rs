@@ -35,16 +35,23 @@ pub struct Stages {
 }
 
 impl Stages {
+    /// Each stage's slot under its report name, in timeline order: the one
+    /// list [`named`](Self::named) and [`from_kv`](Self::from_kv) walk.
+    fn slots(&mut self) -> [(&'static str, &mut Option<f64>); 6] {
+        [
+            ("all_registered", &mut self.all_registered),
+            ("first_assign", &mut self.first_assign),
+            ("maps_done", &mut self.maps_done),
+            ("job_done", &mut self.job_done),
+            ("workers_told", &mut self.workers_told),
+            ("torn_down", &mut self.torn_down),
+        ]
+    }
+
     /// The six stages in timeline order, each under its report name.
     pub fn named(&self) -> [(&'static str, Option<f64>); 6] {
-        [
-            ("all_registered", self.all_registered),
-            ("first_assign", self.first_assign),
-            ("maps_done", self.maps_done),
-            ("job_done", self.job_done),
-            ("workers_told", self.workers_told),
-            ("torn_down", self.torn_down),
-        ]
+        let mut st = *self;
+        st.slots().map(|(name, at)| (name, *at))
     }
 
     /// `name=ms` for every reached stage, in timeline order, then
@@ -65,20 +72,11 @@ impl Stages {
     pub fn from_kv<'a>(tokens: impl Iterator<Item = &'a str>) -> Self {
         let mut st = Self::default();
         for (k, v) in tokens.filter_map(|t| t.split_once('=')) {
-            let slot = match k {
-                "all_registered" => &mut st.all_registered,
-                "first_assign" => &mut st.first_assign,
-                "maps_done" => &mut st.maps_done,
-                "job_done" => &mut st.job_done,
-                "workers_told" => &mut st.workers_told,
-                "torn_down" => &mut st.torn_down,
-                "rounds" => {
-                    st.rounds = v.parse().unwrap_or(0);
-                    continue;
-                }
-                _ => continue,
-            };
-            *slot = v.parse().ok();
+            if k == "rounds" {
+                st.rounds = v.parse().unwrap_or(0);
+            } else if let Some((_, slot)) = st.slots().into_iter().find(|(name, _)| *name == k) {
+                *slot = v.parse().ok();
+            }
         }
         st
     }

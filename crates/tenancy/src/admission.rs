@@ -96,45 +96,38 @@ impl TenantCounters {
         }
     }
 
+    /// Every tally under its serialized key, in serialization order — the
+    /// one list `merge`, `to_kv`, `from_kv` and `to_json_object` walk.
+    fn slots(&mut self) -> [(&'static str, &mut u64); 5] {
+        [
+            ("admitted", &mut self.admitted),
+            ("rejected_queue", &mut self.rejected_queue),
+            ("rejected_saturated", &mut self.rejected_saturated),
+            ("preempted", &mut self.preempted),
+            ("peak_in_system", &mut self.peak_in_system),
+        ]
+    }
+
     /// Fold another tally into this one (peak takes the max).
     pub fn merge(&mut self, other: &TenantCounters) {
-        self.admitted += other.admitted;
-        self.rejected_queue += other.rejected_queue;
-        self.rejected_saturated += other.rejected_saturated;
-        self.preempted += other.preempted;
-        self.peak_in_system = self.peak_in_system.max(other.peak_in_system);
+        for ((key, a), (_, b)) in self.slots().into_iter().zip(other.clone().slots()) {
+            *a = if key == "peak_in_system" { (*a).max(*b) } else { *a + *b };
+        }
     }
 
     /// `k=v` pairs in a stable order, for stderr `TENANTS` lines.
     pub fn to_kv(&self) -> String {
-        format!(
-            "admitted={} rejected_queue={} rejected_saturated={} preempted={} peak_in_system={}",
-            self.admitted,
-            self.rejected_queue,
-            self.rejected_saturated,
-            self.preempted,
-            self.peak_in_system
-        )
+        self.clone().slots().map(|(key, v)| format!("{key}={v}")).join(" ")
     }
 
     /// Parse [`TenantCounters::to_kv`] tokens back (unknown keys and
     /// malformed tokens are ignored, so the format can grow).
     pub fn from_kv<'a>(tokens: impl Iterator<Item = &'a str>) -> TenantCounters {
         let mut c = TenantCounters::default();
-        for tok in tokens {
-            let Some((key, value)) = tok.split_once('=') else {
-                continue;
-            };
-            let Ok(v) = value.parse::<u64>() else {
-                continue;
-            };
-            match key {
-                "admitted" => c.admitted = v,
-                "rejected_queue" => c.rejected_queue = v,
-                "rejected_saturated" => c.rejected_saturated = v,
-                "preempted" => c.preempted = v,
-                "peak_in_system" => c.peak_in_system = v,
-                _ => {}
+        for (key, value) in tokens.filter_map(|tok| tok.split_once('=')) {
+            let slot = c.slots().into_iter().find(|(k, _)| *k == key);
+            if let (Some((_, slot)), Ok(v)) = (slot, value.parse()) {
+                *slot = v;
             }
         }
         c
@@ -142,14 +135,8 @@ impl TenantCounters {
 
     /// The tally as a compact JSON object (for `BENCH_harness.json`).
     pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\"admitted\": {}, \"rejected_queue\": {}, \"rejected_saturated\": {}, \"preempted\": {}, \"peak_in_system\": {}}}",
-            self.admitted,
-            self.rejected_queue,
-            self.rejected_saturated,
-            self.preempted,
-            self.peak_in_system
-        )
+        let rows = self.clone().slots().map(|(key, v)| format!("\"{key}\": {v}"));
+        format!("{{{}}}", rows.join(", "))
     }
 }
 
