@@ -5,10 +5,11 @@
 //! `std::net::TcpStream`, built for the `pnats-cluster`
 //! JobTracker/TaskTracker runtime:
 //!
-//! * [`wire`] — primitive big-endian encode/decode with *total* decoding:
-//!   arbitrary bytes produce a value or a typed [`WireError`], never a
-//!   panic, and declared lengths are validated against the remaining input
-//!   before any allocation.
+//! * [`wire`](mod@wire) — big-endian encode/decode with *total*
+//!   decoding: arbitrary bytes produce a value or a typed [`WireError`],
+//!   never a panic, and declared lengths are validated against the
+//!   remaining input before any allocation. Its [`wire!`] macro turns one
+//!   declared field list into both directions of a layout.
 //! * [`msg`] — the message set (handshake, register, heartbeat, assign,
 //!   data-plane fetches, shutdown), each a fixed field order behind one
 //!   tag byte, so identical messages encode to identical bytes.
