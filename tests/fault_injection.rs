@@ -12,11 +12,13 @@
 //!    the invariant oracle accepts.
 //! 3. **Faulty determinism** — same seed + same plan ⇒ byte-identical
 //!    decision traces across reruns *and* across harness thread counts.
+//! 4. **Both transfer engines pinned** — fluid and nominal runs under the
+//!    stress plan and background traffic replay captured bytes.
 
 use pnats_bench::harness::{parallel_map, Run, SchedulerKind, ALL_SCHEDULERS};
 use pnats_core::faults::{FaultPlan, HeartbeatLoss, LinkDegradation};
 use pnats_core::prob_sched::ProbabilisticPlacer;
-use pnats_sim::{check_report, JobInput, SimConfig, SimReport, Simulation};
+use pnats_sim::{background_traffic, check_report, JobInput, SimConfig, SimReport, Simulation};
 use pnats_workloads::{AppKind, ShuffleModel};
 
 fn tiny_inputs(n_jobs: usize, maps: usize, reduces: usize) -> Vec<JobInput> {
@@ -139,4 +141,46 @@ fn faulty_runs_replay_byte_identically_across_reruns_and_thread_counts() {
         assert_eq!(a.trace.makespan().to_bits(), c.trace.makespan().to_bits());
         assert_eq!(a.faults.len(), c.faults.len());
     }
+}
+
+/// Both transfer engines (`fluid_network` true and false), each under the
+/// full stress plan plus two lanes of background traffic, with three jobs
+/// arriving 2 s apart, replay bytes captured before the engines shared one
+/// implementation: decision trace, task fingerprint and makespan bits.
+#[test]
+fn both_transfer_engines_replay_pinned_bytes_under_faults_and_background() {
+    // (fluid_network, seed, decision-trace FNV, fingerprint FNV, makespan bits)
+    const PINS: [(bool, u64, u64, u64, u64); 4] = [
+        (true, 21, 0x1ecf_2b42_a38f_e4e4, 0x3167_a629_6e4f_6a56, 0x404e_153d_d3d4_05fb),
+        (true, 7, 0x5a18_2326_ad75_30da, 0x6ca0_0ad6_16b7_2bdc, 0x404b_9906_09c0_9404),
+        (false, 21, 0xa80e_264f_1cfb_253e, 0xd4f4_28fb_177e_5799, 0x404c_d6fa_946a_832f),
+        (false, 7, 0xcb57_7d63_321c_b773, 0x8658_3214_b58c_9e47, 0x4047_d7d9_d063_5cc6),
+    ];
+    let got: Vec<_> = PINS
+        .iter()
+        .map(|&(fluid, seed, ..)| {
+            let mut cfg = SimConfig::tiny(6, seed);
+            cfg.fluid_network = fluid;
+            cfg.faults = stress_plan(seed);
+            cfg.background = background_traffic(2, 60.0, 6, seed);
+            let mut inputs = tiny_inputs(3, 8, 3);
+            for (j, job) in inputs.iter_mut().enumerate() {
+                job.submit = 2.0 * j as f64;
+            }
+            let r = Simulation::new(cfg, Box::new(ProbabilisticPlacer::paper()))
+                .with_trace(Box::new(pnats_obs::InMemorySink::unbounded()))
+                .run(&inputs);
+            check_report(&r, &inputs).unwrap_or_else(|e| panic!("fluid={fluid} seed={seed}: {e}"));
+            assert!(r.counters.node_crashes > 0, "fluid={fluid} seed={seed}: crashes must fire");
+            let trace = r.trace_jsonl.as_deref().expect("traced run drains JSONL");
+            (
+                fluid,
+                seed,
+                fnv64(trace.as_bytes()),
+                fnv64(report_fingerprint(&r).as_bytes()),
+                r.trace.makespan().to_bits(),
+            )
+        })
+        .collect();
+    assert_eq!(got, PINS);
 }
