@@ -1,7 +1,7 @@
 //! Hadoop Fair Scheduler task-level behaviour: delay scheduling for maps,
 //! random reduce placement.
 //!
-//! Delay scheduling (Zaharia et al., EuroSys'10, the paper's [3]): when the
+//! Delay scheduling (Zaharia et al., EuroSys'10, the paper's \[3\]): when the
 //! job at the head of the fair-share order cannot launch a node-local task
 //! on the offered node, *skip* the slot and remember the skip; only after
 //! `node_delay` skipped opportunities may the job launch rack-local tasks,

@@ -1,4 +1,4 @@
-//! A LARTS-style placer (Hammoud & Sakr, CloudCom'11 — the paper's [4]).
+//! A LARTS-style placer (Hammoud & Sakr, CloudCom'11 — the paper's \[4\]).
 //!
 //! LARTS "schedules the reduce tasks as close to their maximum amount of
 //! input data as possible": each reduce task has a *sweet spot* — the node

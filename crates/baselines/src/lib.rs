@@ -24,7 +24,7 @@
 //!   Sakr, CloudCom'11) from the related-work section: schedule each
 //!   reduce as close to the bulk of its input as possible.
 //! * [`quincy::QuincyPlacer`] — a Quincy-style global min-cost-matching
-//!   scheduler (Isard et al., SOSP'09, the paper's [20]), built on this
+//!   scheduler (Isard et al., SOSP'09, the paper's \[20\]), built on this
 //!   crate's own min-cost max-flow solver ([`mcmf`]).
 
 pub mod coupling;

@@ -1,7 +1,7 @@
 //! A small min-cost max-flow solver (successive shortest paths with
 //! Bellman-Ford/SPFA), the substrate for the Quincy-style scheduler.
 //!
-//! Quincy (Isard et al., SOSP'09 — the paper's related work [20]) phrases
+//! Quincy (Isard et al., SOSP'09 — the paper's related work \[20\]) phrases
 //! cluster scheduling as min-cost flow: tasks are sources of one unit,
 //! machines sinks, edge costs encode data movement. The graphs here are
 //! small (a candidate window × cluster nodes), so the classic O(V·E) per

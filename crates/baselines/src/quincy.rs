@@ -1,5 +1,5 @@
 //! A Quincy-style placer (Isard et al., SOSP'09 — the paper's related-work
-//! [20]): placement as **global min-cost matching** between pending tasks
+//! \[20\]): placement as **global min-cost matching** between pending tasks
 //! and free slots, rather than greedy per-offer decisions.
 //!
 //! On each offer we build the bipartite graph of (candidate window ×

@@ -997,7 +997,7 @@ impl JobTracker {
     /// Block until the job completes (or the config's `max_wall` fires, in
     /// which case the report is marked failed), keep serving until every
     /// worker has been answered `shutdown` in its next call (or
-    /// [`SHUTDOWN_ACK_CEILING`] periods pass), then tear down and assemble
+    /// `SHUTDOWN_ACK_CEILING` periods pass), then tear down and assemble
     /// the report.
     pub fn wait(mut self) -> ClusterReport {
         let state = self.state.clone();

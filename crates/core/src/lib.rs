@@ -19,7 +19,7 @@
 //!   future work.
 //! * [`context`] — the cluster-state snapshot a placer sees at a heartbeat
 //!   (candidates, free slots, progress reports, cost metric).
-//! * [`placer`] — the [`TaskPlacer`](placer::TaskPlacer) trait that the
+//! * [`placer`] — the [`TaskPlacer`] trait that the
 //!   simulator, the threaded engine and every baseline implement.
 //! * [`prob_sched`] — Algorithms 1 and 2: the probabilistic network-aware
 //!   map/reduce placement algorithms themselves.

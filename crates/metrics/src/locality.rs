@@ -1,9 +1,9 @@
 //! Locality accounting (paper §III-C, Table III and Figure 7).
 //!
 //! "A map or reduce task that is assigned to a machine with data for that
-//! task is referred to as a *local task*. A [task] assigned to a machine
+//! task is referred to as a *local task*. A \[task\] assigned to a machine
 //! without local data but in the rack having the machine with local data is
-//! a *local rack task*, and other [tasks] are *remote tasks*."
+//! a *local rack task*, and other \[tasks\] are *remote tasks*."
 
 use std::fmt;
 use std::ops::AddAssign;

@@ -12,7 +12,8 @@
 //! Equal neighbor sets make two nodes provably equidistant from every third
 //! vertex (any shortest path enters through a shared neighbor), so the
 //! compressed answers are *exactly* the BFS hop counts, not an
-//! approximation — verified against [`DistanceMatrix::hops`] in the tests.
+//! approximation — verified against
+//! [`DistanceMatrix::hops`](crate::DistanceMatrix::hops) in the tests.
 
 use crate::cost::PathCost;
 use crate::topology::{NodeId, Topology, Vertex};

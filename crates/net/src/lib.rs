@@ -22,8 +22,8 @@
 //! * [`routing`] — shortest link-level paths used by the flow model.
 //! * [`flow`] — progressive-filling max-min fair bandwidth allocation.
 //! * [`monitor`] — EWMA path-rate monitor and the inverse-rate cost matrix.
-//! * [`cost`] — the [`PathCost`](cost::PathCost) abstraction consumed by the
-//!   scheduler crates.
+//! * [`cost`] — the [`PathCost`] abstraction consumed by the scheduler
+//!   crates.
 
 pub mod classed;
 pub mod cost;

@@ -4,7 +4,7 @@
 //! The paper proposes replacing each hop count `h_ab` in the distance matrix
 //! with "the inverse of the transmission rate of the path from node `D_a` to
 //! `D_b`", observed via link status monitoring or active path measurement
-//! (their citation [16], Choreo). [`RateMonitor`] is that observer: it keeps
+//! (their citation \[16\], Choreo). [`RateMonitor`] is that observer: it keeps
 //! an EWMA of per-path achieved rates, fed either by the simulator's fluid
 //! flow model or by the threaded engine's transfer timings.
 //!

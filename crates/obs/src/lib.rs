@@ -7,28 +7,26 @@
 //! intermediates away. This crate is the observability pipeline both
 //! runtimes (the discrete-event simulator and the threaded engine) feed:
 //!
-//! * [`record`] — [`DecisionRecord`](record::DecisionRecord), one
-//!   structured line per `place_map`/`place_reduce` call: sim time,
-//!   heartbeat round, node, candidate-set size, the winner's
-//!   `C_i`/`C_ave`/`P`, draw outcome or [`SkipReason`]. Fault injection
-//!   adds [`FaultRecord`](record::FaultRecord) lines (crashes, recoveries,
-//!   invalidated map outputs, retries) interleaved in the same stream.
-//! * [`sink`] — the [`TraceSink`](sink::TraceSink) trait records flow
-//!   into: [`NullSink`](sink::NullSink) (zero-cost default),
-//!   [`InMemorySink`](sink::InMemorySink) (ring-buffered),
-//!   [`JsonlFileSink`](sink::JsonlFileSink) (streaming JSONL file).
-//! * [`counters`] — [`SchedCounters`](counters::SchedCounters), monotonic
-//!   per-scheduler counters (offers, assigns, skips by reason, the prune
-//!   tally) with the invariant `offers = assigns + Σ skips`.
-//! * [`observer`] — [`DecisionObserver`](observer::DecisionObserver), the
-//!   single instrumented choke point runtimes call after each placement
-//!   decision.
+//! * [`record`] — [`DecisionRecord`], one structured line per
+//!   `place_map`/`place_reduce` call: sim time, heartbeat round, node,
+//!   candidate-set size, the winner's `C_i`/`C_ave`/`P`, draw outcome or
+//!   [`SkipReason`]. Fault injection adds [`FaultRecord`] lines (crashes,
+//!   recoveries, invalidated map outputs, retries) interleaved in the same
+//!   stream.
+//! * [`sink`] — the [`TraceSink`] trait records flow into: [`NullSink`]
+//!   (zero-cost default), [`InMemorySink`] (ring-buffered),
+//!   [`JsonlFileSink`] (streaming JSONL file).
+//! * [`counters`] — [`SchedCounters`], monotonic per-scheduler counters
+//!   (offers, assigns, skips by reason, the prune tally) with the invariant
+//!   `offers = assigns + Σ skips`.
+//! * [`observer`] — [`DecisionObserver`], the single instrumented choke
+//!   point runtimes call after each placement decision.
 //! * [`json`] — a dependency-free JSON syntax validator for CI checks of
 //!   emitted trace lines.
 //!
-//! With the default [`NullSink`](sink::NullSink) the per-decision cost is
-//! a handful of counter increments; no record is built unless the sink
-//! reports itself enabled.
+//! With the default [`NullSink`] the per-decision cost is a handful of
+//! counter increments; no record is built unless the sink reports itself
+//! enabled.
 //!
 //! [`SkipReason`]: pnats_core::placer::SkipReason
 

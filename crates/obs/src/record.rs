@@ -157,7 +157,7 @@ pub enum FaultKind {
     RpcRetry,
     /// A registered peer missed `k` consecutive heartbeats and was expired
     /// by the tracker — the cluster runtime's crash *detection*, as opposed
-    /// to [`NodeCrash`] which records the crash itself.
+    /// to [`NodeCrash`](FaultKind::NodeCrash) which records the crash itself.
     PeerExpired,
     /// A wire link stopped carrying traffic (chaos partition, black hole,
     /// reset, or sustained frame loss).

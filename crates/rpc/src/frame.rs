@@ -2,9 +2,8 @@
 //!
 //! A frame is a 4-byte big-endian payload length, a 4-byte big-endian
 //! FNV-1a checksum of the payload, then the payload (one encoded
-//! [`crate::Msg`]). The length is checked against
-//! [`MAX_FRAME`](crate::wire::MAX_FRAME) on both sides before any
-//! allocation; the checksum is verified before the payload reaches the
+//! [`crate::Msg`]). The length is checked against [`MAX_FRAME`] on both
+//! sides before any allocation; the checksum is verified before the payload reaches the
 //! message decoder, so corrupted bytes surface as a typed
 //! [`WireError::ChecksumMismatch`] instead of decoding into a valid but
 //! wrong message. A checksum failure poisons the *connection* (the peer or

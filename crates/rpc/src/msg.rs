@@ -161,7 +161,7 @@ wire! {
             job: String,
             /// Reduce partition count.
             n_reduces: u32,
-            /// [`pnats_core::Partitioner`] wire tag.
+            /// `pnats_core::Partitioner` wire tag.
             partitioner: u8,
             /// Simulated map compute cost (µs per KiB), for execution pacing.
             cpu_us_per_kib: u64,

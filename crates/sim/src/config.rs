@@ -125,12 +125,13 @@ pub struct SimConfig {
     /// [`FaultPlan::none`] — the default — injects nothing and leaves the
     /// run byte-identical to a fault-free build.
     pub faults: FaultPlan,
-    /// Model transfers on the fluid max-min fair-share flow network
-    /// (`true`, the default and the fidelity the paper's experiments use)
-    /// or at fixed nominal NIC rates (`false`). The nominal engine skips
-    /// global rate recomputation entirely — transfers no longer contend —
-    /// which is what makes 10k-node / 1M-task sweeps tractable; it is a
-    /// throughput benchmark mode, not an experiment mode.
+    /// The transfer engine's rate source: the fluid max-min fair-share flow
+    /// network ([`Fluid`](crate::transfers::Fluid); `true`, the default and
+    /// the fidelity the paper's experiments use) or fixed nominal NIC rates
+    /// ([`Nominal`](crate::transfers::Nominal); `false`). The nominal source
+    /// skips global rate recomputation entirely — transfers no longer
+    /// contend — which is what makes 10k-node / 1M-task sweeps tractable; it
+    /// is a throughput benchmark mode, not an experiment mode.
     pub fluid_network: bool,
     /// Class-partition cost index (incremental `C_ave` maintenance).
     /// `None` = automatic: enabled for clusters larger than 64 nodes,

@@ -27,7 +27,7 @@ use crate::freeset::FreeSet;
 use crate::service::{TenancyState, TenantRunStats};
 use crate::state::{JobState, MapPhase, NodeState, ReducePhase};
 use crate::trace::{JobRecord, TaskKind, TaskRecord, Trace};
-use crate::transfers::{Completion, NominalTransfers, TransferEngine, TransferTag, Transfers};
+use crate::transfers::{Completion, Engine, NominalTransfers, RateSource, TransferTag, Transfers};
 use pnats_core::context::{MapSchedContext, ReduceCandidate, ReduceSchedContext};
 use pnats_core::costidx::CostClasses;
 use pnats_core::placer::{Decision, SkipReason, TaskPlacer};
@@ -147,7 +147,7 @@ pub struct Simulation {
     nodes: Vec<NodeState>,
     jobs: Vec<JobState>,
     arrived: Vec<bool>,
-    transfers: TransferEngine,
+    transfers: Box<Engine<dyn RateSource>>,
     trace: Trace,
     /// Nodes with ≥1 free map slot, maintained incrementally beside
     /// `nodes[..].free_map` (the scan it replaces only tested `free_map >
@@ -226,10 +226,10 @@ impl Simulation {
         } else {
             (None, None)
         };
-        let transfers = if cfg.fluid_network {
-            TransferEngine::Fluid(Transfers::new(&topo))
+        let transfers: Box<Engine<dyn RateSource>> = if cfg.fluid_network {
+            Box::new(Transfers::new(&topo))
         } else {
-            TransferEngine::Nominal(NominalTransfers::new(cfg.n_nodes, cfg.nic_bps))
+            Box::new(NominalTransfers::new(cfg.n_nodes, cfg.nic_bps))
         };
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let mut nodes: Vec<NodeState> = (0..cfg.n_nodes)

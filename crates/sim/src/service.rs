@@ -8,7 +8,7 @@
 //! per-tenant service counters, and the preemption cooldown clock.
 //!
 //! Everything here is gated behind `SimConfig::tenancy`; a `None` config
-//! never constructs a [`TenancyState`] and the simulator runs the classic
+//! never constructs a `TenancyState` and the simulator runs the classic
 //! single-pool paths untouched.
 
 use pnats_tenancy::{DwrrArbiter, TenancyConfig, TenantCounters};

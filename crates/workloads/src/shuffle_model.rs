@@ -3,7 +3,7 @@
 //! The simulator needs, for every map task, the intermediate bytes it will
 //! emit for every reduce partition (`I_jf`). Figure 3 of the paper
 //! characterizes the aggregate: "about 60 percent of jobs have more than
-//! 50 GB shuffle data ... about 20 percent of jobs [have] less than 10 GB"
+//! 50 GB shuffle data ... about 20 percent of jobs \[have\] less than 10 GB"
 //! — the former are the shuffle-intensive Wordcount/TeraSort jobs, the
 //! latter the map-intensive Grep jobs. The model:
 //!
