@@ -6,8 +6,8 @@
 //! strawman the paper argues against implicitly: it maximizes slot
 //! utilization and uses the same cost model, but a node that is mediocre for
 //! every pending task still gets one, and early jobs monopolize good slots.
-//! The ablation benches compare it against [`ProbabilisticPlacer`]
-//! (`crates/bench/src/bin/ablation_prob_model.rs`).
+//! The `repro ablation_prob_model` experiment compares it against
+//! [`ProbabilisticPlacer`] (`crates/bench/src/repro/sweeps.rs`).
 //!
 //! [`ProbabilisticPlacer`]: pnats_core::prob_sched::ProbabilisticPlacer
 

@@ -1,16 +1,18 @@
-//! Shared experiment machinery: standard configs, scheduler zoo, runners.
+//! Shared experiment machinery: standard configs, scheduler zoo, runs.
 //!
 //! ## The parallel run matrix
 //!
 //! Every experiment is a matrix of **independent** simulation runs — one
 //! per `(scheduler, config, batch)` cell — whose results are only combined
-//! at print time. [`run_matrix`] executes such a matrix across all cores
-//! with plain `std::thread::scope` workers: each run builds its placer
-//! from a [`PlacerSpec`] *inside* its worker and the simulation seeds its
-//! own `SmallRng` from `cfg.seed`, so no RNG stream is shared and results
-//! are identical to a serial execution regardless of thread interleaving.
-//! Results come back in matrix order; `PNATS_THREADS=1` forces the serial
-//! path (and any other value pins the worker count).
+//! at print time. [`parallel_map`] executes such a matrix across cores
+//! with plain `std::thread::scope` workers (the `repro` binary's
+//! [`Ctx::run_matrix`](crate::repro::Ctx::run_matrix) is the usual
+//! caller): each run builds its placer from a [`PlacerSpec`] *inside* its
+//! worker and the simulation seeds its own `SmallRng` from `cfg.seed`, so
+//! no RNG stream is shared and results are identical to a serial execution
+//! regardless of thread interleaving. Results come back in matrix order;
+//! `PNATS_THREADS=1` forces the serial path (and any other value pins the
+//! worker count).
 
 use pnats_baselines::{
     CouplingPlacer, FairDelayPlacer, FifoGreedyPlacer, LartsPlacer, MinCostPlacer, QuincyPlacer,
@@ -20,13 +22,11 @@ use pnats_core::estimate::IntermediateEstimator;
 use pnats_core::placer::TaskPlacer;
 use pnats_core::prob::ProbabilityModel;
 use pnats_core::prob_sched::{ProbConfig, ProbabilisticPlacer};
-use pnats_obs::{InMemorySink, SchedCounters};
+use pnats_obs::InMemorySink;
 use pnats_sim::config::background_traffic;
 use pnats_sim::{DataLayout, JobInput, SimConfig, SimReport, Simulation};
-use pnats_workloads::{table2_batch, AppKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// The headline configuration for the completion-time experiments
 /// (Figures 4, 5, 6): the paper's testbed scale (60 nodes, 4 map + 2
@@ -188,61 +188,9 @@ impl Run {
     }
 }
 
-/// Print a one-line usage summary and exit successfully when `--help` (or
-/// `-h`) appears anywhere in the process arguments. Every experiment
-/// binary calls this first thing in `main`, passing just its argument
-/// synopsis (e.g. `"[seed]"`); the binary name is taken from `argv[0]`.
-pub fn usage_on_help(synopsis: &str) {
-    let mut argv = std::env::args();
-    let argv0 = argv.next().unwrap_or_default();
-    if !argv.any(|a| a == "--help" || a == "-h") {
-        return;
-    }
-    let name = std::path::Path::new(&argv0)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("pnats-bench");
-    println!("usage: {}", format!("{name} {synopsis}").trim_end());
-    std::process::exit(0);
-}
-
-/// Insert (or replace) a single-line `"<name>": {…},` section in
-/// `BENCH_harness.json`, preserving everything `repro_all` and other
-/// section-patching binaries wrote. The file is line-oriented by
-/// construction, so this is plain line surgery: the stale `"<name>":`
-/// line (if any) is dropped and `section_line` is inserted before the
-/// `"total_wall_s"` summary line (falling back to just before the
-/// closing brace, or creating a minimal file when `repro_all` has not
-/// run yet).
-pub fn patch_bench_section(name: &str, section_line: &str) {
-    let path = "BENCH_harness.json";
-    let existing = std::fs::read_to_string(path)
-        .unwrap_or_else(|_| "{\n  \"total_wall_s\": 0.000\n}\n".to_string());
-    let marker = format!("\"{name}\":");
-    let mut out: Vec<String> = Vec::new();
-    let mut inserted = false;
-    for line in existing.lines() {
-        if line.trim_start().starts_with(&marker) {
-            continue; // drop the stale entry
-        }
-        if !inserted && line.trim_start().starts_with("\"total_wall_s\"") {
-            out.push(section_line.to_string());
-            inserted = true;
-        }
-        out.push(line.to_string());
-    }
-    if !inserted {
-        // No total_wall_s marker (hand-edited file): append before the
-        // closing brace.
-        let pos = out.iter().rposition(|l| l.trim() == "}").unwrap_or(out.len());
-        out.insert(pos, section_line.trim_end_matches(',').to_string());
-    }
-    std::fs::write(path, out.join("\n") + "\n").expect("write BENCH_harness.json");
-}
-
-/// Worker count for [`run_matrix`]: `PNATS_THREADS` when set (minimum 1;
-/// `1` disables parallelism entirely), otherwise the machine's available
-/// parallelism.
+/// Default worker count for a run matrix: `PNATS_THREADS` when set
+/// (minimum 1; `1` disables parallelism entirely), otherwise the machine's
+/// available parallelism.
 pub fn harness_threads() -> usize {
     std::env::var("PNATS_THREADS")
         .ok()
@@ -291,95 +239,12 @@ where
 }
 
 /// The decision-trace output path requested via the `PNATS_TRACE`
-/// environment variable, if any. When set, [`run_matrix`] traces every run
-/// and writes the concatenated JSONL (matrix order, so byte-identical
-/// across thread counts) to this path.
+/// environment variable, if any. When set,
+/// [`Ctx::run_matrix`](crate::repro::Ctx::run_matrix) traces every run and
+/// writes the concatenated JSONL (matrix order, so byte-identical across
+/// thread counts) to this path.
 pub fn trace_path() -> Option<String> {
     std::env::var("PNATS_TRACE").ok().filter(|s| !s.is_empty())
-}
-
-/// Execute a run matrix across [`harness_threads`] workers, returning
-/// reports in matrix order. Results are identical to executing the runs
-/// serially: every cell owns its config (and therefore its RNG seed) and
-/// builds its placer privately, so nothing about the outcome depends on
-/// scheduling.
-///
-/// Emits accounting lines on **stderr** (stdout stays byte-identical
-/// across thread counts), aggregated by `repro_all` into
-/// `BENCH_harness.json`:
-///
-/// * one `HARNESS runs=…` wall-clock line per matrix, and
-/// * one `COUNTERS scheduler=<name> offers=… assigns=… skip_*=…` line per
-///   scheduler, merged over the matrix's runs.
-///
-/// With `PNATS_TRACE=<path>` set, every run records its decision trace and
-/// the concatenation (in matrix order) is written to `<path>`.
-pub fn run_matrix(runs: Vec<Run>) -> Vec<SimReport> {
-    let trace_to = trace_path();
-    let runs: Vec<Run> = if trace_to.is_some() {
-        runs.into_iter().map(Run::traced).collect()
-    } else {
-        runs
-    };
-    let reports = run_matrix_with(runs, Run::execute);
-    // Per-scheduler counter aggregates, in first-appearance order so the
-    // stderr line order is deterministic.
-    let mut agg: Vec<(String, SchedCounters)> = Vec::new();
-    for r in &reports {
-        match agg.iter_mut().find(|(name, _)| *name == r.scheduler) {
-            Some((_, c)) => c.merge(&r.counters),
-            None => agg.push((r.scheduler.clone(), r.counters.clone())),
-        }
-    }
-    for (name, c) in &agg {
-        eprintln!("COUNTERS scheduler={name} {}", c.to_kv());
-    }
-    // Per-tenant aggregates for service-mode runs, merged by tenant name
-    // in first-appearance order; batch runs (no tenancy) emit nothing.
-    let mut tagg: Vec<(String, pnats_tenancy::TenantCounters)> = Vec::new();
-    for r in &reports {
-        for ts in &r.tenants {
-            match tagg.iter_mut().find(|(name, _)| *name == ts.name) {
-                Some((_, c)) => c.merge(&ts.counters),
-                None => tagg.push((ts.name.clone(), ts.counters.clone())),
-            }
-        }
-    }
-    for (name, c) in &tagg {
-        eprintln!("TENANTS tenant={name} {}", c.to_kv());
-    }
-    if let Some(path) = trace_to {
-        let mut text = String::new();
-        for r in &reports {
-            if let Some(t) = &r.trace_jsonl {
-                text.push_str(t);
-            }
-        }
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("PNATS_TRACE: failed to write {path}: {e}");
-        }
-    }
-    reports
-}
-
-/// [`run_matrix`] with a custom per-run function — for experiments that
-/// want to derive extra per-run data (e.g. per-run wall-clock) inside the
-/// worker instead of keeping whole reports around.
-pub fn run_matrix_with<R, F>(runs: Vec<Run>, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Run) -> R + Sync,
-{
-    let threads = harness_threads();
-    let n = runs.len();
-    let wall = Instant::now();
-    let results = parallel_map(runs, threads, f);
-    let wall_s = wall.elapsed().as_secs_f64();
-    eprintln!(
-        "HARNESS runs={n} threads={threads} wall_s={wall_s:.3} runs_per_s={:.3}",
-        n as f64 / wall_s.max(1e-9)
-    );
-    results
 }
 
 /// Instantiate a fresh placer of the given kind, with heartbeat-dependent
@@ -402,30 +267,6 @@ pub fn make_placer(kind: SchedulerKind, cfg: &SimConfig) -> Box<dyn TaskPlacer> 
 /// A probabilistic placer with a custom configuration (for sweeps).
 pub fn make_probabilistic(p_min: f64, model: ProbabilityModel, est: IntermediateEstimator) -> Box<dyn TaskPlacer> {
     Box::new(ProbabilisticPlacer::new(ProbConfig { p_min, model, estimator: est }))
-}
-
-/// Run one application batch (the paper's Table II jobs for `app`) under
-/// `kind` on `cfg`.
-pub fn run_batch(app: AppKind, kind: SchedulerKind, cfg: SimConfig) -> SimReport {
-    let inputs = JobInput::from_batch(&table2_batch(app));
-    let placer = make_placer(kind, &cfg);
-    Simulation::new(cfg, placer).run(&inputs)
-}
-
-/// Run all three batches separately (as the paper does) under `kind`,
-/// returning reports in [Wordcount, Terasort, Grep] order. Batches run in
-/// parallel via [`run_matrix`].
-pub fn run_batches(kind: SchedulerKind, cfg_for: impl Fn() -> SimConfig) -> Vec<SimReport> {
-    run_matrix(batch_runs(kind, cfg_for))
-}
-
-/// The [Wordcount, Terasort, Grep] cells for `kind` — building block for
-/// experiments that fold several schedulers into one [`run_matrix`] call.
-pub fn batch_runs(kind: SchedulerKind, cfg_for: impl Fn() -> SimConfig) -> Vec<Run> {
-    AppKind::ALL
-        .iter()
-        .map(|app| Run::new(kind, cfg_for(), JobInput::from_batch(&table2_batch(*app))))
-        .collect()
 }
 
 /// Mean job completion time of a report (seconds).
@@ -454,6 +295,7 @@ pub fn jct_by_name(report: &SimReport) -> Vec<(String, f64)> {
 mod tests {
     use super::*;
     use pnats_sim::TaskKind;
+    use pnats_workloads::AppKind;
 
     /// A fast, shrunken variant of the cloud config for harness tests.
     fn mini_cloud(seed: u64) -> SimConfig {

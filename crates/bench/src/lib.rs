@@ -1,9 +1,11 @@
 //! # pnats-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), all built on
-//! this crate's [`harness`]: standard cluster configurations, scheduler
-//! constructors and batch runners. `repro_all` chains every experiment and
-//! prints an EXPERIMENTS.md-ready report.
+//! One `repro` binary (`src/bin/repro.rs`) runs every table and figure of
+//! the paper, the ablations and the CI gates as subcommands of
+//! [`repro`], all built on this crate's [`harness`]: standard cluster
+//! configurations, scheduler constructors and the parallel run matrix.
+//! `repro all` chains every experiment in one process and prints an
+//! EXPERIMENTS.md-ready report.
 //!
 //! ## Standard configurations
 //!
@@ -21,13 +23,9 @@
 
 pub mod failover;
 pub mod harness;
+pub mod repro;
 
 pub use harness::{
-    batch_runs, cloud_config, harness_threads, hdfs_config, make_placer, mean_jct, parallel_map,
-    patch_bench_section, run_batch, run_batches, run_matrix, run_matrix_with, trace_path,
-    usage_on_help, PlacerSpec,
-    Run,
-    SchedulerKind,
-    ALL_SCHEDULERS,
-    PAPER_SCHEDULERS,
+    cloud_config, harness_threads, hdfs_config, make_placer, mean_jct, parallel_map, trace_path,
+    PlacerSpec, Run, SchedulerKind, ALL_SCHEDULERS, PAPER_SCHEDULERS,
 };

@@ -78,8 +78,8 @@ pub fn placer_by_name(name: &str, heartbeat_s: f64) -> Option<Box<dyn TaskPlacer
 /// waits out an RCU grace period (10–26 ms measured) — long enough to fail
 /// a timing-shaped test. The kernel never shrinks the table, so opening
 /// about 300 handles and dropping them keeps every later socket clear of a
-/// resize. Test harnesses and bench bins call this first; calls after the
-/// first do nothing.
+/// resize. Test harnesses and the cluster `repro` gates call this first;
+/// calls after the first do nothing.
 pub fn pregrow_descriptor_table() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {

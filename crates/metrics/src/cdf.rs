@@ -81,7 +81,7 @@ impl Cdf {
     }
 
     /// Downsample the CDF to `points` evenly spaced x positions spanning
-    /// [min, max] — the series the figure binaries print.
+    /// [min, max] — the series the figure experiments print.
     pub fn series(&self, points: usize) -> Vec<(f64, f64)> {
         assert!(points >= 2);
         let (Some(lo), Some(hi)) = (self.min(), self.max()) else {

@@ -10,8 +10,8 @@
 //!   (Table III and Figure 7).
 //! * [`utilization`] — busy-slot timelines and average utilization (the
 //!   paper's cluster-resource-utilization claims).
-//! * [`table`] — plain-text table / series rendering used by the bench
-//!   binaries so every figure's data prints in a uniform shape.
+//! * [`table`] — plain-text table / series rendering used by the `repro`
+//!   experiments so every figure's data prints in a uniform shape.
 
 pub mod cdf;
 pub mod locality;

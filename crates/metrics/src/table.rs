@@ -1,7 +1,7 @@
 //! Plain-text rendering of tables and figure series.
 //!
-//! Every bench binary prints its table/figure data through these helpers so
-//! `repro_all`'s output (and EXPERIMENTS.md) has one uniform shape.
+//! Every `repro` experiment renders its table/figure data through these
+//! helpers so `repro all`'s output (and EXPERIMENTS.md) has one uniform shape.
 
 /// Render an aligned text table. `rows` are cell strings; column widths are
 /// fitted to content.

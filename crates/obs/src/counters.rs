@@ -193,8 +193,8 @@ impl SchedCounters {
         self.offers == self.assigns + self.total_skips()
     }
 
-    /// Serialize as the space-separated `key=value` tail of a harness
-    /// `COUNTERS` stderr line (everything after the scheduler name).
+    /// Serialize as space-separated `key=value` pairs (the cluster report's
+    /// `counters` line, `repro trace_check`'s per-scheduler lines).
     pub fn to_kv(&self) -> String {
         let mut pairs = Vec::new();
         self.for_each(|key, v| pairs.push(format!("{key}={v}")));
@@ -308,7 +308,8 @@ mod tests {
 
     /// Captured from the hand-listed serializers this table replaced: the
     /// kv tokens, JSON keys and their order are a file format
-    /// (`BENCH_harness.json`, harness `COUNTERS` lines) and must not move.
+    /// (`BENCH_harness.json`, the cluster report's `counters` line) and
+    /// must not move.
     #[test]
     fn serialization_matches_golden_strings() {
         let c = distinct_per_field();

@@ -22,7 +22,8 @@
 //! * [`observer`] — [`DecisionObserver`], the single instrumented choke
 //!   point runtimes call after each placement decision.
 //! * [`json`] — a dependency-free JSON syntax validator for CI checks of
-//!   emitted trace lines.
+//!   emitted trace lines, and [`json::set_member`], which sets one member
+//!   of a `BENCH_*.json` file.
 //!
 //! With the default [`NullSink`] the per-decision cost is a handful of
 //! counter increments; no record is built unless the sink reports itself

@@ -97,7 +97,7 @@ impl TenantCounters {
     }
 
     /// Every tally under its serialized key, in serialization order — the
-    /// one list `merge`, `to_kv`, `from_kv` and `to_json_object` walk.
+    /// one list `merge` and `to_json_object` walk.
     fn slots(&mut self) -> [(&'static str, &mut u64); 5] {
         [
             ("admitted", &mut self.admitted),
@@ -113,24 +113,6 @@ impl TenantCounters {
         for ((key, a), (_, b)) in self.slots().into_iter().zip(other.clone().slots()) {
             *a = if key == "peak_in_system" { (*a).max(*b) } else { *a + *b };
         }
-    }
-
-    /// `k=v` pairs in a stable order, for stderr `TENANTS` lines.
-    pub fn to_kv(&self) -> String {
-        self.clone().slots().map(|(key, v)| format!("{key}={v}")).join(" ")
-    }
-
-    /// Parse [`TenantCounters::to_kv`] tokens back (unknown keys and
-    /// malformed tokens are ignored, so the format can grow).
-    pub fn from_kv<'a>(tokens: impl Iterator<Item = &'a str>) -> TenantCounters {
-        let mut c = TenantCounters::default();
-        for (key, value) in tokens.filter_map(|tok| tok.split_once('=')) {
-            let slot = c.slots().into_iter().find(|(k, _)| *k == key);
-            if let (Some((_, slot)), Ok(v)) = (slot, value.parse()) {
-                *slot = v;
-            }
-        }
-        c
     }
 
     /// The tally as a compact JSON object (for `BENCH_harness.json`).
@@ -207,13 +189,13 @@ mod tests {
         assert_eq!(b.preempted, 1);
         assert_eq!(b.peak_in_system, 7, "peak merges by max");
         assert_eq!(
-            b.to_kv(),
-            "admitted=7 rejected_queue=1 rejected_saturated=2 preempted=1 peak_in_system=7"
+            b.to_json_object(),
+            "{\"admitted\": 7, \"rejected_queue\": 1, \"rejected_saturated\": 2, \"preempted\": 1, \"peak_in_system\": 7}"
         );
     }
 
     #[test]
-    fn kv_roundtrips_and_json_matches() {
+    fn json_object_lists_every_tally() {
         let c = TenantCounters {
             admitted: 9,
             rejected_queue: 2,
@@ -221,8 +203,6 @@ mod tests {
             preempted: 3,
             peak_in_system: 6,
         };
-        assert_eq!(TenantCounters::from_kv(c.to_kv().split_whitespace()), c);
-        assert_eq!(TenantCounters::from_kv("garbage x= =1 admitted=4".split_whitespace()).admitted, 4);
         assert_eq!(
             c.to_json_object(),
             "{\"admitted\": 9, \"rejected_queue\": 2, \"rejected_saturated\": 1, \"preempted\": 3, \"peak_in_system\": 6}"
