@@ -94,13 +94,23 @@ pub struct Link {
 pub struct ClusterLayout {
     rack_of: Vec<RackId>,
     n_racks: u32,
+    /// Each rack's nodes in id order (the inverse of `rack_of`).
+    members: Vec<Vec<NodeId>>,
 }
 
 impl ClusterLayout {
     /// Build a layout from an explicit node → rack table.
     pub fn new(rack_of: Vec<RackId>) -> Self {
         let n_racks = rack_of.iter().map(|r| r.0 + 1).max().unwrap_or(0);
-        Self { rack_of, n_racks }
+        let mut members = vec![Vec::new(); n_racks as usize];
+        for (i, r) in rack_of.iter().enumerate() {
+            members[r.idx()].push(NodeId(i as u32));
+        }
+        Self {
+            rack_of,
+            n_racks,
+            members,
+        }
     }
 
     /// Number of data nodes.
@@ -125,13 +135,9 @@ impl ClusterLayout {
         self.rack_of[a.idx()] == self.rack_of[b.idx()]
     }
 
-    /// All nodes in `rack`, in id order.
-    pub fn nodes_in_rack(&self, rack: RackId) -> impl Iterator<Item = NodeId> + '_ {
-        self.rack_of
-            .iter()
-            .enumerate()
-            .filter(move |(_, r)| **r == rack)
-            .map(|(i, _)| NodeId(i as u32))
+    /// All nodes in `rack`, in id order (empty for an unknown rack).
+    pub fn nodes_in_rack(&self, rack: RackId) -> &[NodeId] {
+        self.members.get(rack.idx()).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -426,10 +432,11 @@ mod tests {
     #[test]
     fn multi_rack_rack_membership_is_contiguous() {
         let t = Topology::multi_rack(2, 3, GB, GB);
-        let r0: Vec<_> = t.layout().nodes_in_rack(RackId(0)).collect();
-        assert_eq!(r0, vec![NodeId(0), NodeId(1), NodeId(2)]);
-        let r1: Vec<_> = t.layout().nodes_in_rack(RackId(1)).collect();
-        assert_eq!(r1, vec![NodeId(3), NodeId(4), NodeId(5)]);
+        let r0 = t.layout().nodes_in_rack(RackId(0));
+        assert_eq!(r0, [NodeId(0), NodeId(1), NodeId(2)]);
+        let r1 = t.layout().nodes_in_rack(RackId(1));
+        assert_eq!(r1, [NodeId(3), NodeId(4), NodeId(5)]);
+        assert!(t.layout().nodes_in_rack(RackId(2)).is_empty());
     }
 
     #[test]

@@ -19,10 +19,25 @@
 //!
 //! The regression tests below pin both properties by shuffling insertion
 //! orders and asserting pop order follows `(time, insertion)` exactly.
+//!
+//! # Lanes beside the heap
+//!
+//! Two kinds make up most of a large run's events and never need the heap,
+//! so they queue beside it; every event still pops in `(time, insertion)`
+//! order with all the others.
+//!
+//! * **Heartbeats** are pushed one period after the beat that scheduled
+//!   them, so they arrive in time order and a FIFO holds them sorted. One
+//!   that would break the order goes to the heap.
+//! * **Superseded wake-ups are dropped.** A [`EventKind::TransferWake`] is
+//!   valid only while its `version` is the transfer engine's, and versions
+//!   only grow, so a wake-up is dead once a later one carries a higher
+//!   version: it could only pop as a no-op. The runner arms a wake-up after
+//!   nearly every transfer start and finish, so most of them die unpopped.
 
 use pnats_net::NodeId;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Event payloads.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -145,6 +160,10 @@ impl PartialOrd for Entry {
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Entry>,
+    /// Heartbeats in `(time, insertion)` order (see the module docs).
+    beats: VecDeque<Entry>,
+    /// Transfer wake-ups not yet superseded.
+    wakes: Vec<Entry>,
     seq: u64,
 }
 
@@ -154,26 +173,61 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Schedule `kind` at absolute time `t`.
+    /// Schedule `kind` at absolute time `t`. A transfer wake-up drops every
+    /// queued one with a lower version (see the module docs).
     pub fn push(&mut self, t: f64, kind: EventKind) {
         assert!(t.is_finite() && t >= 0.0, "event time must be finite: {t}");
-        self.heap.push(Entry { t, seq: self.seq, kind });
+        let entry = Entry {
+            t,
+            seq: self.seq,
+            kind,
+        };
         self.seq += 1;
+        match kind {
+            EventKind::TransferWake { version } => {
+                self.wakes.retain(
+                    |w| matches!(w.kind, EventKind::TransferWake { version: v } if v >= version),
+                );
+                self.wakes.push(entry);
+            }
+            EventKind::Heartbeat { .. }
+                if self.beats.back().is_none_or(|b| b.t.total_cmp(&t).is_le()) =>
+            {
+                self.beats.push_back(entry)
+            }
+            _ => self.heap.push(entry),
+        }
     }
 
     /// Pop the earliest event as `(time, kind)`.
     pub fn pop(&mut self) -> Option<(f64, EventKind)> {
-        self.heap.pop().map(|e| (e.t, e.kind))
+        // `Entry` orders reversed: the greatest is the earliest, and any
+        // entry beats `None`.
+        let wake = (0..self.wakes.len()).max_by_key(|&i| self.wakes[i]);
+        let heads = [
+            self.heap.peek(),
+            self.beats.front(),
+            wake.map(|i| &self.wakes[i]),
+        ];
+        let lane = (0..heads.len())
+            .max_by_key(|&l| heads[l])
+            .filter(|&l| heads[l].is_some())?;
+        let entry = match lane {
+            0 => self.heap.pop(),
+            1 => self.beats.pop_front(),
+            _ => wake.map(|i| self.wakes.swap_remove(i)),
+        }?;
+        Some((entry.t, entry.kind))
     }
 
     /// Events still queued.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.beats.len() + self.wakes.len()
     }
 
     /// Whether no events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 }
 
@@ -258,6 +312,53 @@ mod tests {
                 std::iter::from_fn(|| q.pop()).map(|(_, k)| k).collect();
             let expect: Vec<EventKind> = perm.iter().map(|&i| kinds[i]).collect();
             assert_eq!(popped, expect, "perm {perm:?}: ties must pop FIFO");
+        }
+    }
+
+    /// Heartbeats and wake-ups pop in `(time, insertion)` order among the
+    /// other events, except the wake-ups a later, higher-versioned one
+    /// superseded.
+    #[test]
+    fn lanes_keep_time_then_fifo_order_and_drop_superseded_wakes() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x3A4E);
+        for round in 0..200 {
+            let mut q = EventQueue::new();
+            let mut pushed: Vec<(f64, EventKind)> = Vec::new();
+            let mut version = 0;
+            for i in 0..rng.gen_range(1..40) {
+                // Few distinct times, so ties are common.
+                let t = f64::from(rng.gen_range(0..6u32));
+                let kind = match rng.gen_range(0..3) {
+                    0 => {
+                        version += rng.gen_range(0..2u64);
+                        EventKind::TransferWake { version }
+                    }
+                    // At random times: some extend the lane, the rest go
+                    // to the heap.
+                    1 => EventKind::Heartbeat { node: NodeId(i as u32) },
+                    _ => EventKind::MapDone { job: 0, map: i, run: 0 },
+                };
+                q.push(t, kind);
+                pushed.push((t, kind));
+            }
+            let mut want: Vec<(f64, EventKind)> = pushed
+                .iter()
+                .enumerate()
+                .filter(|&(i, (_, k))| match k {
+                    EventKind::TransferWake { version: v } => pushed[i..]
+                        .iter()
+                        .all(|(_, l)| !matches!(l, EventKind::TransferWake { version: w } if w > v)),
+                    _ => true,
+                })
+                .map(|(_, e)| *e)
+                .collect();
+            // A stable sort keeps insertion order among equal times.
+            want.sort_by(|a, b| a.0.total_cmp(&b.0));
+            assert_eq!(q.len(), want.len(), "round {round}");
+            let popped: Vec<(f64, EventKind)> = std::iter::from_fn(|| q.pop()).collect();
+            assert_eq!(popped, want, "round {round}");
+            assert!(q.is_empty());
         }
     }
 

@@ -40,6 +40,7 @@ use pnats_net::{ClassedDistance, ClusterLayout, DistanceMatrix, NodeId, PathCost
 use pnats_workloads::Batch;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 /// The hop metric backing the scheduler's cost queries: dense `n × n`
 /// matrix at testbed scale (and whenever the congestion-scaled matrix of
@@ -165,8 +166,11 @@ pub struct Simulation {
     /// Ascending indices of jobs with `arrived && !terminated` — the
     /// membership (and order) of the old per-offer full-table scan.
     active_jobs: Vec<usize>,
-    /// Subset of `active_jobs` with a non-empty unassigned-map queue.
-    jobs_wanting_maps: Vec<usize>,
+    /// The jobs of `active_jobs` with a non-empty unassigned-map queue,
+    /// keyed `(running maps, id)`: the first is the head of line.
+    map_heads: BTreeSet<(usize, usize)>,
+    /// Each job's key in `map_heads`, while it is there.
+    map_head_of: Vec<Option<(usize, usize)>>,
     jobs_done: usize,
     jobs_failed: usize,
     round: u64,
@@ -272,7 +276,8 @@ impl Simulation {
             class_derive_failed: false,
             cost_index_enabled,
             active_jobs: Vec::new(),
-            jobs_wanting_maps: Vec::new(),
+            map_heads: BTreeSet::new(),
+            map_head_of: Vec::new(),
             jobs_done: 0,
             jobs_failed: 0,
             round: 0,
@@ -346,6 +351,7 @@ impl Simulation {
             self.events.push(input.submit, EventKind::JobArrival { job: ji });
             self.jobs.push(job);
             self.arrived.push(false);
+            self.map_head_of.push(None);
         }
 
         // --- Service mode: build the tenancy runtime, tag the decision
@@ -708,8 +714,8 @@ impl Simulation {
         }
     }
 
-    /// Sync `active_jobs` / `jobs_wanting_maps` membership for job `ji`
-    /// after any change to its arrived/terminated status.
+    /// Sync `active_jobs` / `map_heads` membership for job `ji` after any
+    /// change to its arrived/terminated status.
     fn refresh_active(&mut self, ji: usize) {
         let wanted = self.arrived[ji] && !self.jobs[ji].terminated();
         match self.active_jobs.binary_search(&ji) {
@@ -727,18 +733,20 @@ impl Simulation {
         self.refresh_wants_maps(ji);
     }
 
-    /// Sync `jobs_wanting_maps` membership for job `ji` after any change
-    /// to its unassigned-map queue.
+    /// Sync job `ji`'s membership and key in `map_heads` after any change
+    /// to its unassigned-map queue or its running maps.
     fn refresh_wants_maps(&mut self, ji: usize) {
-        let wanted = self.arrived[ji]
-            && !self.jobs[ji].terminated()
-            && !self.jobs[ji].unassigned_maps.is_empty();
-        match self.jobs_wanting_maps.binary_search(&ji) {
-            Ok(pos) if !wanted => {
-                self.jobs_wanting_maps.remove(pos);
+        let job = &self.jobs[ji];
+        let wanted = self.arrived[ji] && !job.terminated() && !job.unassigned_maps.is_empty();
+        let key = wanted.then_some((job.running_maps.len(), ji));
+        let old = std::mem::replace(&mut self.map_head_of[ji], key);
+        if old != key {
+            if let Some(k) = old {
+                self.map_heads.remove(&k);
             }
-            Err(pos) if wanted => self.jobs_wanting_maps.insert(pos, ji),
-            _ => {}
+            if let Some(k) = key {
+                self.map_heads.insert(k);
+            }
         }
         if let Some(tn) = &mut self.tenancy {
             if tn.track_demand() {
@@ -758,24 +766,6 @@ impl Simulation {
         self.reduce_free.set(n.idx(), self.nodes[n.idx()].free_reduce > 0);
     }
 
-    /// Jobs eligible for scheduling of one slot type, in Hadoop Fair
-    /// Scheduler order: jobs *below their fair share* of that slot type
-    /// first (fewest running tasks of the type breaks ties), jobs at or
-    /// above their share after them (work conservation — idle slots go to
-    /// over-share jobs rather than nobody).
-    fn fair_order(&self, demanding: &[usize], running_of: impl Fn(&JobState) -> usize, total_slots: u64) -> Vec<usize> {
-        if demanding.is_empty() {
-            return Vec::new();
-        }
-        let share = (total_slots as usize).div_ceil(demanding.len());
-        let mut order = demanding.to_vec();
-        order.sort_by_key(|&j| {
-            let running = running_of(&self.jobs[j]);
-            (running >= share, running, j)
-        });
-        order
-    }
-
     /// Fill `node`'s free slots.
     fn schedule_node(&mut self, node: NodeId) {
         // Map slots: HEAD-OF-LINE. The fair-share head job gets the offer;
@@ -788,22 +778,29 @@ impl Simulation {
             if self.nodes[node.idx()].free_map == 0 {
                 break;
             }
-            // `jobs_wanting_maps` is exactly the old full-table scan's
-            // result (ascending ids; membership maintained incrementally).
+            // `map_heads` holds exactly the old full-table scan's jobs, each
+            // under its current running-map count.
             #[cfg(debug_assertions)]
             {
-                let scan: Vec<usize> = (0..self.jobs.len())
+                let scan: BTreeSet<(usize, usize)> = (0..self.jobs.len())
                     .filter(|&j| {
                         self.arrived[j]
                             && !self.jobs[j].terminated()
                             && !self.jobs[j].unassigned_maps.is_empty()
                     })
+                    .map(|j| (self.jobs[j].running_maps.len(), j))
                     .collect();
-                debug_assert_eq!(scan, self.jobs_wanting_maps, "jobs_wanting_maps desync");
+                debug_assert_eq!(scan, self.map_heads, "map_heads desync");
             }
-            if self.jobs_wanting_maps.is_empty() {
+            if self.map_heads.is_empty() {
                 break;
             }
+            // The head of line is the job with the fewest running maps,
+            // lowest id first: Hadoop's Fair Scheduler serves jobs below
+            // their fair share before those at or above it, and ordering
+            // by running count already does that, since the share is one
+            // threshold for every job.
+            //
             // With weighted fair sharing on, the DWRR arbiter first
             // decides which *tenant* this slot belongs to; the classic
             // head-of-line rule then runs within that tenant's jobs. The
@@ -817,44 +814,20 @@ impl Simulation {
                         let mut merged: Vec<usize> =
                             tn.wanting_maps.iter().flatten().copied().collect();
                         merged.sort_unstable();
-                        debug_assert_eq!(
-                            merged, self.jobs_wanting_maps,
-                            "tenant demand partition desync"
-                        );
+                        let mut wanting: Vec<usize> = self.map_heads.iter().map(|k| k.1).collect();
+                        wanting.sort_unstable();
+                        debug_assert_eq!(merged, wanting, "tenant demand partition desync");
                     }
                     let t = tn.arbiter.pick(&tn.demanding);
-                    let list = &tn.wanting_maps[t];
-                    let share = (self.cfg.total_map_slots() as usize).div_ceil(list.len());
                     let jobs = &self.jobs;
-                    let head = list
+                    let head = tn.wanting_maps[t]
                         .iter()
                         .copied()
-                        .min_by_key(|&j| {
-                            let running = jobs[j].running_maps.len();
-                            (running >= share, running, j)
-                        })
+                        .min_by_key(|&j| (jobs[j].running_maps.len(), j))
                         .expect("demanding tenant has a job wanting maps");
                     (head, Some(t))
                 }
-                None => {
-                    // Head-of-line job under the fair-share order, without
-                    // materializing the full sort: the `(over-share,
-                    // running, id)` key is unique per job (the id
-                    // component), so `min_by_key` picks exactly
-                    // `fair_order(..).first()`.
-                    let share = (self.cfg.total_map_slots() as usize)
-                        .div_ceil(self.jobs_wanting_maps.len());
-                    let head = self
-                        .jobs_wanting_maps
-                        .iter()
-                        .copied()
-                        .min_by_key(|&j| {
-                            let running = self.jobs[j].running_maps.len();
-                            (running >= share, running, j)
-                        })
-                        .expect("non-empty demand set");
-                    (head, None)
-                }
+                None => (self.map_heads.first().expect("non-empty demand set").1, None),
             };
             match self.offer_map(head, node) {
                 Some(map) => self.assign_map(head, map, node),
@@ -901,12 +874,14 @@ impl Simulation {
             } else {
                 (self.cfg.total_reduce_slots() as usize).div_ceil(demanding.len())
             };
-            let eligible: Vec<usize> = demanding
+            // Fewest running reduces first, lowest id on ties (the fair-share
+            // order of the map loop above).
+            let mut order: Vec<usize> = demanding
                 .iter()
                 .copied()
                 .filter(|&j| self.jobs[j].reduce_nodes.len() < share)
                 .collect();
-            let order = match self.tenancy.as_ref().filter(|tn| tn.cfg.fairness) {
+            match self.tenancy.as_ref().filter(|tn| tn.cfg.fairness) {
                 Some(tn) => {
                     // Weighted least-service across tenants: reduce slots
                     // are held for a job's whole shuffle, so instead of a
@@ -919,25 +894,17 @@ impl Simulation {
                         held[t] =
                             list.iter().map(|&j| self.jobs[j].reduce_nodes.len()).sum();
                     }
-                    let mut order = eligible.clone();
                     order.sort_by(|&a, &b| {
                         let (ta, tb) = (tn.cfg.tenant_of(a), tn.cfg.tenant_of(b));
                         let ka = held[ta] as f64 / tn.cfg.tenants.get(ta).weight;
                         let kb = held[tb] as f64 / tn.cfg.tenants.get(tb).weight;
                         let (ra, rb) =
                             (self.jobs[a].reduce_nodes.len(), self.jobs[b].reduce_nodes.len());
-                        ka.total_cmp(&kb)
-                            .then(ta.cmp(&tb))
-                            .then((ra >= share, ra, a).cmp(&(rb >= share, rb, b)))
+                        ka.total_cmp(&kb).then(ta.cmp(&tb)).then((ra, a).cmp(&(rb, b)))
                     });
-                    order
                 }
-                None => self.fair_order(
-                    &eligible,
-                    |j| j.reduce_nodes.len(),
-                    self.cfg.total_reduce_slots(),
-                ),
-            };
+                None => order.sort_by_key(|&j| (self.jobs[j].reduce_nodes.len(), j)),
+            }
             let mut assigned = false;
             for ji in order {
                 if let Some(red) = self.offer_reduce(ji, node) {
@@ -967,50 +934,29 @@ impl Simulation {
                 window.push(m);
             }
         }
+        // Liveness filter (runtime, not placer): a map is schedulable only
+        // while at least one replica of its block is on a live node. If the
+        // whole window is data-dead, record a NodeDead skip against it so
+        // the offer identity (`offers = assigns + skips`) still holds.
+        let nodes = &self.nodes;
+        let live_window: Vec<usize> = window
+            .iter()
+            .copied()
+            .filter(|&m| job.map_cands[m].replicas.iter().any(|r| nodes[r.idx()].alive))
+            .collect();
+        let dead = live_window.is_empty() && !window.is_empty();
+        let window = if dead { window } else { live_window };
         let candidates: Vec<_> = window.iter().map(|&m| job.map_cands[m].clone()).collect();
         let cost = sched_metric(&self.sched_matrix, &self.hops);
         self.map_free.ensure_list();
         let free = self.map_free.list();
-        // Liveness filter (runtime, not placer): a map is schedulable only
-        // while at least one replica of its block is on a live node. If the
-        // whole window is data-dead, record a NodeDead skip so the offer
-        // identity (`offers = assigns + skips`) still holds.
-        let live_window: Vec<usize> = window
-            .iter()
-            .copied()
-            .filter(|&m| {
-                self.jobs[ji].map_cands[m]
-                    .replicas
-                    .iter()
-                    .any(|r| self.nodes[r.idx()].alive)
-            })
-            .collect();
-        if live_window.is_empty() && !window.is_empty() {
-            let ctx = MapSchedContext::new(
-                self.jobs[ji].id,
-                &candidates,
-                free,
-                cost,
-                &self.layout,
-            )
-            .at(self.now);
+        let mut ctx = MapSchedContext::new(job.id, &candidates, free, cost, &self.layout).at(self.now);
+        if dead {
             self.observer
                 .observe_map(&ctx, node, Decision::Skip(SkipReason::NodeDead), None);
             self.trace.skipped_offers += 1;
             return None;
         }
-        let window = live_window;
-        let candidates: Vec<_> =
-            window.iter().map(|&m| self.jobs[ji].map_cands[m].clone()).collect();
-        let job = &self.jobs[ji];
-        let mut ctx = MapSchedContext::new(
-            job.id,
-            &candidates,
-            free,
-            cost,
-            &self.layout,
-        )
-        .at(self.now);
         if let Some(cls) = &self.classes {
             ctx = ctx.with_cost_view(self.map_free.view(cls));
         }
@@ -1262,6 +1208,7 @@ impl Simulation {
     fn finish_map(&mut self, ji: usize, map: usize, node: NodeId) {
         self.jobs[ji].complete_map(map, node, self.now);
         self.jobs[ji].running_tasks -= 1;
+        self.refresh_wants_maps(ji);
         // A winning backup may have run elsewhere than the original
         // placement; record the locality of where the work actually ran.
         let locality = self.map_locality(ji, map, node);

@@ -3,7 +3,7 @@
 //! The policy crate ([`pnats_tenancy`]) is pure — specs, the DWRR
 //! arbiter, the admission predicate. This module holds the *runtime*
 //! side the simulator threads through its event loop: per-tenant demand
-//! indexes mirroring `active_jobs` / `jobs_wanting_maps` (maintained at
+//! indexes mirroring `active_jobs` / `map_heads` (maintained at
 //! the same two choke points, so they are exact partitions by tenant),
 //! per-tenant service counters, and the preemption cooldown clock.
 //!
@@ -37,7 +37,8 @@ pub(crate) struct TenancyState {
     pub counters: Vec<TenantCounters>,
     /// Jobs currently admitted and not yet finished, per tenant.
     pub in_system: Vec<u32>,
-    /// Per-tenant partition of `jobs_wanting_maps` (ascending job ids).
+    /// Per-tenant partition of the runner's `map_heads` jobs (ascending
+    /// job ids).
     pub wanting_maps: Vec<Vec<usize>>,
     /// Per-tenant partition of `active_jobs` (ascending job ids).
     pub active: Vec<Vec<usize>>,

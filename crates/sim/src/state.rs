@@ -13,7 +13,9 @@
 //! of `O(n_nodes)` vectors per job, and aggregate map progress is an
 //! integer counter instead of an `O(maps)` sweep. Every replacement
 //! preserves the iteration order and membership of the structure it
-//! replaced, so decision traces are byte-identical.
+//! replaced, so decision traces are byte-identical. The sparse maps hash
+//! their `u32` keys with one multiply ([`IdMap`]), not SipHash: shuffle
+//! segments touch them several times each.
 
 use crate::config::JobInput;
 use crate::freeset::PendingList;
@@ -25,6 +27,39 @@ use pnats_workloads::ShuffleModel;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A map keyed by a node or task id.
+///
+/// Its keys are small integers the simulator itself hands out, so the
+/// SipHash flooding defence buys nothing, and no reader iterates one of
+/// these maps (the order lives in a side list), so the hasher cannot move
+/// a result.
+pub type IdMap<V> = HashMap<u32, V, BuildHasherDefault<IdHasher>>;
+
+/// Multiply-rotate hashing of integer keys (the Fx hash of rustc).
+#[derive(Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Per-node slot availability.
 #[derive(Clone, Debug)]
@@ -168,7 +203,7 @@ pub enum ReducePhase {
 #[derive(Clone, Debug, Default)]
 pub struct SourceQueue {
     order: VecDeque<NodeId>,
-    amt: HashMap<u32, f64>,
+    amt: IdMap<f64>,
 }
 
 impl SourceQueue {
@@ -235,7 +270,7 @@ pub struct ReduceTask {
     pub per_source: Vec<(NodeId, f64)>,
     /// Source node → index into `per_source` (kept consistent across
     /// `swap_remove` by `drop_source`).
-    per_source_idx: HashMap<u32, u32>,
+    per_source_idx: IdMap<u32>,
     /// Assignment time.
     pub assigned_t: f64,
     /// Attempt id; bumped whenever the current attempt is killed or sent
@@ -251,7 +286,7 @@ impl ReduceTask {
             active_fetches: 0,
             received: 0.0,
             per_source: Vec::new(),
-            per_source_idx: HashMap::new(),
+            per_source_idx: IdMap::default(),
             assigned_t: 0.0,
             run: 0,
         }
@@ -348,14 +383,14 @@ pub struct JobState {
     /// Per-node index of map tasks with a local replica — Hadoop's
     /// node-local task cache. Sparse: only nodes holding a replica have an
     /// entry. Entries are cleaned lazily as tasks assign.
-    pub local_maps: HashMap<u32, Vec<u32>>,
+    pub local_maps: IdMap<Vec<u32>>,
     /// Unassigned reduce tasks in offer order.
     pub unassigned_reduces: PendingList,
     /// Aggregate finished-map output bytes per node, indexed
     /// `[partition]` within each entry (incrementally maintained so reduce
     /// contexts build in O(output nodes + running maps) instead of
     /// O(all maps)). Sparse companion of `output_nodes`.
-    pub done_by_node: HashMap<u32, Vec<f64>>,
+    pub done_by_node: IdMap<Vec<f64>>,
     /// Ascending list of nodes that have ever held finished map output of
     /// this job — the iteration order for `done_by_node` (which a hash map
     /// cannot provide deterministically).
@@ -422,7 +457,7 @@ impl JobState {
             })
             .collect();
         let reduces = (0..input.n_reduces).map(|_| ReduceTask::new()).collect();
-        let mut local_maps: HashMap<u32, Vec<u32>> = HashMap::new();
+        let mut local_maps: IdMap<Vec<u32>> = IdMap::default();
         for (j, reps) in replicas_per_block.iter().enumerate() {
             for r in reps {
                 local_maps.entry(r.idx() as u32).or_default().push(j as u32);
@@ -441,7 +476,7 @@ impl JobState {
             unassigned_maps: PendingList::full(input.block_sizes.len()),
             local_maps,
             unassigned_reduces: PendingList::full(input.n_reduces),
-            done_by_node: HashMap::new(),
+            done_by_node: IdMap::default(),
             output_nodes: Vec::new(),
             running_maps: Vec::new(),
             input_total,
