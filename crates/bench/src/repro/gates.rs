@@ -83,7 +83,9 @@ fn scale_inputs(n_tasks: usize) -> Vec<JobInput> {
 /// Grid: {1k, 10k} nodes × {100k, 1M} tasks × {probabilistic, fifo,
 /// random}. Each cell reports simulated makespan, wall-clock and
 /// tasks-placed-per-wall-second; results are folded into
-/// `BENCH_harness.json` under a top-level `"scale_sweep"` member.
+/// `BENCH_harness.json` under a top-level `"scale_sweep"` member. Every
+/// report is held to the invariant oracle ([`check_report`]), whose wall
+/// is printed per cell on stderr.
 /// `--smoke` runs only the 1k-node / 100k-task column and enforces a
 /// wall-clock budget — the CI guard against accidentally regressing the
 /// tick loop back to quadratic scans.
@@ -107,9 +109,12 @@ pub fn scale_sweep(ctx: &Ctx, out: &mut String) -> Outcome {
 
     let total = Instant::now();
     let results = ctx.run_matrix_with(runs, |r| {
-        let wall = Instant::now();
+        let (inputs, wall) = (r.inputs.clone(), Instant::now());
         let report = r.execute();
-        (report, wall.elapsed().as_secs_f64())
+        let wall_s = wall.elapsed().as_secs_f64();
+        let oracle = Instant::now();
+        let verdict = check_report(&report, &inputs);
+        (report, wall_s, verdict, oracle.elapsed().as_secs_f64())
     });
     let total_wall_s = total.elapsed().as_secs_f64();
     let cells: Vec<_> = shapes.into_iter().zip(results).collect();
@@ -118,7 +123,7 @@ pub fn scale_sweep(ctx: &Ctx, out: &mut String) -> Outcome {
     // thread count); wall-clock accounting goes to stderr and the JSON.
     let rows: Vec<Vec<String>> = cells
         .iter()
-        .map(|((n_nodes, n_tasks, kind), (report, _))| {
+        .map(|((n_nodes, n_tasks, kind), (report, ..))| {
             vec![
                 n_nodes.to_string(),
                 n_tasks.to_string(),
@@ -134,17 +139,20 @@ pub fn scale_sweep(ctx: &Ctx, out: &mut String) -> Outcome {
         &rows,
     ));
     let mut cell_json = Vec::new();
-    for ((n_nodes, n_tasks, kind), (report, wall_s)) in &cells {
+    for ((n_nodes, n_tasks, kind), (report, wall_s, verdict, oracle_s)) in &cells {
         let (label, tasks_per_s) = (kind.label(), *n_tasks as f64 / wall_s.max(1e-9));
         eprintln!(
             "SWEEP nodes={n_nodes} tasks={n_tasks} scheduler={label} wall_s={wall_s:.3} \
-             tasks_per_s={tasks_per_s:.0}"
+             tasks_per_s={tasks_per_s:.0} oracle_s={oracle_s:.3}"
         );
         if !report.all_completed() {
             return Err(format!(
                 "{label} @ {n_nodes} nodes / {n_tasks} tasks left jobs unfinished"
             )
             .into());
+        }
+        if let Err(e) = verdict {
+            return Err(format!("{label} @ {n_nodes} nodes / {n_tasks} tasks: oracle: {e}").into());
         }
         cell_json.push(format!(
             "{{\"nodes\": {n_nodes}, \"tasks\": {n_tasks}, \"scheduler\": \"{label}\", \

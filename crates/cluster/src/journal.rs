@@ -36,7 +36,7 @@
 //! changes the on-disk format, which `encoded_bytes_are_pinned` guards.
 
 use pnats_engine::book::{Book, EventLog, Phase, TaskEvent};
-use pnats_obs::TaskKind;
+use pnats_obs::{check_ledger, JobLedger, TaskKind};
 use pnats_rpc::frame::{read_frame, write_frame, FrameError};
 use pnats_rpc::wire;
 use pnats_rpc::wire::{Reader, Wire, WireError, Writer};
@@ -469,23 +469,11 @@ pub fn check_journal_recovery(records: &[JournalRecord]) -> Result<(), String> {
             open(st.book.reduces().iter().map(|r| r.phase)),
         ));
     }
-    // Zero duplicate completions per crash epoch: a (map, run-epoch) pair
-    // completes at most once across all incarnations; a reduce completes
-    // at most once, period.
-    let mut seen_map = std::collections::HashSet::new();
-    let mut seen_reduce = std::collections::HashSet::new();
-    for c in st.book.completions() {
-        let fresh = match c.kind {
-            TaskKind::Map => seen_map.insert((c.index, c.epoch)),
-            TaskKind::Reduce => seen_reduce.insert(c.index),
-        };
-        if !fresh {
-            return Err(format!(
-                "duplicate completion across incarnations: {:?} {} epoch {}",
-                c.kind, c.index, c.epoch
-            ));
-        }
-    }
+    // Zero duplicate completions per crash epoch: a (task, run-epoch) pair
+    // completes at most once across all incarnations.
+    let job = JobLedger { maps: st.n_maps, reduces: st.n_reduces, complete: false };
+    let keys = st.book.completions().iter().map(|c| (0, c.kind, c.index, c.epoch));
+    check_ledger(keys.collect(), &[job]).map_err(|e| format!("across incarnations: {e}"))?;
     // Every pre-crash running assignment was resolved or adopted: walk the
     // stream, snapshot outstanding work at each TrackerStarted, and demand
     // each snapshot entry sees a later resolving record.

@@ -3,7 +3,7 @@
 //! parent process (the smoke test, the kill test, CI).
 
 use pnats_metrics::LocalityCounter;
-use pnats_obs::{SchedCounters, TaskCompletion};
+use pnats_obs::{check_ledger, JobLedger, SchedCounters, TaskCompletion};
 use std::time::Duration;
 
 /// Where one run's wall time went: the moment (ms since tracker start) the
@@ -136,7 +136,7 @@ pub struct ClusterReport {
     /// The decision trace as JSONL when an in-memory sink was attached.
     pub trace_jsonl: Option<String>,
     /// Every completion the tracker accepted, in acceptance order — the
-    /// exactly-once ledger `pnats_sim::check_cluster_run` audits. Not
+    /// exactly-once ledger [`check_cluster_report`] audits. Not
     /// carried by the flat text form ([`to_text`](Self::to_text)); the
     /// oracle runs in-process where the full report is available, and
     /// process-based harnesses rebuild the ledger from the journal.
@@ -157,11 +157,15 @@ pub struct ClusterReport {
 ///
 /// * every offer became exactly one decision (`counters.consistent`),
 /// * the report's skip tally matches the counters',
-///
 /// * the stage timeline is monotone ([`Stages::check`]),
+/// * the completion ledger keeps [`check_ledger`]'s law — in full for a
+///   completed run, "no duplicate entry" for a failed one,
 ///
 /// and for completed runs additionally:
 ///
+/// * re-execution accounting — the ledger's epoch>0 map entries equal
+///   `reexecuted_maps` (booked by this incarnation) + `recovered_reexec`
+///   (booked by earlier ones, carried over by journal replay),
 /// * assignment conservation — every map and reduce was assigned exactly
 ///   once, plus once more per retry/re-execution, *minus* work a recovery
 ///   incarnation inherited from the journal instead of assigning itself:
@@ -193,14 +197,7 @@ pub fn check_cluster_report(r: &ClusterReport) -> Result<(), String> {
             "recovery tallies ({inherited_any}) booked without a tracker restart"
         ));
     }
-    if !r.counters.consistent() {
-        return Err(format!(
-            "offer conservation violated: offers={} assigns={} skips={}",
-            r.counters.offers,
-            r.counters.assigns,
-            r.counters.total_skips()
-        ));
-    }
+    c.check_offer_identity()?;
     if r.counters.total_skips() != r.skipped_offers {
         return Err(format!(
             "skip tally mismatch: counters={} report={}",
@@ -215,8 +212,18 @@ pub fn check_cluster_report(r: &ClusterReport) -> Result<(), String> {
         ));
     }
     r.stages.check(c.tracker_restarts == 0)?;
+    let job = JobLedger { maps: r.n_maps as u32, reduces: r.n_reduces as u32, complete: !r.failed };
+    let keys = r.completions.iter().map(|e| (0, e.kind, e.index, e.epoch));
+    let reexec = check_ledger(keys.collect(), &[job])?;
     if r.failed {
         return Ok(()); // partial runs only owe the identities above
+    }
+    if reexec != c.recovered_reexec + c.reexecuted_maps {
+        return Err(format!(
+            "re-execution mismatch: {reexec} epoch>0 ledger entries vs recovered_reexec={} + \
+             reexecuted_maps={}",
+            c.recovered_reexec, c.reexecuted_maps
+        ));
     }
     let expected = (r.n_maps + r.n_reduces) as i128 + c.retries as i128
         + c.reexecuted_maps as i128
@@ -365,6 +372,7 @@ impl ReportSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pnats_obs::TaskKind;
 
     fn sample() -> ClusterReport {
         let mut counters = SchedCounters { offers: 7, assigns: 5, ..SchedCounters::default() };
@@ -379,7 +387,10 @@ mod tests {
             skipped_offers: 2,
             counters,
             trace_jsonl: None,
-            completions: Vec::new(),
+            completions: [(TaskKind::Map, 3), (TaskKind::Reduce, 2)]
+                .into_iter()
+                .flat_map(|(kind, n)| (0..n).map(move |index| TaskCompletion { kind, index, epoch: 0 }))
+                .collect(),
             first_assign_ms: Some(4),
             stages: Stages {
                 all_registered: Some(2.5),
@@ -405,6 +416,40 @@ mod tests {
         r.counters.assigns = 6;
         r.counters.offers = 8; // keep offer conservation so the leak is the finding
         assert!(check_cluster_report(&r).unwrap_err().contains("assignment conservation"));
+    }
+
+    #[test]
+    fn oracle_tiles_reexecution_across_incarnations() {
+        let mut r = sample();
+        r.completions.push(TaskCompletion { kind: TaskKind::Map, index: 1, epoch: 1 });
+        let c = &mut r.counters;
+        // This incarnation re-executed map 1 itself ...
+        (c.assigns, c.offers, c.reexecuted_maps) = (6, 8, 1);
+        check_cluster_report(&r).unwrap();
+        // ... or a recovery incarnation books the same epoch>0 entry as
+        // inherited; the split still tiles the ledger.
+        let c = &mut r.counters;
+        (c.assigns, c.offers, c.reexecuted_maps, c.recovered_reexec) = (5, 7, 0, 1);
+        (c.tracker_restarts, c.journal_replays) = (1, 1);
+        check_cluster_report(&r).unwrap();
+        // Booked re-executions must match epoch>0 entries.
+        r.counters.recovered_reexec = 0;
+        let err = check_cluster_report(&r).unwrap_err();
+        assert!(err.contains("re-execution mismatch"), "{err}");
+        // The ledger law runs over the report: in full for a completed run,
+        r.completions.remove(1);
+        let err = check_cluster_report(&r).unwrap_err();
+        assert!(err.contains("not exactly-once-contiguous"), "{err}");
+        // ... as "no duplicate" for a failed one.
+        r.failed = true;
+        check_cluster_report(&r).unwrap();
+        r.completions.push(r.completions[0]);
+        let err = check_cluster_report(&r).unwrap_err();
+        assert!(err.contains("duplicate completion"), "{err}");
+        // Offer conservation is checked either way.
+        r.counters.offers += 1;
+        let err = check_cluster_report(&r).unwrap_err();
+        assert!(err.contains("offer identity"), "{err}");
     }
 
     #[test]

@@ -84,14 +84,6 @@ fn transparent_chaos_net_preserves_engine_parity() {
 
     assert!(!report.failed, "transparent proxies must not perturb the job");
     check_cluster_report(&report).expect("report oracle");
-    pnats_sim::check_cluster_run(
-        &report.counters,
-        &report.completions,
-        report.n_maps,
-        report.n_reduces,
-        report.failed,
-    )
-    .expect("completion-ledger oracle");
     assert_eq!(report.output, expected, "chaos-net parity failure");
     assert!(net.events().is_empty(), "empty plan injected events: {:?}", net.events());
     assert_eq!(report.counters.breaker_trips, 0);
@@ -119,14 +111,6 @@ fn one_way_partition_recovers_via_reexecution() {
 
     assert!(!report.failed, "job must route around the partitioned holder");
     check_cluster_report(&report).expect("report oracle");
-    pnats_sim::check_cluster_run(
-        &report.counters,
-        &report.completions,
-        report.n_maps,
-        report.n_reduces,
-        report.failed,
-    )
-    .expect("completion-ledger oracle");
     assert_eq!(report.output, expected, "partition recovery changed the output");
 
     let c = &report.counters;

@@ -191,7 +191,7 @@ pub struct Book {
     maps_finished: usize,
     reduces_finished: usize,
     /// Every accepted completion, in acceptance order — the ledger
-    /// `pnats_sim::check_runtime_completions` audits.
+    /// [`pnats_obs::check_ledger`] audits.
     completions: Vec<TaskCompletion>,
 }
 

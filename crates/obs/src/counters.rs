@@ -193,6 +193,20 @@ impl SchedCounters {
         self.offers == self.assigns + self.total_skips()
     }
 
+    /// [`consistent`](Self::consistent) as an oracle verdict: the `Err`
+    /// names the three tallies.
+    pub fn check_offer_identity(&self) -> Result<(), String> {
+        if self.consistent() {
+            return Ok(());
+        }
+        Err(format!(
+            "offer identity violated: offers={} assigns={} skips={}",
+            self.offers,
+            self.assigns,
+            self.total_skips()
+        ))
+    }
+
     /// Serialize as space-separated `key=value` pairs (the cluster report's
     /// `counters` line, `repro trace_check`'s per-scheduler lines).
     pub fn to_kv(&self) -> String {

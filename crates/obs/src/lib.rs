@@ -21,6 +21,8 @@
 //!   `offers = assigns + Σ skips`.
 //! * [`observer`] — [`DecisionObserver`], the single instrumented choke
 //!   point runtimes call after each placement decision.
+//! * [`ledger`] — [`check_ledger`], the exactly-once-per-epoch law every
+//!   runtime's completion ledger ([`TaskCompletion`]s, trace records) keeps.
 //! * [`json`] — a dependency-free JSON syntax validator for CI checks of
 //!   emitted trace lines, and [`json::set_member`], which sets one member
 //!   of a `BENCH_*.json` file.
@@ -33,11 +35,13 @@
 
 pub mod counters;
 pub mod json;
+pub mod ledger;
 pub mod observer;
 pub mod record;
 pub mod sink;
 
 pub use counters::SchedCounters;
+pub use ledger::{check_ledger, JobLedger, LedgerKey};
 pub use observer::DecisionObserver;
 pub use record::{DecisionRecord, FaultKind, FaultRecord, Phase, TaskCompletion, TaskKind};
 pub use sink::{InMemorySink, JsonlFileSink, NullSink, TraceSink};

@@ -147,7 +147,7 @@ impl DecisionObserver {
     /// much finished/assigned state this tracker incarnation inherited
     /// instead of scheduling itself. Called at most once, right after
     /// replay — these fields balance the cross-incarnation conservation
-    /// laws (`check_cluster_report` / `check_cluster_run`).
+    /// laws (`pnats_cluster::check_cluster_report`).
     pub fn absorb_recovery(
         &mut self,
         recovered_maps: u64,

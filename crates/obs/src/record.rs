@@ -278,8 +278,9 @@ impl FaultRecord {
     }
 }
 
-/// Which task family a [`TaskCompletion`] belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Which task family a [`TaskCompletion`] or a simulator trace record
+/// belongs to. Maps order before reduces.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TaskKind {
     /// A map task.
     Map,
@@ -287,8 +288,8 @@ pub enum TaskKind {
     Reduce,
 }
 
-/// One accepted task completion — the ledger entry the exactly-once
-/// invariant oracle (`pnats_sim::check_runtime_completions`) audits. Both
+/// One accepted task completion — the ledger entry the exactly-once law
+/// ([`check_ledger`](crate::check_ledger)) audits. Both
 /// runtimes (engine and cluster) record one of these per completion the
 /// scheduler *accepted* (duplicates and stale attempts excluded), tagged
 /// with the run epoch the completion belongs to: epoch `e` of a map is the

@@ -50,9 +50,7 @@ pub mod trace;
 pub mod transfers;
 
 pub use config::{background_traffic, BackgroundFlow, DataLayout, JobInput, SimConfig, TopologyKind};
-pub use oracle::{
-    check_cluster_run, check_makespan_monotone, check_report, check_runtime_completions,
-};
+pub use oracle::{check_makespan_monotone, check_report};
 pub use runner::{job_inputs_from_batch, SimReport, Simulation};
 pub use service::TenantRunStats;
 pub use trace::{JobRecord, TaskKind, TaskRecord, Trace};

@@ -6,8 +6,8 @@
 //! finished [`SimReport`] against the laws that hold for *every* correct
 //! MapReduce execution, faulty or not:
 //!
-//! 1. **Offer conservation** — `offers = assigns + Σ skips` (delegated to
-//!    [`SchedCounters::consistent`](pnats_obs::SchedCounters::consistent)).
+//! 1. **Offer conservation** — `offers = assigns + Σ skips`
+//!    ([`SchedCounters::check_offer_identity`](pnats_obs::SchedCounters::check_offer_identity)).
 //! 2. **Map exactly-once per valid epoch** — for every completed job, each
 //!    map index has exactly one completion record per epoch `0..=E`, with
 //!    epochs contiguous from zero (an epoch is born only by invalidating
@@ -29,6 +29,11 @@
 //! 8. **Slot-capacity conservation** — peak concurrent running tasks
 //!    never exceed configured slots of either type.
 //!
+//! Laws 2, 3 and 5 are [`pnats_obs::check_ledger`], the completion-ledger
+//! law the cluster runtime and its journal keep too; it also holds every
+//! record of a job that did not complete to its task counts and to "no
+//! duplicate". Each law is one pass (or one sort) over the report.
+//!
 //! A separate helper, [`check_makespan_monotone`], checks the macro
 //! property the `fault_sweep` bench leans on: for a fixed seed and nested
 //! fault plans, more crashes should not make the batch *faster* (within a
@@ -36,31 +41,29 @@
 
 use crate::config::JobInput;
 use crate::runner::SimReport;
-use crate::trace::TaskKind;
-use pnats_obs::FaultKind;
+use pnats_obs::{check_ledger, FaultKind, JobLedger};
+use std::collections::{HashMap, HashSet};
 
 /// Per-node down intervals reconstructed from the fault log.
-fn down_intervals(report: &SimReport, n_nodes: usize) -> Vec<Vec<(f64, f64)>> {
-    let mut down: Vec<Vec<(f64, f64)>> = vec![Vec::new(); n_nodes];
-    let mut open: Vec<Option<f64>> = vec![None; n_nodes];
+fn down_intervals(report: &SimReport) -> HashMap<usize, Vec<(f64, f64)>> {
+    let mut down: HashMap<usize, Vec<(f64, f64)>> = HashMap::new();
+    let mut open: HashMap<usize, f64> = HashMap::new();
     for f in &report.faults {
         let n = f.node as usize;
         match f.kind {
-            FaultKind::NodeCrash if n < n_nodes && open[n].is_none() => {
-                open[n] = Some(f.t);
+            FaultKind::NodeCrash => {
+                open.entry(n).or_insert(f.t);
             }
-            FaultKind::NodeRecover if n < n_nodes => {
-                if let Some(start) = open[n].take() {
-                    down[n].push((start, f.t));
+            FaultKind::NodeRecover => {
+                if let Some(start) = open.remove(&n) {
+                    down.entry(n).or_default().push((start, f.t));
                 }
             }
             _ => {}
         }
     }
-    for (n, o) in open.into_iter().enumerate() {
-        if let Some(start) = o {
-            down[n].push((start, f64::INFINITY));
-        }
+    for (n, start) in open {
+        down.entry(n).or_default().push((start, f64::INFINITY));
     }
     down
 }
@@ -68,14 +71,7 @@ fn down_intervals(report: &SimReport, n_nodes: usize) -> Vec<Vec<(f64, f64)>> {
 /// Check every conservation law against a finished report. Returns the
 /// first violation as a human-readable message.
 pub fn check_report(report: &SimReport, inputs: &[JobInput]) -> Result<(), String> {
-    if !report.counters.consistent() {
-        return Err(format!(
-            "offer identity violated: offers={} assigns={} skips={}",
-            report.counters.offers,
-            report.counters.assigns,
-            report.counters.total_skips()
-        ));
-    }
+    report.counters.check_offer_identity()?;
     if report.jobs_completed + report.jobs_failed + report.jobs_rejected > report.jobs_submitted {
         return Err(format!(
             "job accounting: {} completed + {} failed + {} rejected > {} submitted",
@@ -105,18 +101,18 @@ pub fn check_report(report: &SimReport, inputs: &[JobInput]) -> Result<(), Strin
             report.jobs_rejected
         ));
     }
-    for ji in &rejected {
-        if report.trace.tasks.iter().any(|t| t.job == *ji) {
-            return Err(format!("rejected job {ji} has task records"));
-        }
-        if report.trace.jobs.iter().any(|jr| jr.job == *ji) {
-            return Err(format!("rejected job {ji} has a completion record"));
-        }
+    let rejected: HashSet<usize> = rejected.into_iter().collect();
+    if let Some(t) = report.trace.tasks.iter().find(|t| rejected.contains(&t.job)) {
+        return Err(format!("rejected job {} has task records", t.job));
+    }
+    if let Some(jr) = report.trace.jobs.iter().find(|jr| rejected.contains(&jr.job)) {
+        return Err(format!("rejected job {} has a completion record", jr.job));
     }
 
     // Law 7 (service mode): every preemption requeued its victim — a
-    // MapPreempted fault is immediately followed by a TaskRescheduled for
-    // the same (job, task) at the same instant, and the counters agree.
+    // MapPreempted fault is followed by a TaskRescheduled for the same
+    // (job, task) at the same instant, and the counters agree. Walking the
+    // log backwards, the requeues seen so far are exactly the later ones.
     let preempts = report.faults.iter().filter(|f| f.kind == FaultKind::MapPreempted).count();
     if preempts as u64 != report.counters.preemptions {
         return Err(format!(
@@ -124,55 +120,43 @@ pub fn check_report(report: &SimReport, inputs: &[JobInput]) -> Result<(), Strin
             preempts, report.counters.preemptions
         ));
     }
-    for (i, f) in report.faults.iter().enumerate() {
-        if f.kind != FaultKind::MapPreempted {
-            continue;
-        }
-        let requeued = report.faults[i + 1..].iter().any(|g| {
-            g.kind == FaultKind::TaskRescheduled && g.job == f.job && g.task == f.task && g.t == f.t
-        });
-        if !requeued {
-            return Err(format!(
-                "preempted map not requeued: job {:?} task {:?} at t={}",
-                f.job, f.task, f.t
-            ));
+    let mut requeued = HashSet::new();
+    for f in report.faults.iter().rev() {
+        let key = (f.job, f.task, f.t.to_bits());
+        match f.kind {
+            FaultKind::TaskRescheduled => {
+                requeued.insert(key);
+            }
+            FaultKind::MapPreempted if !requeued.contains(&key) => {
+                return Err(format!(
+                    "preempted map not requeued: job {:?} task {:?} at t={}",
+                    f.job, f.task, f.t
+                ));
+            }
+            _ => {}
         }
     }
 
     // Law 8: slot-capacity conservation — concurrent running tasks never
     // exceeded configured slots (preemption/fairness must reuse slots,
     // not mint them).
-    if report.trace.map_util.peak() > report.trace.map_util.capacity() {
-        return Err(format!(
-            "map slot capacity exceeded: peak {} > capacity {}",
-            report.trace.map_util.peak(),
-            report.trace.map_util.capacity()
-        ));
+    for (kind, util) in [("map", &report.trace.map_util), ("reduce", &report.trace.reduce_util)] {
+        if util.peak() > util.capacity() {
+            return Err(format!(
+                "{kind} slot capacity exceeded: peak {} > capacity {}",
+                util.peak(),
+                util.capacity()
+            ));
+        }
     }
-    if report.trace.reduce_util.peak() > report.trace.reduce_util.capacity() {
-        return Err(format!(
-            "reduce slot capacity exceeded: peak {} > capacity {}",
-            report.trace.reduce_util.peak(),
-            report.trace.reduce_util.capacity()
-        ));
-    }
-
-    let n_nodes = report
-        .trace
-        .tasks
-        .iter()
-        .map(|t| t.node + 1)
-        .chain(report.faults.iter().map(|f| f.node as usize + 1))
-        .max()
-        .unwrap_or(0);
-    let down = down_intervals(report, n_nodes);
 
     // Law 4: completion spans never overlap their node's down time.
+    let down = down_intervals(report);
     for t in &report.trace.tasks {
         if t.finished < t.assigned {
             return Err(format!("task finished before assignment: {t:?}"));
         }
-        for &(from, until) in &down[t.node] {
+        for &(from, until) in down.get(&t.node).into_iter().flatten() {
             if t.assigned < until && from < t.finished {
                 return Err(format!(
                     "task span [{}, {}] overlaps node {} downtime [{from}, {until}]: {t:?}",
@@ -182,149 +166,29 @@ pub fn check_report(report: &SimReport, inputs: &[JobInput]) -> Result<(), Strin
         }
     }
 
-    // Laws 2 + 3: exactly-once per valid epoch, for completed jobs.
+    // Laws 2 + 3: the completion-ledger law, owed in full by completed jobs.
+    let mut jobs: Vec<JobLedger> = inputs
+        .iter()
+        .map(|i| JobLedger {
+            maps: i.block_sizes.len() as u32,
+            reduces: i.n_reduces as u32,
+            complete: false,
+        })
+        .collect();
     for jr in &report.trace.jobs {
-        let ji = jr.job;
-        let input = inputs.get(ji).ok_or_else(|| {
-            format!("job record {ji} has no matching input (inputs len {})", inputs.len())
-        })?;
-        for mi in 0..input.block_sizes.len() {
-            let mut epochs: Vec<u32> = report
-                .trace
-                .tasks
-                .iter()
-                .filter(|t| t.kind == TaskKind::Map && t.job == ji && t.index == mi)
-                .map(|t| t.epoch)
-                .collect();
-            epochs.sort_unstable();
-            if epochs.is_empty() {
-                return Err(format!("completed job {ji} has no record for map {mi}"));
-            }
-            for (want, got) in epochs.iter().enumerate() {
-                if *got != want as u32 {
-                    return Err(format!(
-                        "job {ji} map {mi}: epochs {epochs:?} not exactly-once-contiguous"
-                    ));
-                }
-            }
-        }
-        for ri in 0..input.n_reduces {
-            let n = report
-                .trace
-                .tasks
-                .iter()
-                .filter(|t| t.kind == TaskKind::Reduce && t.job == ji && t.index == ri)
-                .count();
-            if n != 1 {
-                return Err(format!("job {ji} reduce {ri}: {n} completions (want 1)"));
-            }
-        }
+        let n = jobs.len();
+        jobs.get_mut(jr.job)
+            .ok_or_else(|| format!("job record {} has no matching input (inputs len {n})", jr.job))?
+            .complete = true;
     }
+    let keys = report.trace.tasks.iter().map(|t| (t.job as u32, t.kind, t.index as u32, t.epoch));
+    let reexec = check_ledger(keys.collect(), &jobs)?;
 
     // Law 5: global re-execution accounting when nothing was cut short.
-    if report.all_completed() {
-        let reexec = report
-            .trace
-            .tasks
-            .iter()
-            .filter(|t| t.kind == TaskKind::Map && t.epoch > 0)
-            .count() as u64;
-        if reexec != report.counters.reexecuted_maps {
-            return Err(format!(
-                "re-execution mismatch: {} epoch>0 records vs reexecuted_maps={}",
-                reexec, report.counters.reexecuted_maps
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Exactly-once-per-epoch over a *runtime* completion ledger — the
-/// cluster-runtime face of laws 2 and 3. The cluster (unlike the
-/// simulator) has no global trace of task spans, but its tracker records
-/// one [`pnats_obs::TaskCompletion`] per completion it *accepted*; this
-/// checks that ledger directly:
-///
-/// * each map index `0..n_maps` completed exactly once per epoch, with
-///   epochs contiguous from zero (an epoch exists only because the
-///   previous completion was invalidated);
-/// * each reduce index `0..n_reduces` completed exactly once (reduce
-///   output is tracker-held, hence durable across crashes).
-pub fn check_runtime_completions(
-    completions: &[pnats_obs::TaskCompletion],
-    n_maps: usize,
-    n_reduces: usize,
-) -> Result<(), String> {
-    use pnats_obs::TaskKind as K;
-    for mi in 0..n_maps {
-        let mut epochs: Vec<u32> = completions
-            .iter()
-            .filter(|c| c.kind == K::Map && c.index == mi as u32)
-            .map(|c| c.epoch)
-            .collect();
-        epochs.sort_unstable();
-        if epochs.is_empty() {
-            return Err(format!("map {mi} has no accepted completion"));
-        }
-        for (want, got) in epochs.iter().enumerate() {
-            if *got != want as u32 {
-                return Err(format!(
-                    "map {mi}: epochs {epochs:?} not exactly-once-contiguous"
-                ));
-            }
-        }
-    }
-    for ri in 0..n_reduces {
-        let n = completions.iter().filter(|c| c.kind == K::Reduce && c.index == ri as u32).count();
-        if n != 1 {
-            return Err(format!("reduce {ri}: {n} completions (want 1)"));
-        }
-    }
-    Ok(())
-}
-
-/// The cluster-runtime oracle: offer conservation plus the exactly-once
-/// completion-ledger laws plus re-execution accounting. For failed
-/// (aborted) runs only the laws that hold mid-flight are checked: offer
-/// conservation, and no duplicate `(task, epoch)` ledger entries.
-pub fn check_cluster_run(
-    counters: &pnats_obs::SchedCounters,
-    completions: &[pnats_obs::TaskCompletion],
-    n_maps: usize,
-    n_reduces: usize,
-    failed: bool,
-) -> Result<(), String> {
-    if !counters.consistent() {
+    if report.all_completed() && reexec != report.counters.reexecuted_maps {
         return Err(format!(
-            "offer identity violated: offers={} assigns={} skips={}",
-            counters.offers,
-            counters.assigns,
-            counters.total_skips()
-        ));
-    }
-    if failed {
-        // An aborted run owes no completeness — but never a duplicate.
-        let mut seen = std::collections::HashSet::new();
-        for c in completions {
-            if !seen.insert((c.kind == pnats_obs::TaskKind::Map, c.index, c.epoch)) {
-                return Err(format!("duplicate completion accepted: {c:?}"));
-            }
-        }
-        return Ok(());
-    }
-    check_runtime_completions(completions, n_maps, n_reduces)?;
-    // Every epoch>0 map completion exists because an invalidation created
-    // it — either one this incarnation booked as a re-executed map, or one
-    // a *previous* incarnation booked and the journal replay carried over
-    // (`recovered_reexec`). The split must tile the ledger exactly.
-    let reexec = completions
-        .iter()
-        .filter(|c| c.kind == pnats_obs::TaskKind::Map && c.epoch > 0)
-        .count() as u64;
-    if reexec != counters.recovered_reexec + counters.reexecuted_maps {
-        return Err(format!(
-            "re-execution mismatch: {} epoch>0 ledger entries vs recovered_reexec={} + reexecuted_maps={}",
-            reexec, counters.recovered_reexec, counters.reexecuted_maps
+            "re-execution mismatch: {} epoch>0 records vs reexecuted_maps={}",
+            reexec, report.counters.reexecuted_maps
         ));
     }
     Ok(())
@@ -349,7 +213,9 @@ pub fn check_makespan_monotone(makespans: &[f64], slack: f64) -> Result<(), Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TaskKind;
     use pnats_core::prob_sched::ProbabilisticPlacer;
+    use pnats_obs::FaultRecord;
     use pnats_workloads::{AppKind, ShuffleModel};
 
     fn inputs() -> Vec<JobInput> {
@@ -362,6 +228,21 @@ mod tests {
                 shuffle: ShuffleModel::for_app(AppKind::Terasort),
             })
             .collect()
+    }
+
+    /// A clean, fault-free run of [`inputs`] and those inputs.
+    fn clean() -> (SimReport, Vec<JobInput>) {
+        let cfg = crate::SimConfig::tiny(6, 9);
+        let ins = inputs();
+        (crate::Simulation::new(cfg, Box::new(ProbabilisticPlacer::paper())).run(&ins), ins)
+    }
+
+    fn first(r: &SimReport, kind: TaskKind) -> crate::trace::TaskRecord {
+        r.trace.tasks.iter().find(|t| t.kind == kind).unwrap().clone()
+    }
+
+    fn fault(t: f64, kind: FaultKind, job: u32, task: u32) -> FaultRecord {
+        FaultRecord { t, kind, node: 0, job: Some(job), task: Some(task) }
     }
 
     #[test]
@@ -403,46 +284,83 @@ mod tests {
     }
 
     #[test]
-    fn runtime_ledger_laws() {
-        use pnats_obs::{SchedCounters, TaskCompletion, TaskKind as K};
-        let c = |kind, index, epoch| TaskCompletion { kind, index, epoch };
-        // Clean: 2 maps (one re-executed), 1 reduce.
-        let ledger = vec![c(K::Map, 0, 0), c(K::Map, 1, 0), c(K::Map, 1, 1), c(K::Reduce, 0, 0)];
-        check_runtime_completions(&ledger, 2, 1).unwrap();
-        // Missing epoch 0 for map 1 → non-contiguous.
-        let gap = vec![c(K::Map, 0, 0), c(K::Map, 1, 1), c(K::Reduce, 0, 0)];
-        let err = check_runtime_completions(&gap, 2, 1).unwrap_err();
-        assert!(err.contains("not exactly-once-contiguous"), "{err}");
-        // Duplicate reduce.
-        let dup = vec![c(K::Map, 0, 0), c(K::Reduce, 0, 0), c(K::Reduce, 0, 0)];
-        let err = check_runtime_completions(&dup, 1, 1).unwrap_err();
+    fn duplicate_reduce_completion_detected() {
+        let (mut r, ins) = clean();
+        let dup = first(&r, TaskKind::Reduce);
+        r.trace.tasks.push(dup);
+        let err = check_report(&r, &ins).unwrap_err();
         assert!(err.contains("completions (want 1)"), "{err}");
+    }
 
-        let mut counters = SchedCounters {
-            offers: 4,
-            assigns: 4,
-            reexecuted_maps: 1,
-            ..SchedCounters::default()
-        };
-        check_cluster_run(&counters, &ledger, 2, 1, false).unwrap();
-        // A recovery incarnation books the same epoch>0 entry as inherited
-        // rather than re-executed; the split still tiles the ledger.
-        counters.reexecuted_maps = 0;
-        counters.recovered_reexec = 1;
-        check_cluster_run(&counters, &ledger, 2, 1, false).unwrap();
-        // Booked re-executions must match epoch>0 entries.
-        counters.recovered_reexec = 0;
-        let err = check_cluster_run(&counters, &ledger, 2, 1, false).unwrap_err();
+    #[test]
+    fn reexecution_mismatch_detected() {
+        let (mut r, ins) = clean();
+        r.counters.reexecuted_maps += 1;
+        let err = check_report(&r, &ins).unwrap_err();
         assert!(err.contains("re-execution mismatch"), "{err}");
-        // A failed run owes no completeness...
-        check_cluster_run(&counters, &gap[..1], 2, 1, true).unwrap();
-        // ...but never a duplicate.
-        let err = check_cluster_run(&counters, &dup, 1, 1, true).unwrap_err();
+    }
+
+    #[test]
+    fn rejected_job_that_ran_detected() {
+        let (mut r, ins) = clean();
+        r.faults.push(fault(0.0, FaultKind::JobRejected, 1, 0));
+        (r.jobs_submitted, r.jobs_rejected, r.counters.jobs_rejected) = (3, 1, 1);
+        let err = check_report(&r, &ins).unwrap_err();
+        assert!(err.contains("rejected job 1 has task records"), "{err}");
+        // The fault log, the counters and the report must agree first.
+        r.counters.jobs_rejected = 0;
+        let err = check_report(&r, &ins).unwrap_err();
+        assert!(err.contains("rejection accounting"), "{err}");
+    }
+
+    #[test]
+    fn unrequeued_preemption_detected() {
+        let (mut r, ins) = clean();
+        r.faults.push(fault(5.0, FaultKind::TaskRescheduled, 0, 2));
+        r.faults.push(fault(5.0, FaultKind::MapPreempted, 0, 2));
+        r.counters.preemptions = 1;
+        // A requeue *before* the preemption does not count.
+        let err = check_report(&r, &ins).unwrap_err();
+        assert!(err.contains("preempted map not requeued"), "{err}");
+        r.faults.push(fault(5.0, FaultKind::TaskRescheduled, 0, 2));
+        check_report(&r, &ins).unwrap();
+        r.counters.preemptions = 2;
+        let err = check_report(&r, &ins).unwrap_err();
+        assert!(err.contains("preemption accounting"), "{err}");
+    }
+
+    #[test]
+    fn slot_overcommit_detected() {
+        let (mut r, ins) = clean();
+        for _ in 0..=r.trace.reduce_util.capacity() {
+            r.trace.reduce_util.start(0.0);
+        }
+        let err = check_report(&r, &ins).unwrap_err();
+        assert!(err.contains("reduce slot capacity exceeded"), "{err}");
+    }
+
+    #[test]
+    fn stray_index_in_completed_job_detected() {
+        let (mut r, ins) = clean();
+        let mut stray = first(&r, TaskKind::Map);
+        stray.index = ins[stray.job].block_sizes.len();
+        r.trace.tasks.push(stray);
+        let err = check_report(&r, &ins).unwrap_err();
+        assert!(err.contains("outside the job's 8 tasks"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_in_unfinished_job_detected() {
+        // Job 1 did not complete: it owes no completeness, but its records
+        // may still not repeat.
+        let (mut r, ins) = clean();
+        r.trace.jobs.retain(|jr| jr.job != 1);
+        r.jobs_completed -= 1;
+        check_report(&r, &ins).unwrap();
+        let dup = r.trace.tasks.iter().find(|t| t.job == 1).unwrap().clone();
+        r.trace.tasks.push(dup);
+        let err = check_report(&r, &ins).unwrap_err();
         assert!(err.contains("duplicate completion"), "{err}");
-        // Offer conservation is checked either way.
-        counters.offers = 5;
-        let err = check_cluster_run(&counters, &ledger, 2, 1, true).unwrap_err();
-        assert!(err.contains("offer identity"), "{err}");
     }
 
     #[test]

@@ -1,15 +1,7 @@
 //! Execution traces and derived metrics.
 
 use pnats_metrics::{Cdf, LocalityClass, LocalityCounter, UtilizationTimeline};
-
-/// Map or reduce.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TaskKind {
-    /// A map task.
-    Map,
-    /// A reduce task.
-    Reduce,
-}
+pub use pnats_obs::TaskKind;
 
 /// One completed task.
 #[derive(Clone, Debug)]
