@@ -16,11 +16,13 @@
 //! condition" monitor observes: the measured transmission rate of a path is
 //! exactly the rate contention leaves available on it.
 //!
-//! The refill runs on every change of the flow set in the simulator, so it
-//! is kept linear and allocation-free: the per-link lists of step 3 are
-//! maintained by `add_flow` / `remove_flow` rather than rebuilt, and
-//! everything else a refill needs lives in scratch buffers the network owns.
-//! Neither changes a bit of any rate — see the note on `link_flows`.
+//! The simulator refills once per event that changed the flow set, so the
+//! refill is kept linear and allocation-free: the per-link lists of step 3
+//! are maintained by `add_flow` / `remove_flow` rather than rebuilt, routes
+//! sit in one flat arena beside the flow table instead of one `Vec` per
+//! flow, and everything else a refill needs lives in scratch buffers the
+//! network owns. None of this changes a bit of any rate — see the note on
+//! `link_flows`.
 
 use crate::topology::{check_capacity, LinkId, NodeId, Topology};
 
@@ -33,7 +35,9 @@ struct Flow {
     id: FlowId,
     src: NodeId,
     dst: NodeId,
-    route: Vec<LinkId>,
+    /// Route length: the route is the first `hops` links of this flow's row
+    /// in `FlowNetwork::routes`.
+    hops: u32,
     rate: f64,
 }
 
@@ -49,9 +53,18 @@ struct Flow {
 pub struct FlowNetwork {
     capacities: Vec<f64>,
     flows: Vec<Flow>,
+    /// The routes of `flows`: one row of `stride` links per flow, in the same
+    /// order and moved by the same `swap_remove`, holding the route followed
+    /// by padding. `stride` is the longest route added so far, so there is
+    /// no hop cap — a longer route re-lays the arena once — and no
+    /// allocation per flow once the arena has grown to the flow count in use.
+    routes: Vec<LinkId>,
+    stride: usize,
     next_id: u64,
     /// Rates valid only when `clean`; recomputed lazily.
     clean: bool,
+    /// Progressive fills run so far.
+    refills: u64,
     /// Per link, the indices into `flows` of the flows crossing it (once per
     /// occurrence on the route), kept current by `add_flow` / `remove_flow`
     /// so a refill never rebuilds them.
@@ -97,8 +110,11 @@ impl FlowNetwork {
         Self {
             capacities,
             flows: Vec::new(),
+            routes: Vec::new(),
+            stride: 0,
             next_id: 0,
             clean: true,
+            refills: 0,
             link_flows,
             scratch: Scratch::default(),
         }
@@ -109,16 +125,28 @@ impl FlowNetwork {
         self.flows.len()
     }
 
+    /// Progressive fills run since construction: one per rate query that
+    /// found the flow set or a capacity changed since the last one.
+    pub fn refills(&self) -> u64 {
+        self.refills
+    }
+
     /// Start a flow from `src` to `dst` along `route`. An empty route means
     /// a node-local transfer; such flows get an infinite rate and never
     /// bottleneck anything.
     pub fn add_flow(&mut self, src: NodeId, dst: NodeId, route: &[LinkId]) -> FlowId {
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        for l in route {
-            self.link_flows[l.idx()].push(self.flows.len() as u32);
+        if route.len() > self.stride {
+            self.restride(route.len());
         }
-        self.flows.push(Flow { id, src, dst, route: route.to_vec(), rate: f64::INFINITY });
+        let fi = self.flows.len();
+        for l in route {
+            self.link_flows[l.idx()].push(fi as u32);
+        }
+        self.routes.extend_from_slice(route);
+        self.routes.resize((fi + 1) * self.stride, LinkId(0));
+        self.flows.push(Flow { id, src, dst, hops: route.len() as u32, rate: f64::INFINITY });
         self.clean = false;
         id
     }
@@ -131,22 +159,36 @@ impl FlowNetwork {
             .position(|f| f.id == id)
             .expect("remove_flow: unknown flow id");
         let last = self.flows.len() - 1;
-        for l in &self.flows[pos].route {
+        for l in route_of(&self.routes, self.stride, &self.flows, pos) {
             let on_link = &mut self.link_flows[l.idx()];
             let at = listed_at(on_link, pos);
             on_link.swap_remove(at);
         }
-        // `swap_remove` below moves the last flow to `pos`: rename it on its
-        // links.
+        // The `swap_remove`s below move the last flow and its row to `pos`:
+        // rename it on its links.
+        let stride = self.stride;
         if pos != last {
-            for l in &self.flows[last].route {
+            for l in route_of(&self.routes, self.stride, &self.flows, last) {
                 let on_link = &mut self.link_flows[l.idx()];
                 let at = listed_at(on_link, last);
                 on_link[at] = pos as u32;
             }
+            self.routes.copy_within(last * stride..(last + 1) * stride, pos * stride);
         }
+        self.routes.truncate(last * stride);
         self.flows.swap_remove(pos);
         self.clean = false;
+    }
+
+    /// Widen every row of the route arena to `stride` links.
+    fn restride(&mut self, stride: usize) {
+        let mut routes = Vec::with_capacity(self.flows.len() * stride);
+        for fi in 0..self.flows.len() {
+            routes.extend_from_slice(route_of(&self.routes, self.stride, &self.flows, fi));
+            routes.resize((fi + 1) * stride, LinkId(0));
+        }
+        self.routes = routes;
+        self.stride = stride;
     }
 
     /// Current max-min fair rate of `id` in bytes/second, recomputing if the
@@ -172,6 +214,7 @@ impl FlowNetwork {
             return;
         }
         self.recompute();
+        self.refills += 1;
         self.clean = true;
     }
 
@@ -217,7 +260,7 @@ impl FlowNetwork {
                 }
                 frozen[fi] = true;
                 self.flows[fi].rate = share;
-                for l in &self.flows[fi].route {
+                for l in route_of(&self.routes, self.stride, &self.flows, fi) {
                     let li = l.idx();
                     residual[li] = (residual[li] - share).max(0.0);
                     unfrozen_count[li] -= 1;
@@ -244,12 +287,17 @@ impl FlowNetwork {
     /// Sum of current rates crossing `link` (diagnostics / tests).
     pub fn link_load(&mut self, link: LinkId) -> f64 {
         self.ensure_rates();
-        self.flows
-            .iter()
-            .filter(|f| f.route.contains(&link))
-            .map(|f| f.rate)
+        (0..self.flows.len())
+            .filter(|&fi| route_of(&self.routes, self.stride, &self.flows, fi).contains(&link))
+            .map(|fi| self.flows[fi].rate)
             .sum()
     }
+}
+
+/// The route of flow `fi`: the used prefix of its arena row. Free of `self`
+/// so a caller can read a route while it writes other fields.
+fn route_of<'a>(routes: &'a [LinkId], stride: usize, flows: &[Flow], fi: usize) -> &'a [LinkId] {
+    &routes[fi * stride..][..flows[fi].hops as usize]
 }
 
 /// Where flow index `fi` sits in a link's list.
@@ -394,6 +442,69 @@ mod tests {
         fx.set_capacity(nic, GB);
         assert!((fx.rate(f) - GB).abs() < 1e-6, "restore brings the rate back");
         assert!((fx.capacity(nic) - GB).abs() < 1e-9);
+    }
+
+    #[test]
+    fn refills_count_fills_not_queries() {
+        let (t, rt) = star(3);
+        let mut fx = FlowNetwork::new(&t);
+        let f1 = fx.add_flow(NodeId(1), NodeId(0), rt.route(NodeId(1), NodeId(0)));
+        let f2 = fx.add_flow(NodeId(2), NodeId(0), rt.route(NodeId(2), NodeId(0)));
+        assert_eq!(fx.refills(), 0, "adding flows fills nothing");
+        fx.rate(f1);
+        fx.rate(f2);
+        fx.ensure_rates();
+        assert_eq!(fx.refills(), 1, "one fill serves every query until a change");
+        fx.remove_flow(f2);
+        fx.set_capacity(LinkId(0), GB / 2.0);
+        fx.rates().count();
+        assert_eq!(fx.refills(), 2);
+    }
+
+    /// Routes live in a flat arena whose row width grows to the longest
+    /// route seen: a route longer than any built-in topology's still works,
+    /// including after it is moved by the removal of an earlier flow.
+    #[test]
+    fn routes_longer_than_any_built_in_one_have_no_hop_cap() {
+        use crate::topology::{RackId, TopologyBuilder, Vertex};
+        // node 0 — s0 — s1 — … — s9 — node 1: 11 hops (a fat tree's
+        // longest is 6), with a thin link in the middle.
+        let mut b = TopologyBuilder::new();
+        let (a, z) = (b.add_node(RackId(0)), b.add_node(RackId(1)));
+        let sw: Vec<_> = (0..10).map(|_| b.add_switch()).collect();
+        b.link(Vertex::Node(a), Vertex::Switch(sw[0]), GB);
+        for (i, w) in sw.windows(2).enumerate() {
+            let cap = if i == 4 { GB / 4.0 } else { GB };
+            b.link(Vertex::Switch(w[0]), Vertex::Switch(w[1]), cap);
+        }
+        b.link(Vertex::Switch(sw[9]), Vertex::Node(z), GB);
+        let t = b.build();
+        let rt = RoutingTable::new(&t);
+        let long = rt.route(a, z);
+        assert_eq!(long.len(), 11);
+        let thin = LinkId(5);
+        assert!(long.contains(&thin));
+
+        let mut fx = FlowNetwork::new(&t);
+        // A one-hop flow first, so the arena widens under a live flow.
+        let short = fx.add_flow(a, z, &[thin]);
+        assert!((fx.rate(short) - GB / 4.0).abs() < 1e-6);
+        let f = fx.add_flow(a, z, long);
+        let back = fx.add_flow(z, a, rt.route(z, a));
+        for id in [short, f, back] {
+            assert!((fx.rate(id) - GB / 12.0).abs() < 1e-6, "three flows share the thin link");
+        }
+        // Removing the first flow moves the last one's row into its place.
+        fx.remove_flow(short);
+        assert!((fx.rate(f) - GB / 8.0).abs() < 1e-6);
+        assert!((fx.link_load(long[0]) - GB / 4.0).abs() < 1e-6);
+        assert!((fx.link_load(long[10]) - GB / 4.0).abs() < 1e-6);
+        fx.remove_flow(f);
+        assert!((fx.rate(back) - GB / 4.0).abs() < 1e-6);
+        assert!((fx.link_load(long[0]) - GB / 4.0).abs() < 1e-6);
+        fx.remove_flow(back);
+        assert_eq!(fx.link_load(thin), 0.0);
+        assert_eq!(fx.n_active(), 0);
     }
 
     #[test]

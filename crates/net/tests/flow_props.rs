@@ -1,14 +1,15 @@
 //! Property tests of the max-min fair flow allocator: for arbitrary flow
-//! sets on arbitrary tree topologies, the allocation must be feasible
-//! (no link over capacity), positive, and max-min fair in the bottleneck
-//! sense (no flow can be raised without lowering a smaller-or-equal flow).
+//! sets on single-rack, multi-rack, Palmetto-slice and fat-tree topologies,
+//! the allocation must be feasible (no link over capacity), positive, and
+//! max-min fair in the bottleneck sense (no flow can be raised without
+//! lowering a smaller-or-equal flow).
 //!
 //! The second block is differential: [`FlowNetwork`] keeps its per-link flow
-//! lists up to date across `add_flow` / `remove_flow` and refills out of
-//! reused scratch, and must give, bit for bit, the rates of
-//! [`reference_rates`] — textbook progressive filling that rebuilds
-//! everything from the capacities and routes on every call. Its case count
-//! honors `PROPTEST_CASES`.
+//! lists and its flat route arena up to date across `add_flow` /
+//! `remove_flow` and refills out of reused scratch, and must give, bit for
+//! bit, the rates of [`reference_rates`] — textbook progressive filling
+//! that rebuilds everything from the capacities and routes on every call.
+//! Its case count honors `PROPTEST_CASES`.
 
 use pnats_net::{FlowId, FlowNetwork, LinkId, NodeId, RoutingTable, Topology};
 use proptest::prelude::*;
@@ -18,6 +19,8 @@ fn topo_strategy() -> impl Strategy<Value = Topology> {
         (2usize..20).prop_map(|n| Topology::single_rack(n, 1e8)),
         ((2usize..4), (2usize..6)).prop_map(|(r, p)| Topology::multi_rack(r, p, 1e8, 2e8)),
         (3usize..30).prop_map(|n| Topology::palmetto_slice(n, 1e8)),
+        // Cross-pod routes are 6 hops, the longest of any built-in fabric.
+        (1usize..4).prop_map(|h| Topology::fat_tree(2 * h, 1e8)),
     ]
 }
 

@@ -32,8 +32,17 @@
 //! * **Superseded wake-ups are dropped.** A [`EventKind::TransferWake`] is
 //!   valid only while its `version` is the transfer engine's, and versions
 //!   only grow, so a wake-up is dead once a later one carries a higher
-//!   version: it could only pop as a no-op. The runner arms a wake-up after
-//!   nearly every transfer start and finish, so most of them die unpopped.
+//!   version: it could only pop as a no-op. The runner files at most one
+//!   wake-up per dispatched event.
+//!
+//! # Reserved sequence numbers
+//!
+//! The runner learns *that* it owes a wake-up as soon as a transfer starts
+//! or finishes, but computes *when* only once the whole event has been
+//! handled. [`EventQueue::reserve_seq`] takes the sequence number at the
+//! first moment, and [`EventQueue::push_at`] files the event under it at
+//! the second, so the wake-up keeps the tie position it would have had if
+//! it had been pushed right away.
 
 use pnats_net::NodeId;
 use std::cmp::Ordering;
@@ -176,13 +185,24 @@ impl EventQueue {
     /// Schedule `kind` at absolute time `t`. A transfer wake-up drops every
     /// queued one with a lower version (see the module docs).
     pub fn push(&mut self, t: f64, kind: EventKind) {
-        assert!(t.is_finite() && t >= 0.0, "event time must be finite: {t}");
-        let entry = Entry {
-            t,
-            seq: self.seq,
-            kind,
-        };
+        let seq = self.reserve_seq();
+        self.push_at(t, kind, seq);
+    }
+
+    /// Take the next sequence number without pushing anything: an event
+    /// later filed under it with [`EventQueue::push_at`] ties as if pushed
+    /// now.
+    pub fn reserve_seq(&mut self) -> u64 {
         self.seq += 1;
+        self.seq - 1
+    }
+
+    /// Schedule `kind` at absolute time `t` under a sequence number from
+    /// [`EventQueue::reserve_seq`], each used at most once.
+    pub fn push_at(&mut self, t: f64, kind: EventKind, seq: u64) {
+        assert!(t.is_finite() && t >= 0.0, "event time must be finite: {t}");
+        debug_assert!(seq < self.seq, "sequence number {seq} was never reserved");
+        let entry = Entry { t, seq, kind };
         match kind {
             EventKind::TransferWake { version } => {
                 self.wakes.retain(
@@ -190,9 +210,8 @@ impl EventQueue {
                 );
                 self.wakes.push(entry);
             }
-            EventKind::Heartbeat { .. }
-                if self.beats.back().is_none_or(|b| b.t.total_cmp(&t).is_le()) =>
-            {
+            // `Entry` orders reversed: `>=` means "pops no later than".
+            EventKind::Heartbeat { .. } if self.beats.back().is_none_or(|b| *b >= entry) => {
                 self.beats.push_back(entry)
             }
             _ => self.heap.push(entry),
@@ -266,7 +285,7 @@ mod tests {
     #[test]
     fn shuffled_insertion_pops_identical_time_order() {
         use rand::seq::SliceRandom;
-        use rand::SeedableRng;
+        use rand::{Rng, SeedableRng};
         let events: Vec<(f64, EventKind)> = vec![
             (5.0, EventKind::JobArrival { job: 0 }),
             (1.0, EventKind::Heartbeat { node: NodeId(3) }),
@@ -283,9 +302,19 @@ mod tests {
         for round in 0..32 {
             let mut order = events.clone();
             order.shuffle(&mut rng);
+            // Some events only reserve their number on the way in and are
+            // filed after all the others, as the runner files wake-ups.
             let mut q = EventQueue::new();
+            let mut deferred = Vec::new();
             for &(t, kind) in &order {
-                q.push(t, kind);
+                if rng.gen_bool(0.3) {
+                    deferred.push((t, kind, q.reserve_seq()));
+                } else {
+                    q.push(t, kind);
+                }
+            }
+            for (t, kind, seq) in deferred {
+                q.push_at(t, kind, seq);
             }
             let popped: Vec<(f64, EventKind)> = std::iter::from_fn(|| q.pop()).collect();
             assert_eq!(popped, sorted, "round {round}: pop order depends on insertion order");
@@ -317,49 +346,128 @@ mod tests {
 
     /// Heartbeats and wake-ups pop in `(time, insertion)` order among the
     /// other events, except the wake-ups a later, higher-versioned one
-    /// superseded.
+    /// superseded. A wake-up filed late under a reserved number counts as
+    /// inserted when it was reserved, and supersedes when it is filed.
     #[test]
     fn lanes_keep_time_then_fifo_order_and_drop_superseded_wakes() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(0x3A4E);
         for round in 0..200 {
             let mut q = EventQueue::new();
+            // Every event by its sequence number, and the order they were
+            // filed in.
             let mut pushed: Vec<(f64, EventKind)> = Vec::new();
+            let mut filed: Vec<usize> = Vec::new();
+            // A reserved wake-up not filed yet: (index, seq, time).
+            let mut owed: Option<(usize, u64, f64)> = None;
             let mut version = 0;
+            let mut wake = |rng: &mut rand::rngs::SmallRng| {
+                version += rng.gen_range(0..2u64);
+                EventKind::TransferWake { version }
+            };
             for i in 0..rng.gen_range(1..40) {
                 // Few distinct times, so ties are common.
                 let t = f64::from(rng.gen_range(0..6u32));
-                let kind = match rng.gen_range(0..3) {
+                match rng.gen_range(0..4) {
                     0 => {
-                        version += rng.gen_range(0..2u64);
-                        EventKind::TransferWake { version }
+                        let kind = wake(&mut rng);
+                        q.push(t, kind);
+                        filed.push(pushed.len());
+                        pushed.push((t, kind));
+                    }
+                    1 if owed.is_none() => {
+                        owed = Some((pushed.len(), q.reserve_seq(), t));
+                        pushed.push((t, EventKind::TransferWake { version: u64::MAX }));
                     }
                     // At random times: some extend the lane, the rest go
                     // to the heap.
-                    1 => EventKind::Heartbeat { node: NodeId(i as u32) },
-                    _ => EventKind::MapDone { job: 0, map: i, run: 0 },
-                };
-                q.push(t, kind);
-                pushed.push((t, kind));
+                    1 | 2 => {
+                        let kind = EventKind::Heartbeat { node: NodeId(i as u32) };
+                        q.push(t, kind);
+                        filed.push(pushed.len());
+                        pushed.push((t, kind));
+                    }
+                    _ => {
+                        let kind = EventKind::MapDone { job: 0, map: i, run: 0 };
+                        q.push(t, kind);
+                        filed.push(pushed.len());
+                        pushed.push((t, kind));
+                    }
+                }
+                if rng.gen_bool(0.3) {
+                    if let Some((at, seq, t)) = owed.take() {
+                        let kind = wake(&mut rng);
+                        q.push_at(t, kind, seq);
+                        filed.push(at);
+                        pushed[at].1 = kind;
+                    }
+                }
             }
-            let mut want: Vec<(f64, EventKind)> = pushed
-                .iter()
-                .enumerate()
-                .filter(|&(i, (_, k))| match k {
-                    EventKind::TransferWake { version: v } => pushed[i..]
-                        .iter()
-                        .all(|(_, l)| !matches!(l, EventKind::TransferWake { version: w } if w > v)),
-                    _ => true,
+            if let Some((at, seq, t)) = owed.take() {
+                let kind = wake(&mut rng);
+                q.push_at(t, kind, seq);
+                filed.push(at);
+                pushed[at].1 = kind;
+            }
+            let version_of = |i: usize| match pushed[i].1 {
+                EventKind::TransferWake { version } => Some(version),
+                _ => None,
+            };
+            let mut want: Vec<(f64, EventKind)> = (0..pushed.len())
+                .filter(|&i| {
+                    let Some(v) = version_of(i) else { return true };
+                    let when = filed.iter().position(|&f| f == i).unwrap();
+                    filed[when..].iter().all(|&f| version_of(f).is_none_or(|w| w <= v))
                 })
-                .map(|(_, e)| *e)
+                .map(|i| pushed[i])
                 .collect();
-            // A stable sort keeps insertion order among equal times.
+            // A stable sort keeps sequence order among equal times.
             want.sort_by(|a, b| a.0.total_cmp(&b.0));
             assert_eq!(q.len(), want.len(), "round {round}");
             let popped: Vec<(f64, EventKind)> = std::iter::from_fn(|| q.pop()).collect();
             assert_eq!(popped, want, "round {round}");
             assert!(q.is_empty());
         }
+    }
+
+    /// The runner reserves a wake-up's number when a transfer starts and
+    /// files it after the rest of the event: it still pops before what the
+    /// same event pushed at the same time in between.
+    #[test]
+    fn reserved_wake_pops_before_a_later_same_time_push() {
+        let mut q = EventQueue::new();
+        q.push(2.0, EventKind::Heartbeat { node: NodeId(0) });
+        let seq = q.reserve_seq();
+        q.push(2.0, EventKind::MapDone { job: 0, map: 0, run: 0 });
+        q.push(2.0, EventKind::Heartbeat { node: NodeId(1) });
+        q.push_at(2.0, EventKind::TransferWake { version: 3 }, seq);
+        let popped: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|(_, k)| k).collect();
+        assert_eq!(
+            popped,
+            vec![
+                EventKind::Heartbeat { node: NodeId(0) },
+                EventKind::TransferWake { version: 3 },
+                EventKind::MapDone { job: 0, map: 0, run: 0 },
+                EventKind::Heartbeat { node: NodeId(1) },
+            ]
+        );
+    }
+
+    /// A heartbeat filed under an old number must not join the lane behind
+    /// a same-time beat with a newer one: the lane would pop it late.
+    #[test]
+    fn reserved_heartbeat_keeps_its_tie_position() {
+        let mut q = EventQueue::new();
+        let seq = q.reserve_seq();
+        q.push(1.0, EventKind::Heartbeat { node: NodeId(1) });
+        q.push_at(1.0, EventKind::Heartbeat { node: NodeId(0) }, seq);
+        let nodes: Vec<NodeId> = std::iter::from_fn(|| q.pop())
+            .map(|(_, k)| match k {
+                EventKind::Heartbeat { node } => node,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(nodes, vec![NodeId(0), NodeId(1)]);
     }
 
     #[test]

@@ -149,6 +149,10 @@ pub struct Simulation {
     jobs: Vec<JobState>,
     arrived: Vec<bool>,
     transfers: Box<Engine<dyn RateSource>>,
+    /// The transfer wake-up the event being dispatched owes, as `(engine
+    /// version, reserved sequence number)`; filed by `flush_transfer_wake`
+    /// once the dispatch returns.
+    owed_wake: Option<(u64, u64)>,
     trace: Trace,
     /// Nodes with ≥1 free map slot, maintained incrementally beside
     /// `nodes[..].free_map` (the scan it replaces only tested `free_map >
@@ -259,6 +263,7 @@ impl Simulation {
             sched_matrix,
             sched_matrix_t: -1.0,
             transfers,
+            owed_wake: None,
             layout,
             hops,
             monitor,
@@ -304,6 +309,40 @@ impl Simulation {
 
     /// Run the batch to completion (or `max_sim_time`) and report.
     pub fn run(mut self, inputs: &[JobInput]) -> SimReport {
+        self.prime(inputs);
+        while let Some((t, kind)) = self.events.pop() {
+            if self.jobs_done == self.jobs.len() {
+                break;
+            }
+            if t > self.cfg.max_sim_time {
+                break;
+            }
+            self.step(t, kind);
+        }
+
+        if let Some(stats) = self.placer.stats() {
+            self.observer.absorb_placer(stats);
+        }
+        self.observer.flush();
+        let trace_jsonl = self.observer.drain_jsonl();
+        SimReport {
+            scheduler: self.placer.name().to_string(),
+            sim_end: self.now,
+            jobs_submitted: self.jobs.len(),
+            jobs_completed: self.jobs_done - self.jobs_failed - self.jobs_rejected,
+            jobs_failed: self.jobs_failed,
+            trace: self.trace,
+            counters: self.observer.counters().clone(),
+            trace_jsonl,
+            faults: self.faults,
+            jobs_rejected: self.jobs_rejected,
+            tenants: self.tenancy.as_ref().map(TenancyState::run_stats).unwrap_or_default(),
+            sched_wall_s: self.sched_wall.as_secs_f64(),
+        }
+    }
+
+    /// Build job state for `inputs` and queue every event known up front.
+    fn prime(&mut self, inputs: &[JobInput]) {
         // --- Place blocks and build job state. ---
         // Writers come from each job's "ingest set" — the nodes that loaded
         // the data (HDFS puts the first replica on the writer). A fraction
@@ -394,39 +433,15 @@ impl Simulation {
             self.events.push(d.from, EventKind::LinkDegradeStart { idx: i });
             self.events.push(d.until, EventKind::LinkDegradeEnd { idx: i });
         }
+    }
 
-        // --- Main loop. ---
-        while let Some((t, kind)) = self.events.pop() {
-            if self.jobs_done == self.jobs.len() {
-                break;
-            }
-            if t > self.cfg.max_sim_time {
-                break;
-            }
-            debug_assert!(t >= self.now - 1e-9, "event time regression");
-            self.now = t;
-            self.dispatch(kind);
-        }
-
-        if let Some(stats) = self.placer.stats() {
-            self.observer.absorb_placer(stats);
-        }
-        self.observer.flush();
-        let trace_jsonl = self.observer.drain_jsonl();
-        SimReport {
-            scheduler: self.placer.name().to_string(),
-            sim_end: self.now,
-            jobs_submitted: self.jobs.len(),
-            jobs_completed: self.jobs_done - self.jobs_failed - self.jobs_rejected,
-            jobs_failed: self.jobs_failed,
-            trace: self.trace,
-            counters: self.observer.counters().clone(),
-            trace_jsonl,
-            faults: self.faults,
-            jobs_rejected: self.jobs_rejected,
-            tenants: self.tenancy.as_ref().map(TenancyState::run_stats).unwrap_or_default(),
-            sched_wall_s: self.sched_wall.as_secs_f64(),
-        }
+    /// Handle one event popped at `t`, then file the transfer wake-up it
+    /// owes.
+    fn step(&mut self, t: f64, kind: EventKind) {
+        debug_assert!(t >= self.now - 1e-9, "event time regression");
+        self.now = t;
+        self.dispatch(kind);
+        self.flush_transfer_wake();
     }
 
     /// Log one fault to the observer (counters + sink) and the report.
@@ -646,11 +661,48 @@ impl Simulation {
         tn.last_preempt_t = self.now;
     }
 
-    /// Re-arm the single pending transfer wake-up.
+    /// Note that the event being dispatched owes a transfer wake-up for the
+    /// engine's current state. Nothing is predicted here: one dispatch can
+    /// start a fetch for every shuffling reduce of a job, and only the last
+    /// state matters — `flush_transfer_wake` predicts once, for that.
+    ///
+    /// This files the wake-up that predicting and pushing at every arm would
+    /// leave queued, with the same time and tie position. The sequence
+    /// number is reserved at the first arm of each engine version, and:
+    ///
+    /// * `now` is constant within a dispatch, and every arm follows an
+    ///   engine call that already advanced to `now`; a later call at the
+    ///   same version integrates over `dt = 0` and changes nothing.
+    /// * Rates are a pure function of capacities and the multiset of routes
+    ///   (see `pnats_net::flow`), so predicting at the flush gives the bits
+    ///   the first arm at the final version would get.
+    /// * Wake-ups of earlier versions are dropped by the queue when a later
+    ///   one is filed; repeated arms at one version would file one time
+    ///   twice, and the second could only pop as a no-op.
+    ///
+    /// Hence the engine state and the `(time, insertion)` order of every
+    /// event that can still act are the same. The one wake-up not filed is
+    /// an earlier version's when the final state predicts nothing: it too
+    /// could only pop as a no-op.
     fn arm_transfer_wake(&mut self) {
+        let version = self.transfers.version();
+        if self.owed_wake.is_none_or(|(owed, _)| owed != version) {
+            self.owed_wake = Some((version, self.events.reserve_seq()));
+        }
+    }
+
+    /// File the wake-up the last dispatch owes (see `arm_transfer_wake`):
+    /// one refill and one prediction per event, however many arms it made.
+    fn flush_transfer_wake(&mut self) {
+        let Some((version, seq)) = self.owed_wake.take() else { return };
+        debug_assert_eq!(
+            version,
+            self.transfers.version(),
+            "the transfer engine changed after the dispatch's last arm"
+        );
         if let Some((t, v)) = self.transfers.next_wake() {
             self.events
-                .push(t.max(self.now), EventKind::TransferWake { version: v });
+                .push_at(t.max(self.now), EventKind::TransferWake { version: v }, seq);
         }
     }
 
@@ -980,15 +1032,13 @@ impl Simulation {
             .iter()
             .take(self.cfg.reduce_candidate_window)
             .collect();
-        let mut candidates = Vec::with_capacity(window.len());
-        let mut scratch = Vec::new();
-        for &f in &window {
-            job.shuffle_sources(f, self.now, &mut scratch);
-            candidates.push(ReduceCandidate {
+        let candidates: Vec<ReduceCandidate> = window
+            .iter()
+            .map(|&f| ReduceCandidate {
                 task: ReduceTaskId { job: job.id, index: f as u32 },
-                sources: scratch.clone(),
-            });
-        }
+                sources: job.shuffle_sources(f, self.now),
+            })
+            .collect();
         let cost = sched_metric(&self.sched_matrix, &self.hops);
         self.reduce_free.ensure_list();
         let free = self.reduce_free.list();
@@ -1857,6 +1907,38 @@ mod tests {
         assert_eq!(r.trace.tasks_of(TaskKind::Map).count(), 16);
         assert_eq!(r.trace.tasks_of(TaskKind::Reduce).count(), 6);
         assert!(r.sim_end > 0.0);
+    }
+
+    /// A map completion arms one wake-up per shuffling reduce it starts a
+    /// fetch for; the dispatch still refills the flow network once.
+    #[test]
+    fn a_map_completion_feeding_many_reduces_refills_once() {
+        let inputs = tiny_inputs(1, 24, 5);
+        let mut sim = Simulation::new(SimConfig::tiny(8, 7), Box::new(ProbabilisticPlacer::paper()));
+        sim.prime(&inputs);
+        while let Some((t, kind)) = sim.events.pop() {
+            if let EventKind::MapDone { job, map, run } = kind {
+                let j = &sim.jobs[job];
+                let m = &j.maps[map];
+                let fed = j
+                    .reduces
+                    .iter()
+                    .filter(|r| {
+                        r.active_fetches < sim.cfg.parallel_copies
+                            && matches!(r.phase, ReducePhase::Shuffling { node } if Some(node) != m.node())
+                    })
+                    .count();
+                if m.run == run && fed >= 3 {
+                    let (refills, active) = (sim.transfers.refills(), sim.transfers.n_active());
+                    sim.step(t, kind);
+                    assert!(sim.transfers.n_active() >= active + 3, "{fed} reduces fed");
+                    assert_eq!(sim.transfers.refills(), refills + 1);
+                    return;
+                }
+            }
+            sim.step(t, kind);
+        }
+        panic!("no map completion fed three shuffling reduces");
     }
 
     #[test]

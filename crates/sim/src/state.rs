@@ -9,13 +9,13 @@
 //! The collections here are sized for 10k-node / 1M-task runs: pending
 //! task queues are intrusive [`PendingList`]s (O(1) remove), shuffle
 //! bookkeeping is indexed per source node instead of linearly scanned,
-//! per-node tables (`done_by_node`, `local_maps`) are sparse maps instead
-//! of `O(n_nodes)` vectors per job, and aggregate map progress is an
-//! integer counter instead of an `O(maps)` sweep. Every replacement
-//! preserves the iteration order and membership of the structure it
-//! replaced, so decision traces are byte-identical. The sparse maps hash
-//! their `u32` keys with one multiply ([`IdMap`]), not SipHash: shuffle
-//! segments touch them several times each.
+//! per-node tables (`done_outputs`, `local_maps`) are sparse instead of
+//! `O(n_nodes)` vectors per job, and aggregate map progress is an integer
+//! counter instead of an `O(maps)` sweep. Every replacement preserves the
+//! iteration order and membership of the structure it replaced, so
+//! decision traces are byte-identical. The sparse maps hash their `u32`
+//! keys with one multiply ([`IdMap`]), not SipHash: shuffle segments touch
+//! them several times each.
 
 use crate::config::JobInput;
 use crate::freeset::PendingList;
@@ -386,15 +386,12 @@ pub struct JobState {
     pub local_maps: IdMap<Vec<u32>>,
     /// Unassigned reduce tasks in offer order.
     pub unassigned_reduces: PendingList,
-    /// Aggregate finished-map output bytes per node, indexed
-    /// `[partition]` within each entry (incrementally maintained so reduce
-    /// contexts build in O(output nodes + running maps) instead of
-    /// O(all maps)). Sparse companion of `output_nodes`.
-    pub done_by_node: IdMap<Vec<f64>>,
-    /// Ascending list of nodes that have ever held finished map output of
-    /// this job — the iteration order for `done_by_node` (which a hash map
-    /// cannot provide deterministically).
-    pub output_nodes: Vec<u32>,
+    /// Every node that has ever held finished map output of this job, in
+    /// ascending order, with its aggregate output bytes indexed
+    /// `[partition]` (incrementally maintained so reduce contexts build in
+    /// O(output nodes + running maps) instead of O(all maps)). A node whose
+    /// disks were lost keeps its place with an empty aggregate.
+    pub done_outputs: Vec<(u32, Vec<f64>)>,
     /// Indices of currently running (placed, unfinished) map tasks.
     pub running_maps: Vec<usize>,
     /// Total map input bytes (`Σ B_j`), fixed at construction.
@@ -476,8 +473,7 @@ impl JobState {
             unassigned_maps: PendingList::full(input.block_sizes.len()),
             local_maps,
             unassigned_reduces: PendingList::full(input.n_reduces),
-            done_by_node: IdMap::default(),
-            output_nodes: Vec::new(),
+            done_outputs: Vec::new(),
             running_maps: Vec::new(),
             input_total,
             input_done: 0,
@@ -557,15 +553,16 @@ impl JobState {
         self.maps_finished += 1;
         self.input_done += self.maps[map].block;
         let nid = node.idx() as u32;
-        let agg = self.done_by_node.entry(nid).or_default();
+        let at = self.done_outputs.binary_search_by_key(&nid, |(n, _)| *n).unwrap_or_else(|pos| {
+            self.done_outputs.insert(pos, (nid, Vec::new()));
+            pos
+        });
+        let agg = &mut self.done_outputs[at].1;
         if agg.is_empty() {
             agg.resize(self.reduces.len(), 0.0);
         }
         for (f, slot) in agg.iter_mut().enumerate() {
             *slot += self.maps[map].final_bytes_for(f);
-        }
-        if let Err(pos) = self.output_nodes.binary_search(&nid) {
-            self.output_nodes.insert(pos, nid);
         }
     }
 
@@ -582,12 +579,13 @@ impl JobState {
     }
 
     /// Forget all finished output stored on `node` (its disks are gone).
-    /// The node stays in `output_nodes`; its empty aggregate is skipped by
+    /// The node stays in `done_outputs`; its empty aggregate is skipped by
     /// every reader, matching the old dense table whose entry was cleared
     /// in place.
     pub fn clear_node_output(&mut self, node: NodeId) {
-        if let Some(agg) = self.done_by_node.get_mut(&(node.idx() as u32)) {
-            agg.clear();
+        let nid = node.idx() as u32;
+        if let Ok(at) = self.done_outputs.binary_search_by_key(&nid, |(n, _)| *n) {
+            self.done_outputs[at].1.clear();
         }
     }
 
@@ -596,13 +594,10 @@ impl JobState {
     /// feeding takes over). Ascending node order, like the dense sweep it
     /// replaces.
     pub fn enqueue_finished_outputs(&mut self, f: usize) {
-        for i in 0..self.output_nodes.len() {
-            let nid = self.output_nodes[i];
-            let Some(bytes) = self.done_by_node.get(&nid).and_then(|a| a.get(f)).copied() else {
-                continue;
-            };
-            if bytes > 0.0 {
-                self.reduces[f].enqueue(NodeId(nid), bytes);
+        for (nid, agg) in &self.done_outputs {
+            match agg.get(f) {
+                Some(&bytes) if bytes > 0.0 => self.reduces[f].enqueue(NodeId(*nid), bytes),
+                _ => {}
             }
         }
     }
@@ -612,19 +607,17 @@ impl JobState {
     /// *finished* map output (their extrapolation is exact) plus one entry
     /// per still-running map (whose progress is what the estimator
     /// comparison is about).
-    pub fn shuffle_sources(&self, f: usize, t: f64, out: &mut Vec<ShuffleSource>) {
-        out.clear();
-        for &nid in &self.output_nodes {
-            let Some(bytes) = self.done_by_node.get(&nid).and_then(|a| a.get(f)) else {
-                continue;
-            };
-            if *bytes > 0.0 {
-                out.push(ShuffleSource {
-                    node: NodeId(nid),
-                    current_bytes: *bytes,
+    pub fn shuffle_sources(&self, f: usize, t: f64) -> Vec<ShuffleSource> {
+        let mut out = Vec::with_capacity(self.done_outputs.len() + self.running_maps.len());
+        for (nid, agg) in &self.done_outputs {
+            match agg.get(f) {
+                Some(&bytes) if bytes > 0.0 => out.push(ShuffleSource {
+                    node: NodeId(*nid),
+                    current_bytes: bytes,
                     input_read: 1,
                     input_total: 1,
-                });
+                }),
+                _ => {}
             }
         }
         for &mi in &self.running_maps {
@@ -638,6 +631,7 @@ impl JobState {
                 });
             }
         }
+        out
     }
 }
 
@@ -716,8 +710,9 @@ mod tests {
         j.running_maps.push(0);
         j.complete_map(0, NodeId(2), 1.0);
         assert!(j.running_maps.is_empty());
-        assert_eq!(j.output_nodes, vec![2]);
-        let total: f64 = j.done_by_node[&2].iter().sum();
+        assert_eq!(j.done_outputs.len(), 1);
+        assert_eq!(j.done_outputs[0].0, 2);
+        let total: f64 = j.done_outputs[0].1.iter().sum();
         let expect = j.maps[0].block as f64 * j.maps[0].selectivity;
         assert!((total - expect).abs() < 1e-6);
     }
@@ -736,9 +731,7 @@ mod tests {
         assert_eq!(j.maps[0].epoch, 1);
         assert_eq!(j.maps[0].phase, MapPhase::Unassigned);
         // The cleared node yields no shuffle sources.
-        let mut out = Vec::new();
-        j.shuffle_sources(0, 2.0, &mut out);
-        assert!(out.is_empty());
+        assert!(j.shuffle_sources(0, 2.0).is_empty());
     }
 
     #[test]
@@ -761,8 +754,7 @@ mod tests {
         j.complete_map(0, NodeId(0), 1.0);
         j.maps[1].phase = MapPhase::Computing { node: NodeId(1), start: 0.0, duration: 10.0 };
         j.running_maps.push(1);
-        let mut out = Vec::new();
-        j.shuffle_sources(2, 5.0, &mut out);
+        let out = j.shuffle_sources(2, 5.0);
         assert_eq!(out.len(), 2);
         // Finished aggregate reports itself as fully read.
         assert_eq!(out[0].node, NodeId(0));

@@ -5,15 +5,24 @@
 //! [`Completion`] record — over a [`RateSource`] that says how fast each
 //! transfer moves: [`Fluid`] max-min shares ([`Transfers`], the paper's
 //! fidelity) or [`Nominal`] contention-free NIC rates ([`NominalTransfers`],
-//! for scale). The runner schedules a wake-up event for each
-//! [`Engine::next_wake`] prediction, tagged with the version — any later
-//! mutation bumps the version, turning stale wake-ups into no-ops.
+//! for scale). Every mutation bumps the version. After each event that
+//! mutated the engine, the runner makes one [`Engine::next_wake`]
+//! prediction and schedules a wake-up for it, tagged with the version; a
+//! later mutation turns that wake-up into a no-op.
+//!
+//! **One owed wake-up per event.** Handling one event can start or finish
+//! many transfers — a map completion starts a fetch for every shuffling
+//! reduce of its job. Each of those only marks a wake-up as owed (the
+//! runner's `arm_transfer_wake`); the prediction, and with it the max-min
+//! refill, runs once, after the event. That is exact because simulated
+//! time stands still within an event and rates depend only on the final
+//! flow set; the runner's `arm_transfer_wake` spells out the argument.
 //!
 //! [`FlowNetwork`] answers "what rate does each flow get *right now*";
 //! [`Fluid`] integrates those rates over time. Every mutation (start/finish
 //! of any flow) first *advances* all in-flight transfers by the elapsed
-//! interval under the old rates, then recomputes rates and predicts the next
-//! completion.
+//! interval under the rates that held since the last one. The new rates are
+//! computed lazily, by the next prediction.
 //!
 //! **Lock-step invariant.** `active[i]` is the transfer carried by the
 //! network's `i`-th flow, always: `Fluid::add` pushes onto both, and every
@@ -120,6 +129,9 @@ pub trait RateSource: Send {
 
     /// Current rate of the transfer with `tag`.
     fn rate_of(&mut self, tag: TransferTag) -> Option<f64>;
+
+    /// Max-min refills run so far (0 for a source without a flow network).
+    fn refills(&self) -> u64;
 }
 
 /// The transfer engine the runner drives, over any [`RateSource`].
@@ -283,6 +295,12 @@ impl<R: RateSource + ?Sized> Engine<R> {
     pub fn rate_of(&mut self, tag: TransferTag) -> Option<f64> {
         self.source.rate_of(tag)
     }
+
+    /// Max-min refills run so far ([`FlowNetwork::refills`]; always 0 for
+    /// [`Nominal`], which has no flow network).
+    pub fn refills(&self) -> u64 {
+        self.source.refills()
+    }
 }
 
 struct Active {
@@ -391,6 +409,10 @@ impl RateSource for Fluid {
     fn rate_of(&mut self, tag: TransferTag) -> Option<f64> {
         self.rated().find(|(a, _)| a.t.tag == tag).map(|(_, r)| r)
     }
+
+    fn refills(&self) -> u64 {
+        self.fx.refills()
+    }
 }
 
 struct NomActive {
@@ -494,6 +516,10 @@ impl RateSource for Nominal {
 
     fn rate_of(&mut self, tag: TransferTag) -> Option<f64> {
         self.slots.iter().flatten().find(|a| a.t.tag == tag).map(|a| a.rate)
+    }
+
+    fn refills(&self) -> u64 {
+        0
     }
 }
 
