@@ -47,7 +47,7 @@ pub use worker::{run_worker, WorkerConfig};
 pub use pnats_rpc::{BreakerPolicy, ChaosFault, LinkRule};
 
 use pnats_core::placer::TaskPlacer;
-use pnats_obs::{DecisionObserver, TraceSink};
+use pnats_obs::DecisionObserver;
 use pnats_rpc::{ChaosNet, ChaosPlan};
 use std::sync::Arc;
 
@@ -100,18 +100,6 @@ pub fn run_cluster(
     placer: Box<dyn TaskPlacer>,
 ) -> ClusterReport {
     run_cluster_observed(cfg, spec, n_reduces, input, placer, DecisionObserver::disabled())
-}
-
-/// Like [`run_cluster`] but routing every decision and fault into `sink`.
-pub fn run_cluster_traced(
-    cfg: &ClusterConfig,
-    spec: &JobSpec,
-    n_reduces: usize,
-    input: &str,
-    placer: Box<dyn TaskPlacer>,
-    sink: Box<dyn TraceSink>,
-) -> ClusterReport {
-    run_cluster_observed(cfg, spec, n_reduces, input, placer, DecisionObserver::with_sink(sink))
 }
 
 /// Like [`run_cluster`], but with every wire the job depends on routed

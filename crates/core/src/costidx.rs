@@ -9,20 +9,20 @@
 //! Partition the nodes into such equivalence classes and `C_ave` collapses
 //! to a sum over classes weighted by **integer** per-class free-slot counts.
 //!
-//! The integer counts are the key to the differential gate
-//! (`tests/scale_parity.rs`): the runtime maintains them incrementally
-//! (±1 on each free-slot membership flip) while the reference path recounts
-//! them from the free list on every decision. Identical integers fed to the
-//! same summation yield bit-identical `f64` results, so the incremental and
-//! full-recompute schedulers produce byte-identical decision traces — any
-//! stale-invalidation bug surfaces as a hard mismatch instead of a silent
-//! drift.
+//! The runtime maintains the integer counts incrementally (±1 on each
+//! free-slot membership flip); debug builds recount them from the free list
+//! before every decision ([`audit_view`]). The class sum regroups the
+//! per-node sum, so it matches the per-node mean to rounding, not bit for
+//! bit. The test-side transcription of the paper (`crates/core/tests/spec`)
+//! holds every classed `C_ave` to within 1e-9 of its per-node mean, and
+//! every decision to the spec's.
 //!
-//! Matrices without exploitable structure (the §II-B3 congestion-scaled
-//! matrices quickly make every row distinct) fail [`CostClasses::derive`]'s
-//! class cap; the runtime then hands the placer no [`CostView`] at all and
-//! the placer uses the legacy per-node mean — preserving the exact
-//! floating-point behaviour of the unindexed code.
+//! A hop metric that knows its classes (`pnats_net::ClassedDistance`)
+//! hands them over through [`CostClasses::from_class_map`]. Matrices
+//! without that structure are partitioned by [`CostClasses::derive`]; the
+//! §II-B3 congestion-scaled matrices quickly make every row distinct and
+//! fail its class cap, and the runtime then hands the placer no
+//! [`CostView`] at all, so the placer uses the per-node mean.
 
 use pnats_net::{NodeId, PathCost};
 
@@ -264,8 +264,7 @@ pub fn recount_free(classes: &CostClasses, free: &[NodeId]) -> (Vec<u32>, Vec<u6
 }
 
 /// Panic unless `view`'s incremental bookkeeping matches a from-scratch
-/// recount over `free` — the audit the reference scheduling path (and
-/// debug builds) run before every decision.
+/// recount over `free` — the audit debug builds run before every decision.
 pub fn audit_view(classes: &CostClasses, free: &[NodeId], view: &CostView<'_>, side: &str) {
     let (counts, bits, total) = recount_free(classes, free);
     assert_eq!(

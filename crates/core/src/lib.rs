@@ -75,5 +75,5 @@ pub use faults::{FaultPlan, HeartbeatLoss, LinkDegradation, NodeCrash};
 pub use partition::{partition_of, Partitioner};
 pub use placer::{Decision, DecisionDetail, PlacerStats, SkipReason, TaskPlacer};
 pub use prob::ProbabilityModel;
-pub use prob_sched::{CostPath, ProbConfig, ProbabilisticPlacer};
+pub use prob_sched::{ProbConfig, ProbabilisticPlacer};
 pub use types::{JobId, MapTaskId, ReduceTaskId};

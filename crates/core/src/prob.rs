@@ -81,7 +81,9 @@ impl ProbabilityModel {
                 // P = 1/(1+e^{1-r})  =>  r = 1 - ln(1/P - 1)
                 let r = 1.0 - (1.0 / p_min - 1.0).ln();
                 if r <= 0.0 {
-                    f64::INFINITY // threshold unreachable by any finite cost? no: r<=0 means even infinite cost passes
+                    // Even a zero ratio gives P = 1/(1+e) >= p_min: every
+                    // finite cost passes, so there is no ceiling.
+                    f64::INFINITY
                 } else {
                     cost_avg / r
                 }

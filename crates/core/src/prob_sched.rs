@@ -23,7 +23,9 @@
 //! placer keeps no per-candidate state, so a decision never depends on the
 //! offers that came before it. With a [`CostView`] the mean is the
 //! `O(classes)` class-compressed sum (`crate::costidx`); without one it is
-//! the per-node mean.
+//! the per-node mean. The paper's literal per-node transcription lives in
+//! the tests (`crates/core/tests/spec`), and this placer must decide as it
+//! does.
 //!
 //! Every decision is booked into a [`PlacerStats`] keyed by
 //! [`SkipReason`], and the intermediates of the last decision (`C_i`,
@@ -42,23 +44,6 @@ use crate::prob::ProbabilityModel;
 use pnats_net::{NodeId, PathCost};
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-/// How far an incoming [`CostView`] is trusted. Both settings make
-/// bit-identical decisions by construction — [`CostPath::Reference`] exists
-/// to *prove* it, decision by decision, in the differential parity tests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CostPath {
-    /// Trust the runtime's incrementally-maintained class counts (still
-    /// audited under `debug_assertions`).
-    #[default]
-    Incremental,
-    /// Full-recompute reference: recount the class counts from the free
-    /// list before every decision and cross-check every classed `C_ave`
-    /// against the legacy per-node mean. Booked stats are identical to
-    /// [`CostPath::Incremental`] — only assertions are added — so traces
-    /// and reports must match byte for byte.
-    Reference,
-}
 
 /// Tunables of the probabilistic network-aware scheduler.
 #[derive(Clone, Copy, Debug)]
@@ -100,15 +85,9 @@ pub struct ProbabilisticPlacer {
     /// candidate satisfies `P ≥ P_min` iff `C ≤ C_ave · ceiling_factor`.
     /// Precomputed once; `+∞` when no finite cost can miss the threshold.
     ceiling_factor: f64,
-    /// How to treat an incoming [`CostView`]: trust it or verify it.
-    cost_path: CostPath,
-    /// Class-index tables for map contexts (built from the map-side
-    /// matrix).
-    map_tables: ClassTables,
-    /// Class-index tables for reduce contexts. Separate from the map-side
-    /// tables because the simulator hands reduce contexts the *transposed*
-    /// matrix (same revision number, different values).
-    reduce_tables: ClassTables,
+    /// Class-index tables, shared by both algorithms: every runtime hands
+    /// map and reduce contexts the same matrix.
+    tables: ClassTables,
     /// Intermediates of the most recent gate evaluation.
     last_detail: Option<DecisionDetail>,
     /// Decision statistics (diagnostics; not used for scheduling).
@@ -129,24 +108,15 @@ struct ClassTables {
 }
 
 impl ClassTables {
-    /// Validate an incoming [`CostView`] against `free` and bring the class
-    /// distance table up to the matrix revision. The audit runs always
-    /// under [`CostPath::Reference`], and in debug builds under
-    /// [`CostPath::Incremental`] too.
-    fn admit(
-        &mut self,
-        cost_path: CostPath,
-        view: &CostView<'_>,
-        free: &[NodeId],
-        cost: &dyn PathCost,
-        side: &str,
-    ) {
+    /// Validate an incoming [`CostView`] against `free` (debug builds only)
+    /// and bring the class distance table up to the matrix revision.
+    fn admit(&mut self, view: &CostView<'_>, free: &[NodeId], cost: &dyn PathCost, side: &str) {
         debug_assert_eq!(
             view.classes.version(),
             cost.version(),
             "{side}: class partition is for another matrix revision"
         );
-        if cost_path == CostPath::Reference || cfg!(debug_assertions) {
+        if cfg!(debug_assertions) {
             audit_view(view.classes, free, view, side);
         }
         self.ensure_h(view.classes, cost);
@@ -240,9 +210,7 @@ impl ProbabilisticPlacer {
         Self {
             ceiling_factor: config.model.cost_ceiling(1.0, config.p_min),
             config,
-            cost_path: CostPath::default(),
-            map_tables: ClassTables::default(),
-            reduce_tables: ClassTables::default(),
+            tables: ClassTables::default(),
             last_detail: None,
             stats: PlacerStats::default(),
         }
@@ -257,17 +225,6 @@ impl ProbabilisticPlacer {
     /// The active configuration.
     pub fn config(&self) -> ProbConfig {
         self.config
-    }
-
-    /// Select the [`CostPath`] (default: [`CostPath::Incremental`]).
-    pub fn with_cost_path(mut self, path: CostPath) -> Self {
-        self.cost_path = path;
-        self
-    }
-
-    /// The active [`CostPath`].
-    pub fn cost_path(&self) -> CostPath {
-        self.cost_path
     }
 
     /// Shared tail of both algorithms: threshold gate + Bernoulli draw on
@@ -298,22 +255,15 @@ impl ProbabilisticPlacer {
         rng: &mut SmallRng,
     ) -> Decision {
         if let Some(v) = &ctx.cost_view {
-            self.map_tables.admit(self.cost_path, v, ctx.free_map_nodes, ctx.cost, "map");
+            self.tables.admit(v, ctx.free_map_nodes, ctx.cost, "map");
         }
-        let reference = self.cost_path == CostPath::Reference;
-        let tables = &self.map_tables;
+        let tables = &self.tables;
         let mut scan = Scan::new(self.config.model, self.ceiling_factor, &mut self.stats.pruned);
         let best = argmax_probability(ctx.candidates.iter().map(|c| {
             let c_here = map_cost(c, node, ctx.cost); // line 4
             let c_ave = match &ctx.cost_view {
-                Some(v) => {
-                    let ave = map_cost_avg_classed(c, v.classes, &tables.h, v); // line 6
-                    if reference {
-                        cross_check("map", ave, map_cost_avg(c, ctx.free_map_nodes, ctx.cost));
-                    }
-                    ave
-                }
-                None => map_cost_avg(c, ctx.free_map_nodes, ctx.cost), // line 6
+                Some(v) => map_cost_avg_classed(c, v.classes, &tables.h, v), // line 6
+                None => map_cost_avg(c, ctx.free_map_nodes, ctx.cost),       // line 6
             };
             (scan.probability(c_here, c_ave), (c_here, c_ave)) // line 7
         }));
@@ -336,26 +286,17 @@ impl ProbabilisticPlacer {
             return Decision::Skip(SkipReason::Collocated);
         }
         if let Some(v) = &ctx.cost_view {
-            let tables = &mut self.reduce_tables;
-            tables.admit(self.cost_path, v, ctx.free_reduce_nodes, ctx.cost, "reduce");
-            tables.ensure_base(v.classes, v.free_counts, v.generation);
+            self.tables.admit(v, ctx.free_reduce_nodes, ctx.cost, "reduce");
+            self.tables.ensure_base(v.classes, v.free_counts, v.generation);
         }
-        let reference = self.cost_path == CostPath::Reference;
         let est = self.config.estimator;
-        let tables = &self.reduce_tables;
+        let tables = &self.tables;
         let mut scan = Scan::new(self.config.model, self.ceiling_factor, &mut self.stats.pruned);
         let best = argmax_probability(ctx.candidates.iter().map(|c| {
             let c_here = reduce_cost(c, node, ctx.cost, est); // line 5
             let c_ave = match &ctx.cost_view {
-                Some(v) => {
-                    let ave = reduce_cost_avg_classed(c, v.classes, &tables.base, v, est); // line 7
-                    if reference {
-                        let legacy = reduce_cost_avg(c, ctx.free_reduce_nodes, ctx.cost, est);
-                        cross_check("reduce", ave, legacy);
-                    }
-                    ave
-                }
-                None => reduce_cost_avg(c, ctx.free_reduce_nodes, ctx.cost, est), // line 7
+                Some(v) => reduce_cost_avg_classed(c, v.classes, &tables.base, v, est), // line 7
+                None => reduce_cost_avg(c, ctx.free_reduce_nodes, ctx.cost, est),       // line 7
             };
             (scan.probability(c_here, c_ave), (c_here, c_ave)) // line 8
         }));
@@ -365,30 +306,6 @@ impl ProbabilisticPlacer {
         self.last_detail = Some(DecisionDetail { cost, cost_avg, probability: p });
         self.gate(idx, p, rng) // lines 10-17
     }
-}
-
-/// [`CostPath::Reference`]'s cross-check of a classed `C_ave` against the
-/// legacy per-node mean. A free-set change whose generation bump went
-/// missing surfaces here too (through a stale reduce `base`), as a hard
-/// panic instead of a silently wrong decision.
-fn cross_check(side: &str, ave: f64, legacy: f64) {
-    assert!(
-        nearly_equal(ave, legacy),
-        "{side}: classed C_ave {ave} diverged from legacy mean {legacy}"
-    );
-}
-
-/// Loose equality for [`cross_check`]: the two summation orders differ, so
-/// allow a relative error of 1e-9. NaN matches NaN and ∞ matches
-/// same-signed ∞ (degenerate inputs degenerate identically on both paths).
-fn nearly_equal(a: f64, b: f64) -> bool {
-    if a.is_nan() || b.is_nan() {
-        return a.is_nan() && b.is_nan();
-    }
-    if a.is_infinite() || b.is_infinite() {
-        return a == b;
-    }
-    (a - b).abs() <= 1e-9 * b.abs().max(1.0)
 }
 
 /// Select the candidate with the largest probability, together with

@@ -125,13 +125,6 @@ impl ClassedDistance {
     pub fn class_of(&self) -> &[u32] {
         &self.class_of
     }
-
-    /// The transposed metric. Hop counts are symmetric, so this is a
-    /// clone — it exists so call sites treat dense and classed matrices
-    /// uniformly.
-    pub fn transposed(&self) -> Self {
-        self.clone()
-    }
 }
 
 impl PathCost for ClassedDistance {
@@ -195,6 +188,14 @@ mod tests {
     #[test]
     fn matches_dense_on_fat_tree() {
         assert_matches_dense(&Topology::fat_tree(4, 1e9));
+    }
+
+    /// The shapes the simulator runs the class index on: the oversubscribed
+    /// cloud slice and `scale_sweep`'s 1 000-node fabric.
+    #[test]
+    fn matches_dense_on_the_simulated_fabrics() {
+        assert_matches_dense(&Topology::palmetto_slice_oversub(60, 1e9, 2.0));
+        assert_matches_dense(&Topology::multi_rack(25, 40, 1e9, 10e9));
     }
 
     #[test]

@@ -407,11 +407,6 @@ impl ChaosNet {
         self.events.lock().unwrap().clone()
     }
 
-    /// Drain the event log (snapshot + clear).
-    pub fn take_events(&self) -> Vec<ChaosEvent> {
-        std::mem::take(&mut *self.events.lock().unwrap())
-    }
-
     /// Start a proxy for `link`: connections to the returned proxy's
     /// [`addr`](ChaosProxy::addr) are relayed to `upstream` through the
     /// plan's faults. An empty plan relays transparently.

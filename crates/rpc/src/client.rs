@@ -3,7 +3,6 @@
 
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::msg::{Msg, MAGIC, PROTOCOL_VERSION};
-use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -253,18 +252,6 @@ impl RpcClient {
         }
         Err(last.unwrap_or(RpcError::BadHandshake))
     }
-
-    /// Like [`call`](Self::call) but maps "server gone" (every retry
-    /// exhausted) to `None` — for shutdown paths where a dead server is
-    /// success.
-    pub fn call_opt(&mut self, msg: &Msg) -> Option<Msg> {
-        self.call(msg).ok()
-    }
-}
-
-/// `true` when an io error is a timeout (the read/write deadline fired).
-pub fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
 #[cfg(test)]
@@ -413,7 +400,7 @@ mod tests {
                     let mut bytes = (payload.len() as u32).to_be_bytes().to_vec();
                     bytes.extend((fnv1a32(&payload) ^ 1).to_be_bytes());
                     bytes.extend(&payload);
-                    io::Write::write_all(&mut s, &bytes).expect("bad frame");
+                    std::io::Write::write_all(&mut s, &bytes).expect("bad frame");
                 } else {
                     write_frame(&mut s, &payload).expect("good frame");
                 }

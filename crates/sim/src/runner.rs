@@ -42,39 +42,30 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
-/// The hop metric backing the scheduler's cost queries: dense `n × n`
-/// matrix at testbed scale (and whenever the congestion-scaled matrix of
-/// §II-B3 is in play, which is built dense), class-compressed at large `n`
-/// where a dense matrix would cost `O(n²)` memory.
-enum HopModel {
-    /// Exact `n × n` matrix.
-    Dense(DistanceMatrix),
-    /// Neighbor-class compressed hops ([`ClassedDistance`]) — exact too,
-    /// just `O(classes²)`.
-    Classed(ClassedDistance),
+/// The §II-B3 network-condition signal: completed transfers feed
+/// `monitor`, and once per heartbeat interval `matrix` is rebuilt as `base`
+/// scaled by the observed congestion.
+struct Congestion {
+    monitor: RateMonitor,
+    /// Dense hop matrix the snapshots scale.
+    base: DistanceMatrix,
+    /// The current snapshot: the scheduler's cost metric.
+    matrix: DistanceMatrix,
+    /// Simulated time `matrix` was taken at.
+    taken_t: f64,
 }
 
 /// The metric the scheduler costs placements with: the congestion-scaled
-/// snapshot when §II-B3 is on, the hop model otherwise. A free function
+/// snapshot when §II-B3 is on, the hop metric otherwise. A free function
 /// over the two fields so callers keep disjoint borrows of the rest of
 /// [`Simulation`] (`place_map` needs `&mut placer` and `&mut rng`).
 fn sched_metric<'a>(
-    sched_matrix: &'a Option<DistanceMatrix>,
-    hops: &'a HopModel,
+    congestion: &'a Option<Congestion>,
+    hops: &'a ClassedDistance,
 ) -> &'a dyn PathCost {
-    match (sched_matrix, hops) {
-        (Some(m), _) => m,
-        (None, HopModel::Dense(d)) => d,
-        (None, HopModel::Classed(c)) => c,
-    }
-}
-
-impl HopModel {
-    fn get(&self, a: NodeId, b: NodeId) -> f64 {
-        match self {
-            HopModel::Dense(d) => d.path_cost(a, b),
-            HopModel::Classed(c) => c.path_cost(a, b),
-        }
+    match congestion {
+        Some(c) => &c.matrix,
+        None => hops,
     }
 }
 
@@ -133,14 +124,11 @@ impl SimReport {
 pub struct Simulation {
     cfg: SimConfig,
     layout: ClusterLayout,
-    hops: HopModel,
-    /// Congestion-scaled snapshot (§II-B3); `Some` iff
-    /// [`SimConfig::network_condition`].
-    sched_matrix: Option<DistanceMatrix>,
-    sched_matrix_t: f64,
-    /// Path-rate monitor; `Some` iff [`SimConfig::network_condition`] (the
-    /// only consumer of its observations).
-    monitor: Option<RateMonitor>,
+    /// Hop distances, `O(classes²)`: the nearest-replica choice of a map
+    /// fetch, and the scheduling metric when §II-B3 is off.
+    hops: ClassedDistance,
+    /// `Some` iff [`SimConfig::network_condition`].
+    congestion: Option<Congestion>,
     placer: Box<dyn TaskPlacer>,
     rng: SmallRng,
     now: f64,
@@ -216,24 +204,18 @@ impl Simulation {
     pub fn new(cfg: SimConfig, placer: Box<dyn TaskPlacer>) -> Self {
         let topo = cfg.build_topology();
         let layout = topo.layout().clone();
-        // The congestion-scaled matrix of §II-B3 is inherently dense, so
-        // `network_condition` forces the dense hop model; otherwise large
-        // clusters get the class-compressed one (O(classes²) memory).
-        let use_classed = !cfg.network_condition && cfg.n_nodes > 2048;
-        let hops = if use_classed {
-            HopModel::Classed(ClassedDistance::hops(&topo))
-        } else {
-            HopModel::Dense(DistanceMatrix::hops(&topo))
-        };
-        let (monitor, sched_matrix) = if cfg.network_condition {
-            let dense = match &hops {
-                HopModel::Dense(d) => d.clone(),
-                HopModel::Classed(_) => unreachable!("network_condition forces dense hops"),
-            };
-            (Some(RateMonitor::new(cfg.n_nodes, cfg.monitor_alpha)), Some(dense))
-        } else {
-            (None, None)
-        };
+        let hops = ClassedDistance::hops(&topo);
+        // The congestion-scaled matrix of §II-B3 is inherently dense; only
+        // it needs the `n × n` hop matrix.
+        let congestion = cfg.network_condition.then(|| {
+            let base = DistanceMatrix::hops(&topo);
+            Congestion {
+                monitor: RateMonitor::new(cfg.n_nodes, cfg.monitor_alpha),
+                matrix: base.clone(),
+                base,
+                taken_t: -1.0,
+            }
+        });
         let transfers: Box<Engine<dyn RateSource>> = if cfg.fluid_network {
             Box::new(Transfers::new(&topo))
         } else {
@@ -260,13 +242,11 @@ impl Simulation {
         let trace = Trace::new(cfg.total_map_slots(), cfg.total_reduce_slots());
         let cost_index_enabled = cfg.cost_index.unwrap_or(cfg.n_nodes > 64);
         Self {
-            sched_matrix,
-            sched_matrix_t: -1.0,
+            congestion,
             transfers,
             owed_wake: None,
             layout,
             hops,
-            monitor,
             placer,
             rng,
             now: 0.0,
@@ -709,21 +689,16 @@ impl Simulation {
     /// Refresh the scheduler-facing cost matrix (at most once per
     /// heartbeat interval; it is a full n² snapshot).
     fn refresh_sched_matrix(&mut self) {
-        let Some(monitor) = &self.monitor else { return };
-        if self.now - self.sched_matrix_t < self.cfg.heartbeat_s * 0.999 {
+        let Some(c) = &mut self.congestion else { return };
+        if self.now - c.taken_t < self.cfg.heartbeat_s * 0.999 {
             return;
         }
-        let dense = match &self.hops {
-            HopModel::Dense(d) => d,
-            HopModel::Classed(_) => unreachable!("network_condition forces dense hops"),
-        };
-        let sm = self.sched_matrix.as_mut().expect("sched_matrix present with monitor");
-        let next_version = sm.version() + 1;
-        *sm = monitor.congestion_scaled_matrix(dense, self.cfg.nic_bps);
+        let next_version = c.matrix.version() + 1;
+        c.matrix = c.monitor.congestion_scaled_matrix(&c.base, self.cfg.nic_bps);
         // Each snapshot gets a fresh revision so the class tables keyed on
         // `PathCost::version` notice the change.
-        sm.set_version(next_version);
-        self.sched_matrix_t = self.now;
+        c.matrix.set_version(next_version);
+        c.taken_t = self.now;
     }
 
     /// Keep the cost-class partition in sync with the active scheduling
@@ -733,20 +708,17 @@ impl Simulation {
         if !self.cost_index_enabled || self.class_derive_failed {
             return;
         }
-        let cost = sched_metric(&self.sched_matrix, &self.hops);
+        let cost = sched_metric(&self.congestion, &self.hops);
         if let Some(cls) = &self.classes {
             if cls.version() == cost.version() {
                 return;
             }
         }
         let cap = 64.min(4.max(self.cfg.n_nodes / 4));
-        let derived = match (&self.sched_matrix, &self.hops) {
-            (None, HopModel::Classed(cd)) => {
-                // The classed metric already carries its partition — reuse
-                // it instead of re-clustering O(n) columns.
-                Some(CostClasses::from_class_map(cd.class_of(), cd))
-            }
-            _ => CostClasses::derive(cost, cap),
+        let derived = match &self.congestion {
+            // The hop metric already carries its partition.
+            None => Some(CostClasses::from_class_map(self.hops.class_of(), &self.hops)),
+            Some(c) => CostClasses::derive(&c.matrix, cap),
         };
         match derived {
             Some(cls) if cls.n_classes() <= cap => {
@@ -756,7 +728,7 @@ impl Simulation {
             }
             _ => {
                 // Metric does not partition under the cap (e.g. heavily
-                // congestion-skewed) — fall back to reference costing for
+                // congestion-skewed) — fall back to the per-node mean for
                 // the rest of the run.
                 self.class_derive_failed = true;
                 self.classes = None;
@@ -999,7 +971,7 @@ impl Simulation {
         let dead = live_window.is_empty() && !window.is_empty();
         let window = if dead { window } else { live_window };
         let candidates: Vec<_> = window.iter().map(|&m| job.map_cands[m].clone()).collect();
-        let cost = sched_metric(&self.sched_matrix, &self.hops);
+        let cost = sched_metric(&self.congestion, &self.hops);
         self.map_free.ensure_list();
         let free = self.map_free.list();
         let mut ctx = MapSchedContext::new(job.id, &candidates, free, cost, &self.layout).at(self.now);
@@ -1039,7 +1011,7 @@ impl Simulation {
                 sources: job.shuffle_sources(f, self.now),
             })
             .collect();
-        let cost = sched_metric(&self.sched_matrix, &self.hops);
+        let cost = sched_metric(&self.congestion, &self.hops);
         self.reduce_free.ensure_list();
         let free = self.reduce_free.list();
         let job = &self.jobs[ji];
@@ -1109,7 +1081,7 @@ impl Simulation {
             cand.replicas
                 .iter()
                 .filter(|r| self.nodes[r.idx()].alive)
-                .map(|&r| (r, self.hops.get(node, r)))
+                .map(|&r| (r, self.hops.path_cost(node, r)))
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("offer_map filters to maps with a live replica")
         };
@@ -1849,9 +1821,9 @@ impl Simulation {
 
     /// Route a finished network transfer to its consumer.
     fn handle_completion(&mut self, c: Completion) {
-        if let Some(mon) = &mut self.monitor {
+        if let Some(cg) = &mut self.congestion {
             if c.avg_rate.is_finite() {
-                mon.observe(c.src, c.dst, c.avg_rate);
+                cg.monitor.observe(c.src, c.dst, c.avg_rate);
             }
         }
         self.trace.network_bytes += c.bytes;

@@ -1,24 +1,29 @@
 //! Property tests of the incremental cost maintenance: for *arbitrary*
 //! small clusters (≤12 nodes), job shapes (≤64 tasks) and seeded
-//! [`FaultPlan`]s, the incremental `C_ave` / cost path must equal full
-//! recomputation after every event.
+//! [`FaultPlan`]s, every decision the class-indexed placer makes must be
+//! the paper's, after every event.
 //!
-//! The check runs each generated scenario twice with the cost index
-//! forced on — once under [`CostPath::Incremental`] (class-compressed
-//! tables, generation-keyed per-class distance sums) and once under
-//! [`CostPath::Reference`], which recomputes the legacy per-node mean at
-//! every decision and asserts the classed value against it *inside* the
-//! placer (`nearly_equal`, plus a full audit of the free-set view). Byte
-//! equality of the two decision traces then pins that the incremental
+//! Each generated scenario runs with the cost index forced on, once plain
+//! and once under `SpecChecked` (`crates/core/tests/spec/checked.rs`). On
+//! every offer the checker audits the free-set view, holds every classed
+//! `C_ave` to within 1e-9 of the spec's per-node mean, and holds the
+//! decision and the RNG state to the spec's (bar a `P` within 1e-9 of a
+//! boundary). Byte equality of the two runs' artifacts pins that the
+//! checker is transparent. Together they pin that the incremental
 //! bookkeeping never drifted, across crashes, recoveries, heartbeat loss
 //! and link degradation. The case count honors `PROPTEST_CASES`.
 
+#[path = "../../core/tests/spec/mod.rs"]
+mod spec;
+
 use pnats_core::faults::{FaultPlan, NodeCrash};
-use pnats_core::prob_sched::{CostPath, ProbabilisticPlacer};
+use pnats_core::placer::{SkipReason, TaskPlacer};
+use pnats_core::prob_sched::ProbabilisticPlacer;
 use pnats_obs::InMemorySink;
 use pnats_sim::{check_report, JobInput, SimConfig, SimReport, Simulation};
 use pnats_workloads::{AppKind, ShuffleModel};
 use proptest::prelude::*;
+use spec::checked::SpecChecked;
 
 const MAX_NODES: usize = 12;
 
@@ -101,8 +106,24 @@ fn build(shape: &Shape, plan: &FaultPlan, seed: u64) -> (SimConfig, Vec<JobInput
     (cfg, inputs)
 }
 
-fn run_path(cfg: &SimConfig, inputs: &[JobInput], path: CostPath) -> SimReport {
-    let placer = Box::new(ProbabilisticPlacer::paper().with_cost_path(path));
+/// One traced run of the paper's placer, plain.
+fn run_plain(cfg: &SimConfig, inputs: &[JobInput]) -> SimReport {
+    run(cfg, inputs, Box::new(ProbabilisticPlacer::paper()))
+}
+
+/// The same run with every offer held to the spec; panics on a
+/// disagreement the spec does not tolerate.
+fn run_checked(cfg: &SimConfig, inputs: &[JobInput]) -> SimReport {
+    let checked = SpecChecked::new(ProbabilisticPlacer::paper());
+    let tally = checked.tally();
+    let report = run(cfg, inputs, Box::new(checked));
+    let c = &report.counters;
+    let placed = c.offers - c.skips[SkipReason::NodeDead as usize];
+    assert_eq!(tally.offers(), placed, "the checker saw every placer call");
+    report
+}
+
+fn run(cfg: &SimConfig, inputs: &[JobInput], placer: Box<dyn TaskPlacer>) -> SimReport {
     Simulation::new(cfg.clone(), placer)
         .with_trace(Box::new(InMemorySink::unbounded()))
         .run(inputs)
@@ -125,9 +146,9 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let (cfg, inputs) = build(&shape, &FaultPlan::none(), seed);
-        let inc = run_path(&cfg, &inputs, CostPath::Incremental);
-        let full = run_path(&cfg, &inputs, CostPath::Reference);
-        prop_assert_eq!(artifacts(&inc), artifacts(&full), "incremental path drifted");
+        let inc = run_plain(&cfg, &inputs);
+        let full = run_checked(&cfg, &inputs);
+        prop_assert_eq!(artifacts(&inc), artifacts(&full), "the spec checker is not transparent");
         prop_assert_eq!(&inc.counters, &full.counters);
         prop_assert!(check_report(&inc, &inputs).is_ok(), "{:?}", check_report(&inc, &inputs));
     }
@@ -141,9 +162,9 @@ proptest! {
         let plan = build_plan(&plan_parts, shape.n_nodes);
         plan.validate(shape.n_nodes).expect("strategy builds valid plans");
         let (cfg, inputs) = build(&shape, &plan, seed);
-        let inc = run_path(&cfg, &inputs, CostPath::Incremental);
-        let full = run_path(&cfg, &inputs, CostPath::Reference);
-        prop_assert_eq!(artifacts(&inc), artifacts(&full), "incremental path drifted under faults");
+        let inc = run_plain(&cfg, &inputs);
+        let full = run_checked(&cfg, &inputs);
+        prop_assert_eq!(artifacts(&inc), artifacts(&full), "the spec checker is not transparent");
         prop_assert_eq!(&inc.counters, &full.counters);
         prop_assert!(check_report(&inc, &inputs).is_ok(), "{:?}", check_report(&inc, &inputs));
     }

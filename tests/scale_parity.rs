@@ -4,26 +4,27 @@
 //! and the free-node scan with incrementally maintained structures
 //! (`pnats_core::costidx`, `pnats_sim::freeset`). Every optimization is
 //! admissible only if it is *invisible* in the decision stream. This suite
-//! runs the paper's 60-node experiment configurations through both cost
-//! paths of the probabilistic placer —
+//! runs the paper's 60-node experiment configurations with the class index
+//! forced on, once plain and once under `SpecChecked`
+//! (`crates/core/tests/spec/checked.rs`), which holds every offer to the
+//! paper's literal per-node transcription: the free-set view is audited,
+//! every classed `C_ave` is within 1e-9 of the spec's mean, and the
+//! decision and RNG state are the spec's. It asserts byte-identical
+//! decision-trace JSONL and reports between the two runs, and that no
+//! offer needed the spec's boundary tolerance.
 //!
-//! * [`CostPath::Incremental`] — the production path (class-compressed
-//!   cost tables over incrementally maintained free-set class counts), and
-//! * [`CostPath::Reference`] — the full-recompute path, kept alive
-//!   permanently as the reference implementation (recounts the class
-//!   counts and checks every classed `C_ave` against the per-node mean;
-//!   debug builds run the recount audit on the production path too),
-//!
-//! and asserts byte-identical decision-trace JSONL and reports. A third
-//! axis pins that installing the cost index itself (`cost_index =
-//! Some(true)`, which the 60-node auto-gate would normally leave off)
-//! changes nothing either: the index is bookkeeping, never policy.
+//! A second test pins that the 60-node auto-gate (`cost_index = None`)
+//! leaves the index off: the index is bookkeeping, never policy.
+
+#[path = "../crates/core/tests/spec/mod.rs"]
+mod spec;
 
 use pnats_bench::harness::{cloud_config, hdfs_config};
-use pnats_core::{CostPath, ProbabilisticPlacer};
+use pnats_core::{ProbabilisticPlacer, SkipReason, TaskPlacer};
 use pnats_obs::InMemorySink;
 use pnats_sim::{JobInput, SimConfig, SimReport, Simulation};
 use pnats_workloads::{scaled_batch, AppKind};
+use spec::checked::SpecChecked;
 
 /// The fig/table experiment configurations, trimmed to test-sized batches:
 /// the shared-cloud setup behind Figures 4–6 and the stock-HDFS setup
@@ -40,20 +41,23 @@ fn experiment_cells(seed: u64) -> Vec<(String, SimConfig, Vec<JobInput>)> {
     cells
 }
 
-/// One traced probabilistic run with an explicit [`CostPath`] and cost
-/// index setting.
-fn run_path(
+/// One traced run of `placer` with an explicit cost index setting.
+fn run_with(
     cfg: &SimConfig,
     inputs: &[JobInput],
-    path: CostPath,
+    placer: Box<dyn TaskPlacer>,
     cost_index: Option<bool>,
 ) -> SimReport {
     let mut cfg = cfg.clone();
     cfg.cost_index = cost_index;
-    let placer = Box::new(ProbabilisticPlacer::paper().with_cost_path(path));
     Simulation::new(cfg, placer)
         .with_trace(Box::new(InMemorySink::unbounded()))
         .run(inputs)
+}
+
+/// One traced run of the paper's placer.
+fn run_path(cfg: &SimConfig, inputs: &[JobInput], cost_index: Option<bool>) -> SimReport {
+    run_with(cfg, inputs, Box::new(ProbabilisticPlacer::paper()), cost_index)
 }
 
 /// Everything a run externalizes, in byte-comparable form.
@@ -71,15 +75,20 @@ fn incremental_path_matches_reference_on_every_experiment_config() {
     for (name, cfg, inputs) in experiment_cells(42) {
         // Force the cost index on (the 60-node auto-gate would leave it
         // off) so the classed machinery is actually exercised.
-        let inc = run_path(&cfg, &inputs, CostPath::Incremental, Some(true));
-        let refr = run_path(&cfg, &inputs, CostPath::Reference, Some(true));
+        let inc = run_path(&cfg, &inputs, Some(true));
+        let checked = SpecChecked::new(ProbabilisticPlacer::paper());
+        let tally = checked.tally();
+        let refr = run_with(&cfg, &inputs, Box::new(checked), Some(true));
         assert!(inc.counters.offers > 0, "{name}: run made no offers");
         assert_eq!(
             artifacts(&inc),
             artifacts(&refr),
-            "{name}: incremental path diverged from the reference recompute"
+            "{name}: the spec checker changed the run"
         );
         assert_eq!(inc.counters, refr.counters, "{name}: counter drift");
+        let c = &refr.counters;
+        assert_eq!(tally.offers(), c.offers - c.skips[SkipReason::NodeDead as usize]);
+        assert_eq!(tally.tolerated(), 0, "{name}: offers decided by rounding");
     }
 }
 
@@ -90,11 +99,10 @@ fn auto_gate_keeps_the_index_off_at_testbed_scale() {
     // activation threshold. (Forcing the index *on* is allowed to move
     // low-order float bits of `C_ave` — class-bucketed summation vs. the
     // per-node sum — which can flip a Bernoulli draw; that regime is
-    // covered bit-exactly against its own reference path above, not
-    // against the index-off stream.)
+    // held to the spec above, not to the index-off stream.)
     for (name, cfg, inputs) in experiment_cells(7) {
-        let auto = run_path(&cfg, &inputs, CostPath::Incremental, None);
-        let off = run_path(&cfg, &inputs, CostPath::Incremental, Some(false));
+        let auto = run_path(&cfg, &inputs, None);
+        let off = run_path(&cfg, &inputs, Some(false));
         assert_eq!(
             artifacts(&auto),
             artifacts(&off),
@@ -102,14 +110,4 @@ fn auto_gate_keeps_the_index_off_at_testbed_scale() {
         );
         assert_eq!(auto.counters, off.counters, "{name}: counter drift");
     }
-}
-
-#[test]
-fn reference_path_stays_deterministic() {
-    // The reference implementation is itself part of the gate — pin that
-    // it replays exactly, so a diff against it is always meaningful.
-    let (name, cfg, inputs) = experiment_cells(1301).remove(0);
-    let a = run_path(&cfg, &inputs, CostPath::Reference, Some(true));
-    let b = run_path(&cfg, &inputs, CostPath::Reference, Some(true));
-    assert_eq!(artifacts(&a), artifacts(&b), "{name}: reference path not deterministic");
 }
