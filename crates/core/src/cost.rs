@@ -81,7 +81,7 @@ pub fn reduce_total_input(c: &ReduceCandidate, est: IntermediateEstimator) -> f6
 
 /// `C_m_ave` via the class index: mathematically equal to
 /// [`map_cost_avg`] for any zero-diagonal, non-negative metric (the only
-/// kind [`CostClasses`] is derived for), but `O(classes × replicas)`
+/// kind [`CostClasses`] is built for), but `O(classes × replicas)`
 /// instead of `O(free nodes × replicas)`.
 ///
 /// Free nodes hosting a replica contribute 0 (their nearest replica is
@@ -353,7 +353,7 @@ mod tests {
     #[test]
     fn classed_map_avg_matches_legacy() {
         let m = two_racks();
-        let classes = CostClasses::derive(&m, 8).unwrap();
+        let classes = CostClasses::from_class_map(&[0, 0, 1, 1], &m);
         let h = classes.h_table(&m);
         // Replica on node 1 (free) and node 2 (not free); free = {0, 1, 3}.
         let c = MapCandidate {
@@ -380,7 +380,7 @@ mod tests {
     #[test]
     fn classed_reduce_avg_matches_legacy() {
         let m = two_racks();
-        let classes = CostClasses::derive(&m, 8).unwrap();
+        let classes = CostClasses::from_class_map(&[0, 0, 1, 1], &m);
         let h = classes.h_table(&m);
         let est = IntermediateEstimator::default();
         // Sources on a free node (1) and a busy node (2); free = {1, 3}.
@@ -413,7 +413,7 @@ mod tests {
             f64::INFINITY, f64::INFINITY, 0.0,
         ];
         let m = DistanceMatrix::from_rows(3, rows);
-        let classes = CostClasses::derive(&m, 8).unwrap();
+        let classes = CostClasses::from_class_map(&[0, 0, 1], &m);
         let h = classes.h_table(&m);
         let free = [NodeId(0), NodeId(1)];
         let (counts, bits, total) = crate::costidx::recount_free(&classes, &free);

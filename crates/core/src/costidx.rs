@@ -17,12 +17,12 @@
 //! holds every classed `C_ave` to within 1e-9 of its per-node mean, and
 //! every decision to the spec's.
 //!
-//! A hop metric that knows its classes (`pnats_net::ClassedDistance`)
-//! hands them over through [`CostClasses::from_class_map`]. Matrices
-//! without that structure are partitioned by [`CostClasses::derive`]; the
-//! §II-B3 congestion-scaled matrices quickly make every row distinct and
-//! fail its class cap, and the runtime then hands the placer no
-//! [`CostView`] at all, so the placer uses the per-node mean.
+//! The scheduling metric decides whether the index applies. Under hop
+//! counts (`pnats_net::ClassedDistance`) the metric knows its classes and
+//! hands them over through [`CostClasses::from_class_map`]. The §II-B3
+//! congestion-scaled matrix gives every pair its own cost, so it has no
+//! classes to hand over: the runtime builds no [`CostView`] for it, and
+//! the placer takes the per-node mean.
 
 use pnats_net::{NodeId, PathCost};
 
@@ -31,8 +31,8 @@ use pnats_net::{NodeId, PathCost};
 /// Nodes `i` and `j` are equivalent iff swapping them changes no path cost:
 /// `h(i,k) = h(j,k)` and `h(k,i) = h(k,j)` for every third node `k`, and
 /// `h(i,j) = h(j,i)`. Classes are numbered in first-seen (ascending node
-/// id) order, so the partition — and everything derived from it — is a
-/// deterministic function of the matrix alone.
+/// id) order, so the partition — and everything derived from it — does not
+/// depend on how the classes were labelled.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CostClasses {
     /// Node → class index.
@@ -45,77 +45,16 @@ pub struct CostClasses {
     /// singletons, where no such pair exists). Well-defined because the
     /// equivalence relation forces all intra-class pairs to one value.
     intra: Vec<f64>,
-    /// The [`PathCost::version`] of the matrix this partition was derived
-    /// from; consumers key their derived tables on it.
+    /// The [`PathCost::version`] of the matrix this partition was built
+    /// for; consumers key their derived tables on it.
     version: u64,
 }
 
 impl CostClasses {
-    /// Derive the partition from a cost matrix, or `None` if it needs more
-    /// than `max_classes` classes (an unstructured matrix — congestion
-    /// scaling makes rows distinct — where class bookkeeping would cost
-    /// more than it saves).
-    pub fn derive(cost: &dyn PathCost, max_classes: usize) -> Option<Self> {
-        let n = cost.n_nodes();
-        let mut class_of = vec![0u32; n];
-        let mut reps: Vec<NodeId> = Vec::new();
-        let mut sizes: Vec<u32> = Vec::new();
-        let mut intra: Vec<f64> = Vec::new();
-        for (i, slot) in class_of.iter_mut().enumerate() {
-            let ni = NodeId(i as u32);
-            let mut found = None;
-            'classes: for (q, &r) in reps.iter().enumerate() {
-                let pair = cost.path_cost(ni, r);
-                // NaN never matches (both comparisons false), pushing the
-                // node into its own class — NaN-poisoned matrices derive as
-                // all-singletons or fail the cap, never alias nodes.
-                if !(pair == cost.path_cost(r, ni)) {
-                    continue;
-                }
-                if sizes[q] >= 2 && !(pair == intra[q]) {
-                    continue;
-                }
-                for k in 0..n {
-                    let nk = NodeId(k as u32);
-                    if nk == ni || nk == r {
-                        continue;
-                    }
-                    if !(cost.path_cost(ni, nk) == cost.path_cost(r, nk))
-                        || !(cost.path_cost(nk, ni) == cost.path_cost(nk, r))
-                    {
-                        continue 'classes;
-                    }
-                }
-                found = Some((q, pair));
-                break;
-            }
-            match found {
-                Some((q, pair)) => {
-                    *slot = q as u32;
-                    if sizes[q] == 1 {
-                        intra[q] = pair;
-                    }
-                    sizes[q] += 1;
-                }
-                None => {
-                    if reps.len() >= max_classes {
-                        return None;
-                    }
-                    *slot = reps.len() as u32;
-                    reps.push(ni);
-                    sizes.push(1);
-                    intra.push(0.0);
-                }
-            }
-        }
-        Some(Self { class_of, reps, sizes, intra, version: cost.version() })
-    }
-
     /// Build from an explicit node → class map (for cost models that know
-    /// their class structure up front, e.g. a switch-grouped hop model,
-    /// where an `O(n²)` derivation would defeat the purpose). Class ids are
-    /// renumbered into first-seen order so the result is identical to what
-    /// [`CostClasses::derive`] would produce on the same partition.
+    /// their class structure up front, e.g. a switch-grouped hop model).
+    /// Class ids are renumbered into first-seen order, so any labelling of
+    /// one partition gives the same result.
     pub fn from_class_map(raw_class_of: &[u32], cost: &dyn PathCost) -> Self {
         let n = raw_class_of.len();
         assert_eq!(n, cost.n_nodes(), "class map must cover every node");
@@ -225,8 +164,8 @@ impl CostClasses {
 /// `generation` must change whenever free-set membership changes (a node
 /// gaining its first or losing its last free slot); the placer keys its
 /// reduce-side per-class distance sums on `(generation, cost version)`. A
-/// runtime whose matrix is unstructured builds no view, and the placer
-/// uses the legacy per-node mean (bit-identical to the unindexed code).
+/// runtime whose metric has no classes builds no view, and the placer uses
+/// the per-node mean.
 #[derive(Clone, Copy, Debug)]
 pub struct CostView<'a> {
     /// The partition of the matrix the context's costs come from.
@@ -286,7 +225,7 @@ mod tests {
     use pnats_net::DistanceMatrix;
 
     /// 2 racks × 2 nodes: hop ladder 0/2/4, two classes of two nodes.
-    fn two_racks() -> DistanceMatrix {
+    fn two_racks() -> (DistanceMatrix, CostClasses) {
         #[rustfmt::skip]
         let rows = vec![
             0.0, 2.0, 4.0, 4.0,
@@ -294,78 +233,33 @@ mod tests {
             4.0, 4.0, 0.0, 2.0,
             4.0, 4.0, 2.0, 0.0,
         ];
-        DistanceMatrix::from_rows(4, rows)
+        let m = DistanceMatrix::from_rows(4, rows);
+        let c = CostClasses::from_class_map(&[0, 0, 1, 1], &m);
+        (m, c)
     }
 
     #[test]
-    fn derive_groups_rack_mates() {
-        let c = CostClasses::derive(&two_racks(), 8).expect("structured");
+    fn from_class_map_renumbers_first_seen() {
+        let (m, c) = two_racks();
         assert_eq!(c.n_classes(), 2);
         assert_eq!(c.class_of(), &[0, 0, 1, 1]);
         assert_eq!(c.reps(), &[NodeId(0), NodeId(2)]);
         assert_eq!(c.sizes(), &[2, 2]);
         assert_eq!(c.intra(), &[2.0, 2.0]);
-    }
-
-    #[test]
-    fn derive_single_rack_is_one_class() {
-        let m = DistanceMatrix::from_rows(
-            3,
-            vec![0.0, 2.0, 2.0, 2.0, 0.0, 2.0, 2.0, 2.0, 0.0],
-        );
-        let c = CostClasses::derive(&m, 8).expect("structured");
-        assert_eq!(c.n_classes(), 1);
-        assert_eq!(c.sizes(), &[3]);
-        assert_eq!(c.intra(), &[2.0]);
-    }
-
-    #[test]
-    fn derive_respects_class_cap() {
-        // Figure 2's matrix has four distinct rows — four classes.
-        let m = DistanceMatrix::paper_figure2();
-        assert!(CostClasses::derive(&m, 3).is_none(), "cap must reject");
-        let c = CostClasses::derive(&m, 4).expect("under cap");
-        assert_eq!(c.n_classes(), 4);
-        assert_eq!(c.sizes(), &[1, 1, 1, 1]);
-        assert_eq!(c.intra(), &[0.0; 4]);
-    }
-
-    #[test]
-    fn derive_rejects_asymmetric_pairs_from_one_class() {
-        // h(0,1) ≠ h(1,0): 0 and 1 must not share a class even though
-        // their third-party rows agree.
-        #[rustfmt::skip]
-        let rows = vec![
-            0.0, 3.0, 5.0,
-            2.0, 0.0, 5.0,
-            5.0, 5.0, 0.0,
-        ];
-        let m = DistanceMatrix::from_rows(3, rows);
-        let c = CostClasses::derive(&m, 8).expect("still derivable");
-        assert_eq!(c.n_classes(), 3);
+        // Same partition under scrambled raw ids.
+        assert_eq!(CostClasses::from_class_map(&[7, 7, 3, 3], &m), c);
     }
 
     #[test]
     fn h_table_has_intra_diagonal() {
-        let m = two_racks();
-        let c = CostClasses::derive(&m, 8).unwrap();
+        let (m, c) = two_racks();
         let h = c.h_table(&m);
         assert_eq!(h, vec![2.0, 4.0, 4.0, 2.0]);
     }
 
     #[test]
-    fn from_class_map_matches_derive() {
-        let m = two_racks();
-        let derived = CostClasses::derive(&m, 8).unwrap();
-        // Same partition under scrambled raw ids: renumbered to first-seen.
-        let built = CostClasses::from_class_map(&[7, 7, 3, 3], &m);
-        assert_eq!(built, derived);
-    }
-
-    #[test]
     fn recount_and_view_audit() {
-        let m = two_racks();
-        let c = CostClasses::derive(&m, 8).unwrap();
+        let (_, c) = two_racks();
         let free = vec![NodeId(1), NodeId(2), NodeId(3)];
         let (counts, bits, total) = recount_free(&c, &free);
         assert_eq!(counts, vec![1, 2]);
@@ -386,8 +280,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "per-class free counts diverged")]
     fn audit_catches_stale_counts() {
-        let m = two_racks();
-        let c = CostClasses::derive(&m, 8).unwrap();
+        let (_, c) = two_racks();
         let free = vec![NodeId(1), NodeId(2)];
         let (_, bits, _) = recount_free(&c, &free);
         let stale = vec![2, 0]; // wrong: node 2 moved class
@@ -399,21 +292,5 @@ mod tests {
             generation: 0,
         };
         audit_view(&c, &free, &view, "test");
-    }
-
-    #[test]
-    fn nan_poisoned_matrix_never_aliases_nodes() {
-        struct NanCost;
-        impl PathCost for NanCost {
-            fn path_cost(&self, _: NodeId, _: NodeId) -> f64 {
-                f64::NAN
-            }
-            fn n_nodes(&self) -> usize {
-                3
-            }
-        }
-        let c = CostClasses::derive(&NanCost, 8).expect("all singletons fit");
-        assert_eq!(c.n_classes(), 3);
-        assert!(CostClasses::derive(&NanCost, 2).is_none());
     }
 }

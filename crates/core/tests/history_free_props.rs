@@ -11,13 +11,13 @@
 //! switch the [`CostView`] on and off between offers — so a table that
 //! outlives its key shows up as a diverging decision.
 
+mod spec;
+
 use pnats_core::context::{MapCandidate, ReduceCandidate, ShuffleSource};
 use pnats_core::costidx::recount_free;
 use pnats_core::placer::TaskPlacer;
 use pnats_core::types::{JobId, MapTaskId, ReduceTaskId};
-use pnats_core::{
-    CostClasses, CostView, MapSchedContext, ProbConfig, ProbabilisticPlacer, ReduceSchedContext,
-};
+use pnats_core::{CostView, MapSchedContext, ProbConfig, ProbabilisticPlacer, ReduceSchedContext};
 use pnats_net::{ClusterLayout, DistanceMatrix, NodeId, RackId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -193,7 +193,7 @@ proptest! {
                 last_free = free.clone();
             }
             let running = nodes_of(offer.running_mask, n);
-            let classes = CostClasses::derive(&h, n).expect("n classes always suffice");
+            let classes = spec::derive_classes(&h);
             let (counts, bits, total_free) = recount_free(&classes, &free);
             let view = CostView {
                 classes: &classes,

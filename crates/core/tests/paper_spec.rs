@@ -11,6 +11,11 @@
 //!   production arms: `P` is monotone in `C_i`; scaling every cost by 2^k
 //!   moves no decision; permuting the candidates moves no decision except
 //!   between exact ties.
+//! * The paper's numeric edges: §II-B3 matrices over any measured rate
+//!   from 1e-3 to 1e12 B/s stay finite and never undercut their hop
+//!   counts, and the placer scores every candidate on them; progress
+//!   extrapolation of a source whose `A_jf` grows with `d_read` returns the
+//!   final `I_jf` from the first byte read, and 0 before it.
 //! * The worked example of §II-B (Figure 2), on the spec.
 //!
 //! `SpecChecked` (`spec/checked.rs`) carries the same check through whole
@@ -21,11 +26,11 @@ mod spec;
 
 use pnats_core::costidx::recount_free;
 use pnats_core::{
-    CostClasses, CostView, Decision, JobId, MapCandidate, MapSchedContext, MapTaskId, ProbConfig,
-    ProbabilisticPlacer, ProbabilityModel, ReduceCandidate, ReduceSchedContext, ReduceTaskId,
-    ShuffleSource, SkipReason, TaskPlacer,
+    CostView, Decision, IntermediateEstimator, JobId, MapCandidate, MapSchedContext, MapTaskId,
+    ProbConfig, ProbabilisticPlacer, ProbabilityModel, ReduceCandidate, ReduceSchedContext,
+    ReduceTaskId, ShuffleSource, SkipReason, TaskPlacer,
 };
-use pnats_net::{ClusterLayout, DistanceMatrix, NodeId, PathCost, RackId};
+use pnats_net::{ClusterLayout, DistanceMatrix, NodeId, PathCost, RackId, RateMonitor};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -180,7 +185,7 @@ struct Outcome {
 /// [`Verdict`] comes along for the spec arm.
 fn decide(case: &Case, arm: Arm, reduce: bool) -> (Outcome, Option<Verdict>) {
     let layout = ClusterLayout::new(vec![RackId(0); case.h.n()]);
-    let classes = CostClasses::derive(&case.h, case.h.n()).expect("n classes always suffice");
+    let classes = spec::derive_classes(&case.h);
     let (counts, bits, total_free) = recount_free(&classes, &case.free);
     let view = CostView {
         classes: &classes,
@@ -347,6 +352,119 @@ proptest! {
             );
         }
     }
+}
+
+// The paper's numeric edges.
+
+/// The measured rates the properties range over, as powers of ten: from
+/// 1 mB/s (a transfer that crawls) to 1 TB/s (faster than any NIC).
+const RATE_EXP: std::ops::Range<f64> = -3.0..12.0;
+
+/// `case.h` as the §II-B3 base, scaled by a monitor fed `observed` —
+/// `(from, to, log10 rate)` folded onto the case's nodes — at NIC rate
+/// `nominal`.
+fn congested(case: &Case, observed: &[(usize, usize, f64)], nominal: f64) -> DistanceMatrix {
+    let n = case.h.n();
+    let mut monitor = RateMonitor::new(n, 0.3);
+    for &(a, b, exp) in observed {
+        monitor.observe(NodeId((a % n) as u32), NodeId((b % n) as u32), 10f64.powf(exp));
+    }
+    monitor.congestion_scaled_matrix(&case.h, nominal)
+}
+
+proptest! {
+    #[test]
+    fn congested_costs_stay_finite_and_at_least_their_hops(
+        case in case_strategy(),
+        observed in proptest::collection::vec((0..MAX_NODES, 0..MAX_NODES, RATE_EXP), 0..40),
+        nominal_exp in 6.0f64..11.0,
+    ) {
+        let h = congested(&case, &observed, 10f64.powf(nominal_exp));
+        for a in 0..h.n() {
+            for b in 0..h.n() {
+                let (na, nb) = (NodeId(a as u32), NodeId(b as u32));
+                let (got, hop) = (h.path_cost(na, nb), case.h.path_cost(na, nb));
+                prop_assert!(got.is_finite() && got >= hop, "h({a},{b}) = {got} under hop {hop}");
+            }
+        }
+        let case = Case { h, ..case };
+        for reduce in [false, true] {
+            for arm in [Arm::Plain, Arm::Indexed] {
+                let (got, _) = decide(&case, arm, reduce);
+                let booked = got.decision;
+                prop_assert!(booked != Decision::Skip(SkipReason::NonFiniteCost), "{:?}", arm);
+            }
+        }
+    }
+
+    #[test]
+    fn extrapolation_recovers_proportional_growth_from_the_first_byte(
+        final_bytes in prop_oneof![1 => Just(0.0), 4 => 1.0f64..1e12],
+        input_total in 1u64..1 << 40,
+        read in 0u64..1 << 40,
+        nodes in proptest::collection::vec(0..MAX_NODES, 1..=4),
+        seed in 0u64..1 << 32,
+    ) {
+        let d_read = read % (input_total + 1);
+        let current_bytes = final_bytes * d_read as f64 / input_total as f64;
+        let source = |node: usize| ShuffleSource {
+            node: NodeId(node as u32),
+            current_bytes,
+            input_read: d_read,
+            input_total,
+        };
+        let est = IntermediateEstimator::ProgressExtrapolated.estimate(&source(0));
+        prop_assert_eq!(est, spec::intermediate(&source(0)));
+        if d_read == 0 {
+            prop_assert_eq!(est, 0.0);
+        } else {
+            let gap = (est - final_bytes).abs();
+            prop_assert!(gap <= 1e-9 * final_bytes, "{} vs {}", est, final_bytes);
+        }
+        // Sources spread over a hop ladder: the reduce is scored, and on
+        // the one node already holding all its input it is placed.
+        let n = MAX_NODES;
+        let rows = (0..n * n).map(|k| if k / n == k % n { 0.0 } else { 1.0 + (k / n % 3) as f64 });
+        let h = DistanceMatrix::from_rows(n, rows.collect());
+        let layout = ClusterLayout::new(vec![RackId(0); n]);
+        let free: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+        let spread = [ReduceCandidate {
+            task: ReduceTaskId { job: JOB, index: 0 },
+            sources: nodes.iter().map(|&k| source(k)).collect(),
+        }];
+        let home = [ReduceCandidate {
+            task: ReduceTaskId { job: JOB, index: 1 },
+            sources: nodes.iter().map(|_| source(nodes[0])).collect(),
+        }];
+        let mut placer = ProbabilisticPlacer::new(ProbConfig::with_p_min(0.0));
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for offered in free.iter().copied() {
+            let ctx = ReduceSchedContext::new(JOB, &spread, &free, &h, &layout);
+            let d = placer.place_reduce(&ctx, offered, &mut rng);
+            let scored = matches!(d, Decision::Assign(0) | Decision::Skip(SkipReason::DrawFailed));
+            prop_assert!(scored, "{:?}", d);
+            let detail = placer.last_detail().expect("the candidate was scored");
+            prop_assert!(detail.cost.is_finite() && detail.cost_avg.is_finite(), "{:?}", detail);
+        }
+        let ctx = ReduceSchedContext::new(JOB, &home, &free, &h, &layout);
+        let at_home = placer.place_reduce(&ctx, NodeId(nodes[0] as u32), &mut rng);
+        prop_assert_eq!(at_home, Decision::Assign(0));
+    }
+}
+
+/// The one edge the range above leaves out: a rate below
+/// `nominal / f64::MAX` overflows `nominal / rate`, and the entry turns
+/// into ∞. No simulated transfer measures such a rate (at 1 Gbps it is
+/// under 1e-300 B/s).
+#[test]
+fn a_rate_below_nominal_over_f64_max_makes_the_entry_infinite() {
+    let nominal = 125e6;
+    let mut monitor = RateMonitor::new(2, 0.3);
+    monitor.observe(D1, D2, nominal / f64::MAX / 4.0);
+    let base = DistanceMatrix::from_rows(2, vec![0.0, 2.0, 2.0, 0.0]);
+    let h = monitor.congestion_scaled_matrix(&base, nominal);
+    assert_eq!(h.path_cost(D1, D2), f64::INFINITY);
+    assert_eq!(h.path_cost(D2, D1), 2.0);
 }
 
 // The worked example of §II-B (Figure 2), on the spec: the same numbers

@@ -15,6 +15,10 @@
 //!   where the winner's `P` lies within [`P_EPS`] of `P_min`, of the
 //!   runner-up or of the draw. Those offers are counted in
 //!   [`Tally::tolerated`], not failed.
+//!
+//! [`Tally::viewed`] counts the offers that carried a
+//! [`CostView`](pnats_core::CostView), so a run can pin which `C_ave` path
+//! its metric took.
 
 use super::{place_map, place_reduce, Verdict};
 use pnats_core::cost::{map_cost_avg_classed, reduce_class_base, reduce_cost_avg_classed};
@@ -47,6 +51,8 @@ pub struct Tally {
     /// Offers where production and spec disagreed within [`P_EPS`] of a
     /// boundary.
     pub tolerated: AtomicU64,
+    /// Offers that carried a class index.
+    pub viewed: AtomicU64,
 }
 
 impl Tally {
@@ -56,6 +62,10 @@ impl Tally {
 
     pub fn tolerated(&self) -> u64 {
         self.tolerated.load(Ordering::Relaxed)
+    }
+
+    pub fn viewed(&self) -> u64 {
+        self.viewed.load(Ordering::Relaxed)
     }
 }
 
@@ -144,6 +154,7 @@ impl<P: TaskPlacer> TaskPlacer for SpecChecked<P> {
         let mut spec_rng = rng.clone();
         let want = place_map(ctx, node, self.p_min, &mut spec_rng);
         if let Some(v) = &ctx.cost_view {
+            self.tally.viewed.fetch_add(1, Ordering::Relaxed);
             audit_view(v.classes, ctx.free_map_nodes, v, "map");
             let h = v.classes.h_table(ctx.cost);
             for (c, &mean) in ctx.candidates.iter().zip(&want.c_ave) {
@@ -169,6 +180,7 @@ impl<P: TaskPlacer> TaskPlacer for SpecChecked<P> {
         let mut spec_rng = rng.clone();
         let want = place_reduce(ctx, node, self.p_min, &mut spec_rng);
         if let Some(v) = &ctx.cost_view {
+            self.tally.viewed.fetch_add(1, Ordering::Relaxed);
             audit_view(v.classes, ctx.free_reduce_nodes, v, "reduce");
             let h = v.classes.h_table(ctx.cost);
             let mut base = Vec::new();

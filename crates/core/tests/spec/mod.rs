@@ -12,12 +12,14 @@
 //! probability right at a boundary) is [`Verdict::near_boundary`]. Test
 //! crates include this file with `#[path]`; [`checked`] wraps a production
 //! placer so that every offer of a whole simulation is held to the spec.
+//! [`derive_classes`] partitions any matrix for the class index, straight
+//! from the definition of a class.
 #![allow(dead_code)]
 
 pub mod checked;
 
 use pnats_core::{
-    Decision, MapCandidate, MapSchedContext, ReduceCandidate, ReduceSchedContext, ShuffleSource,
+    CostClasses, Decision, MapCandidate, MapSchedContext, ReduceCandidate, ReduceSchedContext, ShuffleSource,
     SkipReason,
 };
 use pnats_net::{NodeId, PathCost};
@@ -157,4 +159,36 @@ pub fn place_reduce(
         .iter()
         .map(|c| (reduce_cost(c, i, h), mean_over(free, |k| reduce_cost(c, k, h))));
     decide(costs, p_min, rng)
+}
+
+/// The path-cost equivalence partition the class index sums over: nodes
+/// `i` and `j` share a class iff swapping them changes no path cost — that
+/// is, `h(i,j) = h(j,i)`, `h(i,i) = h(j,j)`, and `h(i,k) = h(j,k)` and
+/// `h(k,i) = h(k,j)` for every other node `k`. Swaps compose, so this is an
+/// equivalence, and each node need only be tried against the lowest-id
+/// member of each class so far. A NaN entry equals nothing, so a
+/// NaN-poisoned row never aliases two nodes.
+pub fn derive_classes(h: &dyn PathCost) -> CostClasses {
+    let n = h.n_nodes();
+    let at = |a: usize, b: usize| h.path_cost(NodeId(a as u32), NodeId(b as u32));
+    let swappable = |i: usize, j: usize| {
+        at(i, j) == at(j, i)
+            && at(i, i) == at(j, j)
+            && (0..n)
+                .filter(|&k| k != i && k != j)
+                .all(|k| at(i, k) == at(j, k) && at(k, i) == at(k, j))
+    };
+    let mut lowest: Vec<usize> = Vec::new();
+    let mut class_of: Vec<u32> = Vec::with_capacity(n);
+    for i in 0..n {
+        let label = match lowest.iter().find(|&&r| swappable(i, r)) {
+            Some(&r) => class_of[r],
+            None => {
+                lowest.push(i);
+                i as u32
+            }
+        };
+        class_of.push(label);
+    }
+    CostClasses::from_class_map(&class_of, h)
 }

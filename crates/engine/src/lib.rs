@@ -8,8 +8,9 @@
 //!
 //! It is a deliberately small Hadoop-1.x-shaped runtime:
 //!
-//! * a block store ([`pnats_dfs`]) holding real bytes, split and replicated
-//!   across virtual nodes of a [`pnats_net::Topology`];
+//! * input blocks holding real bytes, split by the engine itself and
+//!   replicated by [`pnats_dfs`]'s rack-aware placement across virtual
+//!   nodes of a [`pnats_net::Topology`];
 //! * per-node **map/reduce slots** served by OS threads;
 //! * a driver thread playing JobTracker: it heartbeats every few
 //!   milliseconds and fills free slots through the *same*

@@ -190,8 +190,8 @@ mod tests {
         assert_matches_dense(&Topology::fat_tree(4, 1e9));
     }
 
-    /// The shapes the simulator runs the class index on: the oversubscribed
-    /// cloud slice and `scale_sweep`'s 1 000-node fabric.
+    /// Two more shapes the simulator runs hop-metric cells on: the
+    /// oversubscribed cloud slice and `scale_sweep`'s 1 000-node fabric.
     #[test]
     fn matches_dense_on_the_simulated_fabrics() {
         assert_matches_dense(&Topology::palmetto_slice_oversub(60, 1e9, 2.0));

@@ -107,6 +107,9 @@ pub struct SimConfig {
     /// of the nodes"), and the one where placement quality matters.
     pub ingest_fraction: f64,
     /// Schedule with congestion-scaled costs (§II-B3) instead of raw hops.
+    /// The metric also picks how the placer averages `C_ave`: per node
+    /// under §II-B3, whose every pair has its own cost, and over the hop
+    /// metric's leaf-switch classes otherwise (`pnats_core::costidx`).
     pub network_condition: bool,
     /// EWMA factor of the path-rate monitor.
     pub monitor_alpha: f64,
@@ -133,11 +136,6 @@ pub struct SimConfig {
     /// contend — which is what makes 10k-node / 1M-task sweeps tractable; it
     /// is a throughput benchmark mode, not an experiment mode.
     pub fluid_network: bool,
-    /// Class-partition cost index (incremental `C_ave` maintenance).
-    /// `None` = automatic: enabled for clusters larger than 64 nodes,
-    /// disabled otherwise so small-cluster goldens keep their historical
-    /// bit-exact floating-point summation order. `Some(_)` forces it.
-    pub cost_index: Option<bool>,
     /// Master seed for all randomness.
     pub seed: u64,
     /// Hard wall on simulated time; runs exceeding it report unfinished
@@ -189,7 +187,6 @@ impl SimConfig {
             background: Vec::new(),
             faults: FaultPlan::none(),
             fluid_network: true,
-            cost_index: None,
             seed: 42,
             max_sim_time: 200_000.0,
             tenancy: None,

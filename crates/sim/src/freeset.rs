@@ -115,11 +115,6 @@ impl FreeSet {
         }
     }
 
-    /// Whether a class partition is installed.
-    pub fn has_classes(&self) -> bool {
-        !self.class_of.is_empty()
-    }
-
     /// Install a node → class partition and recount per-class totals.
     pub fn set_classes(&mut self, class_of: &[u32], n_classes: usize) {
         assert_eq!(class_of.len().div_ceil(64), self.words.len(), "partition size mismatch");
@@ -134,12 +129,6 @@ impl FreeSet {
             }
         }
         self.generation += 1;
-    }
-
-    /// Drop the class partition.
-    pub fn clear_classes(&mut self) {
-        self.class_of.clear();
-        self.counts.clear();
     }
 
     /// Rebuild the ascending free-node list if membership changed since the
@@ -354,8 +343,6 @@ mod tests {
         f.set(2, true);
         f.set(5, false);
         assert_eq!(f.counts(), &[2, 0]);
-        f.clear_classes();
-        assert!(!f.has_classes());
     }
 
     #[test]

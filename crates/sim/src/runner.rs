@@ -148,13 +148,9 @@ pub struct Simulation {
     map_free: FreeSet,
     /// Nodes with ≥1 free reduce slot.
     reduce_free: FreeSet,
-    /// Cost-class partition of the active scheduling metric, when the
-    /// incremental cost index is enabled and derivation succeeded.
+    /// The hop metric's class partition, installed in both free sets; `None`
+    /// under §II-B3, whose per-pair costs have no classes.
     classes: Option<CostClasses>,
-    /// Sticky: once the active metric fails to partition under the class
-    /// cap, stop retrying for the rest of the run.
-    class_derive_failed: bool,
-    cost_index_enabled: bool,
     /// Ascending indices of jobs with `arrived && !terminated` — the
     /// membership (and order) of the old per-offer full-table scan.
     active_jobs: Vec<usize>,
@@ -239,8 +235,15 @@ impl Simulation {
             map_free.set(i, n.free_map > 0);
             reduce_free.set(i, n.free_reduce > 0);
         }
+        // The metric picks the `C_ave` path: hop counts make the nodes of one
+        // leaf switch interchangeable, so the placer sums over classes.
+        let classes = congestion.is_none().then(|| {
+            let cls = CostClasses::from_class_map(hops.class_of(), &hops);
+            map_free.set_classes(cls.class_of(), cls.n_classes());
+            reduce_free.set_classes(cls.class_of(), cls.n_classes());
+            cls
+        });
         let trace = Trace::new(cfg.total_map_slots(), cfg.total_reduce_slots());
-        let cost_index_enabled = cfg.cost_index.unwrap_or(cfg.n_nodes > 64);
         Self {
             congestion,
             transfers,
@@ -257,9 +260,7 @@ impl Simulation {
             trace,
             map_free,
             reduce_free,
-            classes: None,
-            class_derive_failed: false,
-            cost_index_enabled,
+            classes,
             active_jobs: Vec::new(),
             map_heads: BTreeSet::new(),
             map_head_of: Vec::new(),
@@ -462,7 +463,6 @@ impl Simulation {
                 self.placer.on_heartbeat_round(self.round);
                 self.observer.begin_round(self.round);
                 self.refresh_sched_matrix();
-                self.ensure_classes();
                 if self.tenancy.as_ref().is_some_and(|tn| !tn.passthrough) {
                     let t0 = std::time::Instant::now();
                     self.schedule_node(node);
@@ -695,47 +695,10 @@ impl Simulation {
         }
         let next_version = c.matrix.version() + 1;
         c.matrix = c.monitor.congestion_scaled_matrix(&c.base, self.cfg.nic_bps);
-        // Each snapshot gets a fresh revision so the class tables keyed on
-        // `PathCost::version` notice the change.
+        // `PathCost::version` must move with every change, and each fresh
+        // snapshot would otherwise carry the same one.
         c.matrix.set_version(next_version);
         c.taken_t = self.now;
-    }
-
-    /// Keep the cost-class partition in sync with the active scheduling
-    /// metric. Cheap when nothing changed (version check); re-derives only
-    /// after a congestion-matrix refresh.
-    fn ensure_classes(&mut self) {
-        if !self.cost_index_enabled || self.class_derive_failed {
-            return;
-        }
-        let cost = sched_metric(&self.congestion, &self.hops);
-        if let Some(cls) = &self.classes {
-            if cls.version() == cost.version() {
-                return;
-            }
-        }
-        let cap = 64.min(4.max(self.cfg.n_nodes / 4));
-        let derived = match &self.congestion {
-            // The hop metric already carries its partition.
-            None => Some(CostClasses::from_class_map(self.hops.class_of(), &self.hops)),
-            Some(c) => CostClasses::derive(&c.matrix, cap),
-        };
-        match derived {
-            Some(cls) if cls.n_classes() <= cap => {
-                self.map_free.set_classes(cls.class_of(), cls.n_classes());
-                self.reduce_free.set_classes(cls.class_of(), cls.n_classes());
-                self.classes = Some(cls);
-            }
-            _ => {
-                // Metric does not partition under the cap (e.g. heavily
-                // congestion-skewed) — fall back to the per-node mean for
-                // the rest of the run.
-                self.class_derive_failed = true;
-                self.classes = None;
-                self.map_free.clear_classes();
-                self.reduce_free.clear_classes();
-            }
-        }
     }
 
     /// Sync `active_jobs` / `map_heads` membership for job `ji` after any

@@ -1,17 +1,19 @@
 //! Property tests of the incremental cost maintenance: for *arbitrary*
 //! small clusters (≤12 nodes), job shapes (≤64 tasks) and seeded
-//! [`FaultPlan`]s, every decision the class-indexed placer makes must be
-//! the paper's, after every event.
+//! [`FaultPlan`]s, every decision the placer makes must be the paper's,
+//! after every event.
 //!
-//! Each generated scenario runs with the cost index forced on, once plain
-//! and once under `SpecChecked` (`crates/core/tests/spec/checked.rs`). On
-//! every offer the checker audits the free-set view, holds every classed
-//! `C_ave` to within 1e-9 of the spec's per-node mean, and holds the
-//! decision and the RNG state to the spec's (bar a `P` within 1e-9 of a
-//! boundary). Byte equality of the two runs' artifacts pins that the
-//! checker is transparent. Together they pin that the incremental
-//! bookkeeping never drifted, across crashes, recoveries, heartbeat loss
-//! and link degradation. The case count honors `PROPTEST_CASES`.
+//! The metric picks the `C_ave` path: a hop-metric shape runs the class
+//! index on every offer, a §II-B3 shape the per-node mean on every offer.
+//! Each generated scenario runs once plain and once under `SpecChecked`
+//! (`crates/core/tests/spec/checked.rs`). On every offer the checker audits
+//! the free-set view, holds every classed `C_ave` to within 1e-9 of the
+//! spec's per-node mean, and holds the decision and the RNG state to the
+//! spec's (bar a `P` within 1e-9 of a boundary). Byte equality of the two
+//! runs' artifacts pins that the checker is transparent. Together they pin
+//! that the incremental bookkeeping never drifted, across crashes,
+//! recoveries, heartbeat loss and link degradation. The case count honors
+//! `PROPTEST_CASES`.
 
 #[path = "../../core/tests/spec/mod.rs"]
 mod spec;
@@ -87,9 +89,6 @@ fn build(shape: &Shape, plan: &FaultPlan, seed: u64) -> (SimConfig, Vec<JobInput
     cfg.max_sim_time = 5_000.0;
     cfg.network_condition = shape.network_condition;
     cfg.fluid_network = shape.fluid;
-    // Force the class-compressed machinery on — the auto-gate would leave
-    // it off at this scale, and an idle index is vacuously correct.
-    cfg.cost_index = Some(true);
     cfg.faults = plan.clone();
     let inputs = shape
         .jobs
@@ -120,6 +119,8 @@ fn run_checked(cfg: &SimConfig, inputs: &[JobInput]) -> SimReport {
     let c = &report.counters;
     let placed = c.offers - c.skips[SkipReason::NodeDead as usize];
     assert_eq!(tally.offers(), placed, "the checker saw every placer call");
+    let indexed = if cfg.network_condition { 0 } else { placed };
+    assert_eq!(tally.viewed(), indexed, "the metric picks the C_ave path");
     report
 }
 
