@@ -55,6 +55,12 @@ impl CouplingPlacer {
         Self::new(0.8, 0.4, 3, 1.0)
     }
 
+    /// When the pending reduce `task` was first offered a slot it did not
+    /// take, while it is still waiting for its centrality node.
+    pub fn postponed_since(&self, task: ReduceTaskId) -> Option<f64> {
+        self.first_offer.get(&task).copied()
+    }
+
     /// Reduce launches are *coupled* to map progress: with fraction `f` of
     /// map work done, at most `ceil(f · reduces_total)` reduces may run.
     fn launch_permitted(ctx: &ReduceSchedContext<'_>) -> bool {
@@ -117,8 +123,9 @@ impl TaskPlacer for CouplingPlacer {
             return Decision::Skip(SkipReason::PostponedReduce);
         }
         // Pick the pending reduce with the largest current shuffle input
-        // (the one whose centrality matters most right now); random among
-        // sourceless tasks.
+        // (the one whose centrality matters most right now). `max_by` keeps
+        // the *last* of equal maxima, so ties — a window of sourceless
+        // tasks included — go to the last tied candidate in window order.
         let est = IntermediateEstimator::CurrentSize;
         let (best_idx, _) = ctx
             .candidates
@@ -131,16 +138,20 @@ impl TaskPlacer for CouplingPlacer {
 
         // Centrality test on *current* sizes and the COARSE node/rack cost
         // ladder — Coupling cannot see switch structure or congestion; that
-        // granularity gap is precisely what the paper's method adds.
-        let coarse = RackLadderCost::hadoop(ctx.layout.clone());
+        // granularity gap is precisely what the paper's method adds. The
+        // node is central iff no free node is cheaper beyond a 0.01 %
+        // tolerance, so the first cheaper node settles the test. That is
+        // `here <= min_k C(k)·1.0001 + ε` over the free set: `x ↦ x·1.0001
+        // + ε` is monotone under rounding, costs are non-negative (the
+        // heartbeating node, always free, passes against itself) and never
+        // NaN.
+        let coarse = RackLadderCost::hadoop(ctx.layout);
         let here = reduce_cost(cand, node, &coarse, est);
-        let min_free = ctx
+        let is_centrality = ctx
             .free_reduce_nodes
             .iter()
-            .map(|&k| reduce_cost(cand, k, &coarse, est))
-            .min_by(f64::total_cmp)
-            .unwrap_or(0.0);
-        let is_centrality = here <= min_free * 1.0001 + f64::EPSILON;
+            .filter(|&&k| k != node)
+            .all(|&k| here <= reduce_cost(cand, k, &coarse, est) * 1.0001 + f64::EPSILON);
 
         let first = *self.first_offer.entry(cand.task).or_insert(ctx.now);
         let waited_out = ctx.now - first >= self.max_postpone as f64 * self.heartbeat_s;
@@ -306,6 +317,35 @@ mod tests {
         let mut r = rng();
         let ctx = reduce_ctx(&cands, &free, &h, topo.layout(), 1.0, 0, 1, 0.0);
         assert_eq!(p.place_reduce(&ctx, NodeId(1), &mut r), Decision::Assign(0));
+    }
+
+    #[test]
+    fn reduce_ties_go_to_the_last_candidate() {
+        let topo = Topology::single_rack(2, GB);
+        let h = DistanceMatrix::hops(&topo);
+        let cand = |index, bytes: &[f64]| ReduceCandidate {
+            task: ReduceTaskId { job: JobId(0), index },
+            sources: bytes
+                .iter()
+                .map(|&b| ShuffleSource {
+                    node: NodeId(0),
+                    current_bytes: b,
+                    input_read: 1,
+                    input_total: 2,
+                })
+                .collect(),
+        };
+        let free = vec![NodeId(0), NodeId(1)];
+        let mut p = CouplingPlacer::paper();
+        // All sourceless: the last candidate of the window launches.
+        let cands = vec![cand(0, &[]), cand(1, &[]), cand(2, &[])];
+        let ctx = reduce_ctx(&cands, &free, &h, topo.layout(), 1.0, 0, 3, 0.0);
+        assert_eq!(p.place_reduce(&ctx, NodeId(0), &mut rng()), Decision::Assign(2));
+        // Equal largest totals: the later of the two tied ones, not the
+        // smaller last one.
+        let cands = vec![cand(0, &[4.0, 6.0]), cand(1, &[10.0]), cand(2, &[5.0])];
+        let ctx = reduce_ctx(&cands, &free, &h, topo.layout(), 1.0, 0, 3, 0.0);
+        assert_eq!(p.place_reduce(&ctx, NodeId(0), &mut rng()), Decision::Assign(1));
     }
 
     #[test]

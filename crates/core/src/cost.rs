@@ -57,6 +57,10 @@ pub fn reduce_cost(
 /// `C_r_ave` (Algorithm 2, line 7): expected cost of assigning reduce
 /// candidate `c` uniformly over the nodes with free reduce slots:
 /// `Σ_{k=1}^{N_r} C_r(k,f) / N_r`.
+///
+/// Each source's `Î_jf` is estimated once, not once per free node; every
+/// product and both summation orders are [`reduce_cost`]'s, so the result
+/// is bit-identical to the mean of its per-node values.
 pub fn reduce_cost_avg(
     c: &ReduceCandidate,
     free_nodes: &[NodeId],
@@ -66,9 +70,12 @@ pub fn reduce_cost_avg(
     if free_nodes.is_empty() {
         return f64::INFINITY;
     }
+    let bytes: Vec<f64> = c.sources.iter().map(|s| est.estimate(s)).collect();
     let sum: f64 = free_nodes
         .iter()
-        .map(|&k| reduce_cost(c, k, cost, est))
+        .map(|&k| -> f64 {
+            c.sources.iter().zip(&bytes).map(|(s, b)| b * cost.path_cost(s.node, k)).sum()
+        })
         .sum();
     sum / free_nodes.len() as f64
 }
@@ -375,6 +382,27 @@ mod tests {
             &view
         )
         .is_infinite());
+    }
+
+    #[test]
+    fn reduce_cost_avg_is_the_mean_of_reduce_cost_bit_for_bit() {
+        let h = DistanceMatrix::paper_figure2();
+        let src = |node, current_bytes, input_read| ShuffleSource {
+            node: NodeId(node),
+            current_bytes,
+            input_read,
+            input_total: 3,
+        };
+        let c = ReduceCandidate {
+            task: rt(0),
+            sources: vec![src(1, 0.1, 1), src(3, 0.7, 2), src(1, 1.3, 0), src(2, 0.3, 3)],
+        };
+        let free = [NodeId(3), NodeId(0), NodeId(2), NodeId(1)];
+        for est in [IntermediateEstimator::ProgressExtrapolated, IntermediateEstimator::CurrentSize] {
+            let sum: f64 = free.iter().map(|&k| reduce_cost(&c, k, &h, est)).sum();
+            let mean = sum / free.len() as f64;
+            assert_eq!(reduce_cost_avg(&c, &free, &h, est).to_bits(), mean.to_bits());
+        }
     }
 
     #[test]

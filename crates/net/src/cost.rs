@@ -79,27 +79,29 @@ impl PathCost for UniformCost {
 /// 0 on the same node, `rack_cost` within a rack, `remote_cost` across
 /// racks. This is all the network structure Delay Scheduling, Coupling and
 /// LARTS can see — the paper's §I criticizes exactly this granularity.
-#[derive(Clone, Debug)]
-pub struct RackLadderCost {
-    layout: crate::topology::ClusterLayout,
+///
+/// It borrows the layout: a placer builds one per offer.
+#[derive(Clone, Copy, Debug)]
+pub struct RackLadderCost<'a> {
+    layout: &'a crate::topology::ClusterLayout,
     rack_cost: f64,
     remote_cost: f64,
 }
 
-impl RackLadderCost {
+impl<'a> RackLadderCost<'a> {
     /// The classic Hadoop ladder: 0 / 2 / 4.
-    pub fn hadoop(layout: crate::topology::ClusterLayout) -> Self {
+    pub fn hadoop(layout: &'a crate::topology::ClusterLayout) -> Self {
         Self::new(layout, 2.0, 4.0)
     }
 
     /// A custom ladder.
-    pub fn new(layout: crate::topology::ClusterLayout, rack_cost: f64, remote_cost: f64) -> Self {
+    pub fn new(layout: &'a crate::topology::ClusterLayout, rack_cost: f64, remote_cost: f64) -> Self {
         assert!(remote_cost >= rack_cost && rack_cost >= 0.0);
         Self { layout, rack_cost, remote_cost }
     }
 }
 
-impl PathCost for RackLadderCost {
+impl PathCost for RackLadderCost<'_> {
     fn path_cost(&self, a: NodeId, b: NodeId) -> f64 {
         if a == b {
             0.0
@@ -123,7 +125,7 @@ mod tests {
     #[test]
     fn rack_ladder_matches_hadoop_classes() {
         let topo = Topology::multi_rack(2, 2, 1.0, 1.0);
-        let c = RackLadderCost::hadoop(topo.layout().clone());
+        let c = RackLadderCost::hadoop(topo.layout());
         assert_eq!(c.path_cost(NodeId(0), NodeId(0)), 0.0);
         assert_eq!(c.path_cost(NodeId(0), NodeId(1)), 2.0);
         assert_eq!(c.path_cost(NodeId(0), NodeId(2)), 4.0);
@@ -135,7 +137,7 @@ mod tests {
         // On a single-rack (or single-logical-rack) cluster every distinct
         // pair costs the same — the coarse view the paper improves on.
         let topo = Topology::palmetto_slice(9, 1.0);
-        let c = RackLadderCost::hadoop(topo.layout().clone());
+        let c = RackLadderCost::hadoop(topo.layout());
         for a in topo.nodes() {
             for b in topo.nodes() {
                 if a != b {

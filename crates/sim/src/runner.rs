@@ -25,13 +25,13 @@ use crate::config::{JobInput, SimConfig};
 use crate::events::{EventKind, EventQueue};
 use crate::freeset::FreeSet;
 use crate::service::{TenancyState, TenantRunStats};
-use crate::state::{JobState, MapPhase, NodeState, ReducePhase};
+use crate::state::{JobState, MapPhase, NodeState, ReducePhase, ReduceWindow};
 use crate::trace::{JobRecord, TaskKind, TaskRecord, Trace};
 use crate::transfers::{Completion, Engine, NominalTransfers, RateSource, TransferTag, Transfers};
-use pnats_core::context::{MapSchedContext, ReduceCandidate, ReduceSchedContext};
+use pnats_core::context::{MapSchedContext, ReduceSchedContext};
 use pnats_core::costidx::CostClasses;
 use pnats_core::placer::{Decision, SkipReason, TaskPlacer};
-use pnats_core::types::{JobId, ReduceTaskId};
+use pnats_core::types::JobId;
 use pnats_dfs::{RackAware, ReplicaPlacement};
 use pnats_metrics::LocalityClass;
 use pnats_obs::{DecisionObserver, FaultKind, FaultRecord, SchedCounters, TraceSink};
@@ -148,6 +148,8 @@ pub struct Simulation {
     map_free: FreeSet,
     /// Nodes with ≥1 free reduce slot.
     reduce_free: FreeSet,
+    /// The candidate buffers of reduce offers, reused across offers.
+    reduce_window: ReduceWindow,
     /// The hop metric's class partition, installed in both free sets; `None`
     /// under §II-B3, whose per-pair costs have no classes.
     classes: Option<CostClasses>,
@@ -260,6 +262,7 @@ impl Simulation {
             trace,
             map_free,
             reduce_free,
+            reduce_window: ReduceWindow::default(),
             classes,
             active_jobs: Vec::new(),
             map_heads: BTreeSet::new(),
@@ -962,34 +965,17 @@ impl Simulation {
     /// Offer one reduce slot on `node` for job `ji`.
     fn offer_reduce(&mut self, ji: usize, node: NodeId) -> Option<usize> {
         let job = &self.jobs[ji];
-        let window: Vec<usize> = job
-            .unassigned_reduces
-            .iter()
-            .take(self.cfg.reduce_candidate_window)
-            .collect();
-        let candidates: Vec<ReduceCandidate> = window
-            .iter()
-            .map(|&f| ReduceCandidate {
-                task: ReduceTaskId { job: job.id, index: f as u32 },
-                sources: job.shuffle_sources(f, self.now),
-            })
-            .collect();
+        let progress = self.reduce_window.fill(job, self.cfg.reduce_candidate_window, self.now);
+        let candidates = self.reduce_window.candidates();
         let cost = sched_metric(&self.congestion, &self.hops);
         self.reduce_free.ensure_list();
         let free = self.reduce_free.list();
-        let job = &self.jobs[ji];
         let launched = job.reduces.len() - job.unassigned_reduces.len();
-        let mut ctx = ReduceSchedContext::new(
-            job.id,
-            &candidates,
-            free,
-            cost,
-            &self.layout,
-        )
-        .running_on(&job.reduce_nodes)
-        .map_phase(job.map_work_progress(self.now), job.maps_finished, job.maps.len())
-        .reduce_phase(launched, job.reduces.len())
-        .at(self.now);
+        let mut ctx = ReduceSchedContext::new(job.id, candidates, free, cost, &self.layout)
+            .running_on(&job.reduce_nodes)
+            .map_phase(progress, job.maps_finished, job.maps.len())
+            .reduce_phase(launched, job.reduces.len())
+            .at(self.now);
         if let Some(cls) = &self.classes {
             ctx = ctx.with_cost_view(self.reduce_free.view(cls));
         }
@@ -997,7 +983,7 @@ impl Simulation {
         self.observer
             .observe_reduce(&ctx, node, decision, self.placer.last_detail());
         match decision {
-            Decision::Assign(i) => Some(window[i]),
+            Decision::Assign(i) => Some(candidates[i].task.index as usize),
             Decision::Skip(_) => {
                 self.trace.skipped_offers += 1;
                 None

@@ -19,8 +19,8 @@
 
 use crate::config::JobInput;
 use crate::freeset::PendingList;
-use pnats_core::context::{MapCandidate, ShuffleSource};
-use pnats_core::types::{JobId, MapTaskId};
+use pnats_core::context::{MapCandidate, ReduceCandidate, ShuffleSource};
+use pnats_core::types::{JobId, MapTaskId, ReduceTaskId};
 use pnats_metrics::LocalityClass;
 use pnats_net::NodeId;
 use pnats_workloads::ShuffleModel;
@@ -520,19 +520,6 @@ impl JobState {
         cache.iter().take(limit).map(|&m| m as usize).collect()
     }
 
-    /// Fraction of total map *work* (input bytes) completed at `t` — the
-    /// `job_map_progress` Coupling's gate reads. O(running maps).
-    pub fn map_work_progress(&self, t: f64) -> f64 {
-        if self.input_total == 0 {
-            return 1.0;
-        }
-        let mut read = self.input_done;
-        for &mi in &self.running_maps {
-            read += self.maps[mi].input_read(t);
-        }
-        read as f64 / self.input_total as f64
-    }
-
     /// Whether every task has finished.
     pub fn is_done(&self) -> bool {
         self.maps_finished == self.maps.len() && self.reduces_finished == self.reduces.len()
@@ -601,37 +588,96 @@ impl JobState {
             }
         }
     }
+}
 
-    /// Build the shuffle sources of reduce partition `f` at time `t`:
-    /// exact per the paper's model — one aggregate entry per node holding
-    /// *finished* map output (their extrapolation is exact) plus one entry
-    /// per still-running map (whose progress is what the estimator
-    /// comparison is about).
-    pub fn shuffle_sources(&self, f: usize, t: f64) -> Vec<ShuffleSource> {
-        let mut out = Vec::with_capacity(self.done_outputs.len() + self.running_maps.len());
-        for (nid, agg) in &self.done_outputs {
-            match agg.get(f) {
-                Some(&bytes) if bytes > 0.0 => out.push(ShuffleSource {
-                    node: NodeId(*nid),
-                    current_bytes: bytes,
-                    input_read: 1,
-                    input_total: 1,
-                }),
-                _ => {}
-            }
-        }
-        for &mi in &self.running_maps {
-            let m = &self.maps[mi];
+/// A running map's progress report at one instant, `(D_p, d_read,
+/// d_read / B_j)`, read once per reduce offer and shared by every window
+/// candidate.
+#[derive(Clone, Copy, Debug)]
+struct RunningMap {
+    map: usize,
+    node: NodeId,
+    read: u64,
+    /// `d_read / B_j`, the factor taking `I_jf` to `A_jf`.
+    frac: f64,
+}
+
+/// The candidates of one reduce offer: a job's first unassigned reduces
+/// with their shuffle sources, built in buffers the simulation reuses
+/// across offers.
+#[derive(Debug, Default)]
+pub struct ReduceWindow {
+    running: Vec<RunningMap>,
+    /// Candidate buffers; only the first `len` belong to the current
+    /// window, the rest keep their capacity for a longer one.
+    cands: Vec<ReduceCandidate>,
+    len: usize,
+}
+
+impl ReduceWindow {
+    /// Rebuild the window from `job`'s first `limit` unassigned reduces at
+    /// time `t`, and return the fraction of the job's map *work* (input
+    /// bytes) done — the `job_map_progress` Coupling's gate reads.
+    ///
+    /// Sources are exact per the paper's model: one aggregate entry per
+    /// node holding *finished* map output (their extrapolation is exact),
+    /// in ascending node order, then one entry per still-running map
+    /// (whose progress is what the estimator comparison is about). Each
+    /// running map's progress is read once, however wide the window.
+    pub fn fill(&mut self, job: &JobState, limit: usize, t: f64) -> f64 {
+        self.running.clear();
+        let mut read = job.input_done;
+        for &map in &job.running_maps {
+            let m = &job.maps[map];
+            let d = m.input_read(t);
+            read += d;
             if let Some(node) = m.node() {
-                out.push(ShuffleSource {
-                    node,
-                    current_bytes: m.current_bytes_for(f, t),
-                    input_read: m.input_read(t),
-                    input_total: m.block,
-                });
+                let frac = d as f64 / m.block.max(1) as f64;
+                self.running.push(RunningMap { map, node, read: d, frac });
             }
         }
-        out
+        self.len = 0;
+        for f in job.unassigned_reduces.iter().take(limit) {
+            let task = ReduceTaskId { job: job.id, index: f as u32 };
+            if self.len == self.cands.len() {
+                self.cands.push(ReduceCandidate { task, sources: Vec::new() });
+            }
+            let c = &mut self.cands[self.len];
+            c.task = task;
+            c.sources.clear();
+            for (nid, agg) in &job.done_outputs {
+                match agg.get(f) {
+                    Some(&bytes) if bytes > 0.0 => c.sources.push(ShuffleSource {
+                        node: NodeId(*nid),
+                        current_bytes: bytes,
+                        input_read: 1,
+                        input_total: 1,
+                    }),
+                    _ => {}
+                }
+            }
+            c.sources.extend(self.running.iter().map(|r| {
+                let m = &job.maps[r.map];
+                ShuffleSource {
+                    node: r.node,
+                    // `MapTask::current_bytes_for` without re-reading `d_read`.
+                    current_bytes: m.final_bytes_for(f) * r.frac,
+                    input_read: r.read,
+                    input_total: m.block,
+                }
+            }));
+            self.len += 1;
+        }
+        if job.input_total == 0 {
+            1.0
+        } else {
+            read as f64 / job.input_total as f64
+        }
+    }
+
+    /// The window [`fill`](Self::fill) last built, in offer order.
+    pub fn candidates(&self) -> &[ReduceCandidate] {
+        &self.cands[..self.len]
     }
 }
 
@@ -660,6 +706,68 @@ mod tests {
             4,
             &mut rng,
         )
+    }
+
+    /// The per-candidate source builder `ReduceWindow::fill` replaced,
+    /// kept as its parity reference: reads every running map's progress
+    /// again for each partition.
+    fn reference_sources(j: &JobState, f: usize, t: f64) -> Vec<ShuffleSource> {
+        let mut out = Vec::new();
+        for (nid, agg) in &j.done_outputs {
+            match agg.get(f) {
+                Some(&bytes) if bytes > 0.0 => out.push(ShuffleSource {
+                    node: NodeId(*nid),
+                    current_bytes: bytes,
+                    input_read: 1,
+                    input_total: 1,
+                }),
+                _ => {}
+            }
+        }
+        for &mi in &j.running_maps {
+            let m = &j.maps[mi];
+            if let Some(node) = m.node() {
+                out.push(ShuffleSource {
+                    node,
+                    current_bytes: m.current_bytes_for(f, t),
+                    input_read: m.input_read(t),
+                    input_total: m.block,
+                });
+            }
+        }
+        out
+    }
+
+    /// The map-work progress sweep `ReduceWindow::fill` replaced.
+    fn reference_progress(j: &JobState, t: f64) -> f64 {
+        if j.input_total == 0 {
+            return 1.0;
+        }
+        let mut read = j.input_done;
+        for &mi in &j.running_maps {
+            read += j.maps[mi].input_read(t);
+        }
+        read as f64 / j.input_total as f64
+    }
+
+    /// Fill `w` from `j` and hold it to the references, bit for bit.
+    fn fill_matches_reference(w: &mut ReduceWindow, j: &JobState, limit: usize, t: f64) {
+        let progress = w.fill(j, limit, t);
+        assert_eq!(progress.to_bits(), reference_progress(j, t).to_bits());
+        let want: Vec<usize> = j.unassigned_reduces.iter().take(limit).collect();
+        let got = w.candidates();
+        assert_eq!(got.len(), want.len());
+        for (c, &f) in got.iter().zip(&want) {
+            assert_eq!(c.task, ReduceTaskId { job: j.id, index: f as u32 });
+            let expect = reference_sources(j, f, t);
+            assert_eq!(c.sources.len(), expect.len(), "partition {f}");
+            for (a, b) in c.sources.iter().zip(&expect) {
+                assert_eq!(a.node, b.node);
+                assert_eq!(a.current_bytes.to_bits(), b.current_bytes.to_bits());
+                assert_eq!(a.input_read, b.input_read);
+                assert_eq!(a.input_total, b.input_total);
+            }
+        }
     }
 
     #[test]
@@ -696,7 +804,7 @@ mod tests {
         j.materialize_map_output(0, 0.0, &mut rng);
         j.maps[0].phase = MapPhase::Computing { node: NodeId(0), start: 0.0, duration: 1.0 };
         j.complete_map(0, NodeId(0), 5.0);
-        assert!((j.map_work_progress(0.0) - 0.5).abs() < 1e-9);
+        assert!((ReduceWindow::default().fill(&j, 4, 0.0) - 0.5).abs() < 1e-9);
         assert_eq!(j.maps_finished, 1);
         assert_eq!(j.input_done, 1000);
     }
@@ -731,7 +839,9 @@ mod tests {
         assert_eq!(j.maps[0].epoch, 1);
         assert_eq!(j.maps[0].phase, MapPhase::Unassigned);
         // The cleared node yields no shuffle sources.
-        assert!(j.shuffle_sources(0, 2.0).is_empty());
+        let mut w = ReduceWindow::default();
+        w.fill(&j, 4, 2.0);
+        assert!(w.candidates().iter().all(|c| c.sources.is_empty()));
     }
 
     #[test]
@@ -754,7 +864,9 @@ mod tests {
         j.complete_map(0, NodeId(0), 1.0);
         j.maps[1].phase = MapPhase::Computing { node: NodeId(1), start: 0.0, duration: 10.0 };
         j.running_maps.push(1);
-        let out = j.shuffle_sources(2, 5.0);
+        let mut w = ReduceWindow::default();
+        w.fill(&j, 4, 5.0);
+        let out = &w.candidates()[2].sources;
         assert_eq!(out.len(), 2);
         // Finished aggregate reports itself as fully read.
         assert_eq!(out[0].node, NodeId(0));
@@ -763,6 +875,90 @@ mod tests {
         assert_eq!(out[1].node, NodeId(1));
         assert_eq!(out[1].input_read, 500);
         assert_eq!(out[1].input_total, 1000);
+    }
+
+    #[test]
+    fn window_sources_match_the_per_candidate_reference() {
+        // Random jobs: maps unassigned, fetching (`d_read = 0`), computing
+        // or done; some zero-weight partitions; some nodes' outputs cleared
+        // by a crash; windows that grow and shrink between offers on one
+        // reused `ReduceWindow`.
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut w = ReduceWindow::default();
+        for _ in 0..400 {
+            let n_maps = rng.gen_range(1..10);
+            let n_reduces = rng.gen_range(1..7);
+            let input = JobInput {
+                name: "p".into(),
+                submit: 0.0,
+                block_sizes: (0..n_maps).map(|_| rng.gen_range(0..3) * 500).collect(),
+                n_reduces,
+                shuffle: ShuffleModel::for_app(AppKind::Terasort),
+            };
+            let replicas = (0..n_maps).map(|m| vec![NodeId(m as u32 % 4)]).collect();
+            let mut j = JobState::new(JobId(1), &input, replicas, 4, &mut rng);
+            for m in 0..n_maps {
+                j.materialize_map_output(m, 0.3, &mut rng);
+                if rng.gen_bool(0.3) {
+                    j.maps[m].weights[rng.gen_range(0..n_reduces)] = 0.0;
+                }
+                let node = NodeId(rng.gen_range(0..4));
+                match rng.gen_range(0..4) {
+                    0 => continue,
+                    1 => j.maps[m].phase = MapPhase::Fetching { node },
+                    _ => {
+                        let start = rng.gen_range(0.0..4.0);
+                        let duration = rng.gen_range(0.5..6.0);
+                        j.maps[m].phase = MapPhase::Computing { node, start, duration };
+                    }
+                }
+                j.unassigned_maps.remove(m);
+                j.running_maps.push(m);
+                if rng.gen_bool(0.4) {
+                    j.complete_map(m, node, 1.0);
+                }
+            }
+            if rng.gen_bool(0.3) {
+                j.clear_node_output(NodeId(rng.gen_range(0..4)));
+            }
+            for _ in 0..3 {
+                let t = rng.gen_range(0.0..8.0);
+                fill_matches_reference(&mut w, &j, rng.gen_range(1..8), t);
+                if rng.gen_bool(0.5) {
+                    j.unassigned_reduces.remove(rng.gen_range(0..n_reduces));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_shrinking_window_leaves_nothing_behind() {
+        let mut j = job();
+        let mut rng = SmallRng::seed_from_u64(4);
+        j.materialize_map_output(0, 0.0, &mut rng);
+        j.materialize_map_output(1, 0.0, &mut rng);
+        j.maps[0].phase = MapPhase::Computing { node: NodeId(0), start: 0.0, duration: 1.0 };
+        j.complete_map(0, NodeId(0), 1.0);
+        j.maps[1].phase = MapPhase::Computing { node: NodeId(1), start: 0.0, duration: 10.0 };
+        j.running_maps.push(1);
+        let mut w = ReduceWindow::default();
+        fill_matches_reference(&mut w, &j, 4, 5.0);
+        assert_eq!(w.candidates().len(), 4);
+        // The running map's reduce partitions launch and node 0 loses its
+        // disks: two candidates, one source each, where the last fill had
+        // four candidates of two.
+        j.unassigned_reduces.remove(0);
+        j.unassigned_reduces.remove(2);
+        j.clear_node_output(NodeId(0));
+        fill_matches_reference(&mut w, &j, 4, 6.0);
+        let cands = w.candidates();
+        assert_eq!(cands.iter().map(|c| c.task.index).collect::<Vec<_>>(), vec![1, 3]);
+        assert!(cands.iter().all(|c| c.sources.len() == 1 && c.sources[0].node == NodeId(1)));
+        // And an empty window is empty.
+        j.unassigned_reduces.remove(1);
+        j.unassigned_reduces.remove(3);
+        w.fill(&j, 4, 7.0);
+        assert!(w.candidates().is_empty());
     }
 
     #[test]
