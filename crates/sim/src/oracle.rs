@@ -28,6 +28,11 @@
 //!    instant; preemption kills attempts, it never loses tasks.
 //! 8. **Slot-capacity conservation** — peak concurrent running tasks
 //!    never exceed configured slots of either type.
+//! 9. **Slots close** — once every submitted job terminated (completed,
+//!    failed or rejected), both utilization timelines end at 0 busy: every
+//!    slot an attempt or a backup took was given back.
+//! 10. **Speculation accounting** — once every job terminated, each
+//!     launched backup either won or was cancelled.
 //!
 //! Laws 2, 3 and 5 are [`pnats_obs::check_ledger`], the completion-ledger
 //! law the cluster runtime and its journal keep too; it also holds every
@@ -139,15 +144,33 @@ pub fn check_report(report: &SimReport, inputs: &[JobInput]) -> Result<(), Strin
 
     // Law 8: slot-capacity conservation — concurrent running tasks never
     // exceeded configured slots (preemption/fairness must reuse slots,
-    // not mint them).
+    // not mint them). Law 9: once nothing is left to run, every slot taken
+    // was given back.
+    let terminated = report.jobs_completed + report.jobs_failed + report.jobs_rejected
+        == report.jobs_submitted;
     for (kind, util) in [("map", &report.trace.map_util), ("reduce", &report.trace.reduce_util)] {
-        if util.peak() > util.capacity() {
+        let steps = util.steps();
+        let peak = steps.iter().map(|&(_, busy)| busy).max().unwrap_or(0);
+        if peak > util.capacity() {
             return Err(format!(
-                "{kind} slot capacity exceeded: peak {} > capacity {}",
-                util.peak(),
+                "{kind} slot capacity exceeded: peak {peak} > capacity {}",
                 util.capacity()
             ));
         }
+        let busy = steps.last().map_or(0, |&(_, busy)| busy);
+        if terminated && busy != 0 {
+            return Err(format!("{kind} slots leaked: {busy} busy after every job terminated"));
+        }
+    }
+
+    // Law 10: speculation accounting — a backup ends by winning or by
+    // being cancelled.
+    let t = &report.trace;
+    if terminated && t.backups_launched != t.backups_won + t.backups_cancelled {
+        return Err(format!(
+            "speculation accounting: {} launched != {} won + {} cancelled",
+            t.backups_launched, t.backups_won, t.backups_cancelled
+        ));
     }
 
     // Law 4: completion spans never overlap their node's down time.
@@ -337,6 +360,27 @@ mod tests {
         }
         let err = check_report(&r, &ins).unwrap_err();
         assert!(err.contains("reduce slot capacity exceeded"), "{err}");
+    }
+
+    #[test]
+    fn unreleased_slot_detected() {
+        let (mut r, ins) = clean();
+        r.trace.map_util.start(r.sim_end);
+        let err = check_report(&r, &ins).unwrap_err();
+        assert!(err.contains("map slots leaked"), "{err}");
+        // A run cut short may end with slots still busy.
+        r.jobs_completed -= 1;
+        check_report(&r, &ins).unwrap();
+    }
+
+    #[test]
+    fn unended_backup_detected() {
+        let (mut r, ins) = clean();
+        (r.trace.backups_launched, r.trace.backups_won) = (2, 1);
+        let err = check_report(&r, &ins).unwrap_err();
+        assert!(err.contains("speculation accounting"), "{err}");
+        r.trace.backups_cancelled = 1;
+        check_report(&r, &ins).unwrap();
     }
 
     #[test]
