@@ -1,6 +1,6 @@
 //! Cross-crate fault-injection guarantees.
 //!
-//! Three layers of defence around the fault subsystem:
+//! Five layers of defence around the fault subsystem:
 //!
 //! 1. **Differential golden run** — a [`FaultPlan::none()`] simulation must
 //!    be *byte-identical* (decision trace, task fingerprint, makespan bits,
@@ -14,11 +14,15 @@
 //!    decision traces across reruns *and* across harness thread counts.
 //! 4. **Both transfer engines pinned** — fluid and nominal runs under the
 //!    stress plan and background traffic replay captured bytes.
+//! 5. **Teardown paths pinned** — speculation, retry exhaustion and
+//!    preemption beside a crash replay captured bytes under the paper's
+//!    three schedulers on both engines.
 
 use pnats_bench::harness::{parallel_map, Run, SchedulerKind, ALL_SCHEDULERS};
-use pnats_core::faults::{FaultPlan, HeartbeatLoss, LinkDegradation};
+use pnats_core::faults::{FaultPlan, HeartbeatLoss, LinkDegradation, NodeCrash};
 use pnats_core::prob_sched::ProbabilisticPlacer;
 use pnats_sim::{background_traffic, check_report, JobInput, SimConfig, SimReport, Simulation};
+use pnats_tenancy::{TenancyConfig, TenantSet, TenantSpec};
 use pnats_workloads::{AppKind, ShuffleModel};
 
 fn tiny_inputs(n_jobs: usize, maps: usize, reduces: usize) -> Vec<JobInput> {
@@ -182,5 +186,132 @@ fn both_transfer_engines_replay_pinned_bytes_under_faults_and_background() {
             )
         })
         .collect();
+    assert_eq!(got, PINS);
+}
+
+/// The task fingerprint of [`report_fingerprint`] plus each record's epoch.
+fn epoch_fingerprint(r: &SimReport) -> String {
+    let mut fp = report_fingerprint(r);
+    for t in &r.trace.tasks {
+        fp.push_str(&format!("{}\n", t.epoch));
+    }
+    fp
+}
+
+/// One teardown scenario on `SimConfig::tiny`: `(config, inputs)`.
+fn teardown_case(scenario: usize, fluid: bool, seed: u64) -> (SimConfig, Vec<JobInput>) {
+    let mut cfg = SimConfig::tiny(6, seed);
+    cfg.fluid_network = fluid;
+    let mut inputs = tiny_inputs(2, 8, 3);
+    match scenario {
+        // Speculation under crashes, transient failures, heartbeat loss
+        // and link degradation: backups win, lose and die with their node.
+        0 => {
+            cfg.slow_nodes = vec![(0, 0.1), (4, 0.2)];
+            cfg.speculation_lag = 0.2;
+            cfg.faults = stress_plan(seed);
+        }
+        // Retry exhaustion: jobs fail while their reduces shuffle and
+        // backups of their maps run.
+        1 => {
+            cfg.slow_nodes = vec![(0, 0.1), (4, 0.2)];
+            cfg.speculation_lag = 0.2;
+            cfg.slowstart = 0.0;
+            cfg.faults.transient_map_failure_p = 0.35;
+            cfg.faults.max_attempts = 2;
+        }
+        // Min-share preemption beside one crash.
+        _ => {
+            inputs = tiny_inputs(1, 40, 3);
+            inputs.extend(tiny_inputs(1, 12, 2).into_iter().map(|mut j| {
+                j.name = "late".into();
+                j.submit = 20.0;
+                j
+            }));
+            let tenants = TenantSet::new(vec![
+                TenantSpec::new("hog", 1.0),
+                TenantSpec::new("late", 1.0).with_min_share(0.5),
+            ]);
+            let mut tc = TenancyConfig::new(tenants, vec![0, 1]);
+            tc.fairness = true;
+            tc.preemption = true;
+            tc.preempt_cooldown_s = 1.0;
+            cfg.tenancy = Some(tc);
+            cfg.faults.crashes = vec![NodeCrash { node: 2, at: 30.0, recover_at: Some(60.0) }];
+        }
+    }
+    (cfg, inputs)
+}
+
+/// The ways a task attempt ends besides completing — a backup winning or
+/// being cancelled, a job failing with attempts in flight, a preemption, a
+/// crash — replay pinned bytes under the paper's three schedulers on both
+/// transfer engines: decision trace, task fingerprint with epochs, fault
+/// log and both slot-utilization timelines. Every report is held to the
+/// oracle, whose slot and speculation laws catch a leaked release.
+#[test]
+fn teardown_paths_replay_pinned_bytes() {
+    const SCHEDULERS: [SchedulerKind; 3] =
+        [SchedulerKind::Probabilistic, SchedulerKind::Fair, SchedulerKind::Coupling];
+    // (decision trace, task fingerprint, fault log, utilization steps) FNVs,
+    // scenario-major, then scheduler, then fluid before nominal.
+    const PINS: [[u64; 4]; 18] = [
+        [0x54cc_0774_a7d7_9a3e, 0x8094_479e_e1c0_19db, 0xda82_7624_fa98_820d, 0x6017_f696_dfc7_6885],
+        [0x0f88_3b30_f715_4741, 0x315c_97e9_a271_9069, 0xf1ac_dfbc_3099_6341, 0xdeea_1c79_1a82_9fde],
+        [0x442c_5b4b_9ca5_721c, 0x0dd1_4f16_478b_ba8b, 0x84aa_3bff_eabf_23da, 0xa3ea_67a7_9968_479e],
+        [0x442c_5b4b_9ca5_721c, 0xa678_2ad9_8b56_f47f, 0x84aa_3bff_eabf_23da, 0xdd0f_20c1_2926_142c],
+        [0xf44c_3cbd_07a7_103a, 0xe285_bd07_5d4c_b992, 0x1515_d7db_e9ca_e2ba, 0x38bd_7496_9442_6d7e],
+        [0x327f_54b7_2da8_ba90, 0x77af_7be2_9bef_7679, 0x1515_d7db_e9ca_e2ba, 0xbd6f_2aca_ef32_18f5],
+        [0x881a_0d5b_4323_3dd5, 0xbfd6_ec2f_e53b_b14f, 0x0ff4_7692_bee6_c2a1, 0x7113_5e46_a315_0406],
+        [0x8670_7b51_53f1_61fc, 0x947b_068d_fddd_ad8e, 0x0ff4_7692_bee6_c2a1, 0xc5d2_4ae0_6d81_b770],
+        [0x8896_b9b8_3951_c58b, 0x0b98_8d69_c531_b312, 0xadff_2587_1f0f_bc7c, 0x17ae_32e1_fd83_9431],
+        [0x8896_b9b8_3951_c58b, 0x80ab_7b09_e05e_2f94, 0xadff_2587_1f0f_bc7c, 0xba2d_148f_b7e7_f57d],
+        [0x8522_c52c_1f35_95cb, 0x1642_ebbd_22ad_dd42, 0xc0ea_1639_fd70_d04c, 0xbf43_3fc6_110a_2bb4],
+        [0x62de_3006_f429_bf9a, 0x3f1c_98c5_ff21_01f8, 0xca3f_db84_e2d5_7045, 0xeb0e_6073_8028_16bd],
+        [0xff79_6ef6_1058_d183, 0x658a_24e0_d6dd_3462, 0xab6b_9b64_dde6_b125, 0xa025_18ff_a0c2_87da],
+        [0x1a2f_7116_354f_1c5a, 0xa6e7_80ab_c8fd_1956, 0xab6b_9b64_dde6_b125, 0xfaaf_32a1_18fb_2e3c],
+        [0xb0f4_0947_b002_4113, 0x1bb6_15dc_f02f_090a, 0x7898_cf24_c5c3_0dbe, 0xb0b8_407d_9e37_432a],
+        [0xb0f4_0947_b002_4113, 0x9921_3220_15ee_17c5, 0x7898_cf24_c5c3_0dbe, 0x794c_796b_8927_54df],
+        [0xa47a_ce1b_76a4_aef0, 0x76b0_8a82_eecd_9ef7, 0x3b0e_d9f5_d6c0_2310, 0xdb9f_f14c_ec57_4951],
+        [0x4c5c_35d3_1bbc_4b6c, 0x6ffd_ae3c_ed18_c6f8, 0x3b0e_d9f5_d6c0_2310, 0xd2f5_55fe_4c4d_fab1],
+    ];
+    let mut got = Vec::new();
+    // Per scenario: backups launched / won / cancelled, jobs failed,
+    // preemptions, crashes.
+    let mut seen = [[0u64; 6]; 3];
+    for (scenario, tally) in seen.iter_mut().enumerate() {
+        for kind in SCHEDULERS {
+            for fluid in [true, false] {
+                let (cfg, inputs) = teardown_case(scenario, fluid, 19);
+                let r = Run::new(kind, cfg, inputs.clone()).traced().execute();
+                check_report(&r, &inputs)
+                    .unwrap_or_else(|e| panic!("scenario {scenario} {kind:?} fluid={fluid}: {e}"));
+                let t = &r.trace;
+                for (s, v) in tally.iter_mut().zip([
+                    t.backups_launched,
+                    t.backups_won,
+                    t.backups_cancelled,
+                    r.jobs_failed as u64,
+                    r.counters.preemptions,
+                    r.counters.node_crashes,
+                ]) {
+                    *s += v;
+                }
+                let steps = format!("{:?}{:?}", t.map_util.steps(), t.reduce_util.steps());
+                got.push([
+                    fnv64(r.trace_jsonl.as_deref().expect("traced").as_bytes()),
+                    fnv64(epoch_fingerprint(&r).as_bytes()),
+                    fnv64(format!("{:?}", r.faults).as_bytes()),
+                    fnv64(steps.as_bytes()),
+                ]);
+            }
+        }
+    }
+    // Each scenario reached the paths it is named for.
+    let [spec, retry, preempt] = seen;
+    assert!(spec[1] > 0 && spec[2] > 0 && spec[5] > 0, "speculation: {spec:?}");
+    assert!(retry[1] > 0 && retry[2] > 0, "retry exhaustion: {retry:?}");
+    assert!(retry[3] > 0 && retry[3] < 12, "some jobs fail, some complete: {retry:?}");
+    assert!(preempt[4] > 0 && preempt[5] > 0, "preemption: {preempt:?}");
     assert_eq!(got, PINS);
 }
