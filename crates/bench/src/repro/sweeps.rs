@@ -56,7 +56,7 @@ pub fn pmin_sweep(ctx: &Ctx, out: &mut String) -> Outcome {
             format!("{}/{}", r.jobs_completed, r.jobs_submitted),
             if r.all_completed() { format!("{:.0}", mean_jct(r)) } else { "-".into() },
             format!("{:.1}", maps.pct_node_local()),
-            format!("{}", r.trace.skipped_offers),
+            format!("{}", r.counters.total_skips()),
         ]);
     }
     out.push_str(&render_table(
@@ -236,6 +236,8 @@ pub fn ablation_replication(ctx: &Ctx, out: &mut String) -> Outcome {
 /// our simulator injects slow nodes and optionally launches Hadoop-style
 /// backup copies. This sweep shows (a) stragglers hurt every scheduler and
 /// (b) speculation claws the tail back, orthogonally to placement policy.
+/// Every report is held to the invariant oracle ([`check_report`]), whose
+/// speculation-accounting law this is the only paper-scale run of.
 pub fn ablation_speculation(ctx: &Ctx, out: &mut String) -> Outcome {
     let inputs = JobInput::from_batch(&table2_batch(AppKind::Grep));
     // (label, slow nodes as (index, speed factor), speculation lag)
@@ -258,6 +260,7 @@ pub fn ablation_speculation(ctx: &Ctx, out: &mut String) -> Outcome {
 
     let mut rows = Vec::new();
     for ((label, _, _), r) in conditions.iter().zip(&reports) {
+        check_report(r, &inputs).map_err(|e| format!("oracle violation under {label}: {e}"))?;
         let maps = r.trace.task_time_cdf(TaskKind::Map);
         rows.push(vec![
             label.to_string(),

@@ -78,14 +78,6 @@ pub struct SimConfig {
     pub map_rate_bps: f64,
     /// Reduce merge+reduce throughput, shuffle bytes/sec.
     pub reduce_rate_bps: f64,
-    /// Half-range of the per-node speed factor (0.15 ⇒ nodes uniformly in
-    /// ±15 % of nominal).
-    pub node_speed_spread: f64,
-    /// Half-range of per-task duration jitter.
-    pub task_jitter: f64,
-    /// Concurrent shuffle fetches per reduce task (Hadoop's
-    /// `mapred.reduce.parallel.copies`).
-    pub parallel_copies: usize,
     /// Fraction of a job's maps that must *finish* before its reduces may
     /// launch (Hadoop's slowstart).
     pub slowstart: f64,
@@ -94,9 +86,6 @@ pub struct SimConfig {
     pub map_candidate_window: usize,
     /// Pending reduce tasks offered per decision.
     pub reduce_candidate_window: usize,
-    /// Half-range of per-map partition-weight noise (makes `I_jf` vary per
-    /// map, as real key distributions do).
-    pub partition_noise: f64,
     /// How block replicas are distributed (see [`DataLayout`]).
     pub data_layout: DataLayout,
     /// Fraction of the cluster acting as each job's *ingest set*: the nodes
@@ -171,13 +160,9 @@ impl SimConfig {
             heartbeat_s: 1.0,
             map_rate_bps: 8e6,
             reduce_rate_bps: 20e6,
-            node_speed_spread: 0.15,
-            task_jitter: 0.10,
-            parallel_copies: 4,
             slowstart: 0.05,
             map_candidate_window: 64,
             reduce_candidate_window: 16,
-            partition_noise: 0.5,
             data_layout: DataLayout::HdfsRackAware,
             ingest_fraction: 0.35,
             network_condition: true,

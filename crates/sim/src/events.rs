@@ -88,10 +88,16 @@ pub enum EventKind {
         /// Attempt id this failure belongs to.
         run: u32,
     },
-    /// A speculative map backup finishes (may be stale if cancelled).
+    /// A speculative map backup finishes. Stale if `id` no longer matches
+    /// the map's live backup (it was cancelled, maybe replaced).
     BackupDone {
-        /// Index into the simulation's backup table.
-        idx: usize,
+        /// Job index.
+        job: usize,
+        /// Map index within the job.
+        map: usize,
+        /// Launch number of the backup this completion belongs to (`u32`
+        /// keeps the event as small as `MapDone`).
+        id: u32,
     },
     /// A reduce task finishes its merge+reduce phase. Stale if `run` no
     /// longer matches (the reduce was killed or sent back to shuffling).

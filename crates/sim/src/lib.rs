@@ -51,6 +51,6 @@ pub mod transfers;
 
 pub use config::{background_traffic, BackgroundFlow, DataLayout, JobInput, SimConfig, TopologyKind};
 pub use oracle::{check_makespan_monotone, check_report};
-pub use runner::{job_inputs_from_batch, SimReport, Simulation};
+pub use runner::{SimReport, Simulation};
 pub use service::TenantRunStats;
 pub use trace::{JobRecord, TaskKind, TaskRecord, Trace};

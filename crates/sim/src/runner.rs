@@ -37,10 +37,10 @@ use pnats_metrics::LocalityClass;
 use pnats_obs::{DecisionObserver, FaultKind, FaultRecord, SchedCounters, TraceSink};
 use pnats_tenancy::AdmissionDecision;
 use pnats_net::{ClassedDistance, ClusterLayout, DistanceMatrix, NodeId, PathCost, RateMonitor};
-use pnats_workloads::Batch;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The §II-B3 network-condition signal: completed transfers feed
 /// `monitor`, and once per heartbeat interval `matrix` is rebuilt as `base`
@@ -69,9 +69,21 @@ fn sched_metric<'a>(
     }
 }
 
-/// Convenience: the [`JobInput`]s of a workload batch.
-pub fn job_inputs_from_batch(batch: &Batch) -> Vec<JobInput> {
-    JobInput::from_batch(batch)
+/// Half-range of the per-node speed factor: nodes run uniformly within
+/// ±15 % of nominal, before `SimConfig::slow_nodes` overrides.
+const NODE_SPEED_SPREAD: f64 = 0.15;
+/// Half-range of the per-task duration jitter (map compute, backup, merge).
+const TASK_JITTER: f64 = 0.10;
+/// Concurrent shuffle fetches per reduce task (Hadoop's
+/// `mapred.reduce.parallel.copies`).
+const PARALLEL_COPIES: usize = 4;
+/// Half-range of the per-map partition-weight noise, which makes `I_jf`
+/// vary per map as real key distributions do.
+const PARTITION_NOISE: f64 = 0.5;
+
+/// A uniform draw from `1 ± half_range`.
+fn jitter(rng: &mut SmallRng, half_range: f64) -> f64 {
+    1.0 + half_range * (rng.gen::<f64>() * 2.0 - 1.0)
 }
 
 /// The outcome of a simulation run.
@@ -164,7 +176,9 @@ pub struct Simulation {
     jobs_done: usize,
     jobs_failed: usize,
     round: u64,
-    backups: Vec<BackupTask>,
+    /// Live speculative copies, at most one per running map. Empty unless
+    /// [`SimConfig::speculation_lag`] is on.
+    backups: BTreeMap<(usize, usize), Backup>,
     observer: DecisionObserver,
     /// Fault log for the report (mirrors what the observer's sink sees).
     faults: Vec<FaultRecord>,
@@ -188,13 +202,13 @@ pub struct Simulation {
     sched_wall: std::time::Duration,
 }
 
-/// A speculative copy of a running map task.
-struct BackupTask {
-    job: usize,
-    map: usize,
+/// A speculative copy of a running map task, keyed by `(job, map)`.
+struct Backup {
     node: NodeId,
     started: f64,
-    cancelled: bool,
+    /// Launch number, wrapping at 2^32: a `BackupDone` carrying another id
+    /// is stale.
+    id: u32,
 }
 
 impl Simulation {
@@ -224,7 +238,7 @@ impl Simulation {
             .map(|_| NodeState {
                 free_map: cfg.map_slots,
                 free_reduce: cfg.reduce_slots,
-                speed: 1.0 + cfg.node_speed_spread * (rng.gen::<f64>() * 2.0 - 1.0),
+                speed: jitter(&mut rng, NODE_SPEED_SPREAD),
                 alive: true,
             })
             .collect();
@@ -270,7 +284,7 @@ impl Simulation {
             jobs_done: 0,
             jobs_failed: 0,
             round: 0,
-            backups: Vec::new(),
+            backups: BTreeMap::new(),
             observer: DecisionObserver::disabled(),
             faults: Vec::new(),
             fault_rng: SmallRng::seed_from_u64(cfg.seed ^ 0xfa17_0000_0000_00f2),
@@ -435,6 +449,11 @@ impl Simulation {
         self.faults.push(rec);
     }
 
+    /// Log a fault of task `task` of job `ji` on `node`.
+    fn record_task_fault(&mut self, kind: FaultKind, node: NodeId, ji: usize, task: usize) {
+        self.record_fault(kind, node.idx() as u32, Some(ji as u32), Some(task as u32));
+    }
+
     /// Whether an alive node's heartbeat is suppressed by a loss window.
     fn heartbeat_lost(&self, node: NodeId) -> bool {
         self.cfg
@@ -489,7 +508,7 @@ impl Simulation {
             }
             EventKind::MapDone { job, map, run } => self.on_map_done(job, map, run),
             EventKind::MapFailed { job, map, run } => self.on_map_failed(job, map, run),
-            EventKind::BackupDone { idx } => self.on_backup_done(idx),
+            EventKind::BackupDone { job, map, id } => self.on_backup_done(job, map, id),
             EventKind::ReduceDone { job, reduce, run } => self.on_reduce_done(job, reduce, run),
             EventKind::NodeCrash { fault } => self.on_node_crash(fault),
             EventKind::NodeRecover { fault } => self.on_node_recover(fault),
@@ -626,18 +645,10 @@ impl Simulation {
         }
         let Some((_, ji, map)) = best else { return };
         // Tear down an in-flight block fetch before the kill (the
-        // contract `kill_map_attempt` documents).
+        // contract `end_map_attempt` documents).
         let node = self.jobs[ji].maps[map].node().expect("running map has a node");
-        if matches!(self.jobs[ji].maps[map].phase, MapPhase::Fetching { .. }) {
-            self.transfers.cancel(self.now, TransferTag::MapFetch { job: ji, map });
-            self.arm_transfer_wake();
-        }
-        self.record_fault(
-            FaultKind::MapPreempted,
-            node.idx() as u32,
-            Some(ji as u32),
-            Some(map as u32),
-        );
+        self.cancel_fetch(ji, map);
+        self.record_task_fault(FaultKind::MapPreempted, node, ji, map);
         self.kill_map_attempt(ji, map);
         let tn = self.tenancy.as_mut().expect("checked");
         tn.counters[victim_t].preempted += 1;
@@ -944,7 +955,6 @@ impl Simulation {
         if dead {
             self.observer
                 .observe_map(&ctx, node, Decision::Skip(SkipReason::NodeDead), None);
-            self.trace.skipped_offers += 1;
             return None;
         }
         if let Some(cls) = &self.classes {
@@ -955,10 +965,7 @@ impl Simulation {
             .observe_map(&ctx, node, decision, self.placer.last_detail());
         match decision {
             Decision::Assign(i) => Some(window[i]),
-            Decision::Skip(_) => {
-                self.trace.skipped_offers += 1;
-                None
-            }
+            Decision::Skip(_) => None,
         }
     }
 
@@ -984,10 +991,7 @@ impl Simulation {
             .observe_reduce(&ctx, node, decision, self.placer.last_detail());
         match decision {
             Decision::Assign(i) => Some(candidates[i].task.index as usize),
-            Decision::Skip(_) => {
-                self.trace.skipped_offers += 1;
-                None
-            }
+            Decision::Skip(_) => None,
         }
     }
 
@@ -1009,7 +1013,6 @@ impl Simulation {
         self.trace.map_util.start(self.now);
 
         let locality = self.map_locality(ji, map, node);
-        let noise = self.cfg.partition_noise;
         let job = &mut self.jobs[ji];
         assert!(job.unassigned_maps.remove(map), "assigning an unassigned map");
         job.running_tasks += 1;
@@ -1018,7 +1021,7 @@ impl Simulation {
             // First attempt only: re-executions must reproduce the same
             // output (sizes already folded into reducer accounting) and
             // must not perturb the shared RNG stream.
-            job.materialize_map_output(map, noise, &mut self.rng);
+            job.materialize_map_output(map, PARTITION_NOISE, &mut self.rng);
         }
         job.maps[map].assigned_t = self.now;
         job.maps[map].locality = locality;
@@ -1056,9 +1059,9 @@ impl Simulation {
 
     fn start_map_compute(&mut self, ji: usize, map: usize, node: NodeId) {
         let speed = self.nodes[node.idx()].speed;
-        let jitter = 1.0 + self.cfg.task_jitter * (self.rng.gen::<f64>() * 2.0 - 1.0);
         let block = self.jobs[ji].maps[map].block as f64;
-        let duration = (block / (self.cfg.map_rate_bps * speed * jitter)).max(1e-6);
+        let rate = self.cfg.map_rate_bps * speed * jitter(&mut self.rng, TASK_JITTER);
+        let duration = (block / rate).max(1e-6);
         self.jobs[ji].maps[map].phase =
             MapPhase::Computing { node, start: self.now, duration };
         let (run, attempt) = {
@@ -1092,50 +1095,23 @@ impl Simulation {
             return; // stale: this attempt was killed (crash, retry or lost race)
         }
         let node = self.jobs[ji].maps[map].node().expect("done map has a node");
-        self.nodes[node.idx()].free_map += 1;
-        self.free_map_changed(node);
-        self.trace.map_util.end(self.now);
-        if self.jobs[ji].maps[map].is_done() {
-            // Defensive: completions bump no run, so a duplicate event for
-            // a done map should not exist; just release the slot.
-            return;
-        }
+        debug_assert!(!self.jobs[ji].maps[map].is_done(), "a done map has no live attempt");
+        self.release_map_slot(node);
         // Kill any outstanding backup of this task (the primary won).
-        self.cancel_backups_of(ji, Some(map));
+        self.cancel_backup(ji, map);
         self.finish_map(ji, map, node);
     }
 
-    /// A map attempt died with a retryable failure: release the slot,
-    /// retire the attempt and either requeue the task or — once the retry
-    /// budget is spent — fail the whole job.
+    /// A map attempt died with a retryable failure: end the attempt and
+    /// either requeue the task or — once the retry budget is spent — fail
+    /// the whole job.
     fn on_map_failed(&mut self, ji: usize, map: usize, run: u32) {
         if self.jobs[ji].maps[map].run != run {
             return; // stale: attempt already killed by a crash or race
         }
-        let node = self.jobs[ji].maps[map].node().expect("failing map has a node");
-        // The hosting node must still be up: its crash would have bumped
-        // `run` and made this event stale.
-        self.nodes[node.idx()].free_map += 1;
-        self.free_map_changed(node);
-        self.trace.map_util.end(self.now);
-        let attempts = {
-            let m = &mut self.jobs[ji].maps[map];
-            m.run += 1;
-            m.phase = MapPhase::Unassigned;
-            m.attempts
-        };
-        if let Some(pos) = self.jobs[ji].running_maps.iter().position(|x| *x == map) {
-            self.jobs[ji].running_maps.swap_remove(pos);
-        }
-        self.jobs[ji].running_tasks -= 1;
-        self.cancel_backups_of(ji, Some(map));
-        self.record_fault(
-            FaultKind::TransientFailure,
-            node.idx() as u32,
-            Some(ji as u32),
-            Some(map as u32),
-        );
-        if attempts >= self.cfg.faults.max_attempts {
+        let node = self.end_map_attempt(ji, map);
+        self.record_task_fault(FaultKind::TransientFailure, node, ji, map);
+        if self.jobs[ji].maps[map].attempts >= self.cfg.faults.max_attempts {
             self.fail_job(ji, node);
         } else {
             self.requeue_map(ji, map);
@@ -1159,19 +1135,38 @@ impl Simulation {
         self.refresh_wants_maps(ji);
     }
 
-    /// Cancel live backups of one map (or of a whole job with `None`),
-    /// releasing their slots on live nodes.
-    fn cancel_backups_of(&mut self, ji: usize, map: Option<usize>) {
-        for b in &mut self.backups {
-            if b.job == ji && !b.cancelled && map.is_none_or(|m| b.map == m) {
-                b.cancelled = true;
-                if self.nodes[b.node.idx()].alive {
-                    self.nodes[b.node.idx()].free_map += 1;
-                    self.map_free.set(b.node.idx(), true);
-                }
-                self.trace.map_util.end(self.now);
-                self.trace.backups_cancelled += 1;
-            }
+    /// Give back one map slot on `node` (unless the node is down: its crash
+    /// zeroed its slots) and close one busy span of the map timeline.
+    fn release_map_slot(&mut self, node: NodeId) {
+        if self.nodes[node.idx()].alive {
+            self.nodes[node.idx()].free_map += 1;
+            self.free_map_changed(node);
+        }
+        self.trace.map_util.end(self.now);
+    }
+
+    /// Give back one reduce slot on `node`; see `release_map_slot`.
+    fn release_reduce_slot(&mut self, node: NodeId) {
+        if self.nodes[node.idx()].alive {
+            self.nodes[node.idx()].free_reduce += 1;
+            self.free_reduce_changed(node);
+        }
+        self.trace.reduce_util.end(self.now);
+    }
+
+    /// Cancel map `map`'s live backup, if any, releasing its slot.
+    fn cancel_backup(&mut self, ji: usize, map: usize) {
+        if let Some(b) = self.backups.remove(&(ji, map)) {
+            self.release_map_slot(b.node);
+            self.trace.backups_cancelled += 1;
+        }
+    }
+
+    /// Tear down map `map`'s block fetch, if its attempt is fetching.
+    fn cancel_fetch(&mut self, ji: usize, map: usize) {
+        if matches!(self.jobs[ji].maps[map].phase, MapPhase::Fetching { .. }) {
+            self.transfers.cancel(self.now, TransferTag::MapFetch { job: ji, map });
+            self.arm_transfer_wake();
         }
     }
 
@@ -1240,21 +1235,15 @@ impl Simulation {
                 })
                 .collect();
             let mean = fracs.iter().map(|(_, f)| f).sum::<f64>() / fracs.len() as f64;
-            let Some(&(victim, frac)) = fracs
+            let Some(&(victim, _)) = fracs
                 .iter()
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .filter(|(_, f)| mean - f >= lag)
             else {
                 continue;
             };
-            let _ = frac;
             // One backup per task; never on the straggler's own node.
-            if self
-                .backups
-                .iter()
-                .any(|b| b.job == ji && b.map == victim && !b.cancelled)
-                || job.maps[victim].node() == Some(node)
-            {
+            if self.backups.contains_key(&(ji, victim)) || job.maps[victim].node() == Some(node) {
                 continue;
             }
             // Launch the backup from scratch on this node.
@@ -1262,59 +1251,40 @@ impl Simulation {
             self.free_map_changed(node);
             self.trace.map_util.start(now);
             let speed = self.nodes[node.idx()].speed;
-            let jitter = 1.0 + self.cfg.task_jitter * (self.rng.gen::<f64>() * 2.0 - 1.0);
+            let rate = self.cfg.map_rate_bps * speed * jitter(&mut self.rng, TASK_JITTER);
             let block = self.jobs[ji].maps[victim].block as f64;
             // Backups re-read their input; approximate a remote fetch at
             // nominal NIC rate rather than opening a flow.
-            let fetch = block / self.cfg.nic_bps;
-            let duration = fetch + block / (self.cfg.map_rate_bps * speed * jitter);
-            let idx = self.backups.len();
-            self.backups
-                .push(BackupTask { job: ji, map: victim, node, started: now, cancelled: false });
+            let duration = block / self.cfg.nic_bps + block / rate;
+            let id = self.trace.backups_launched as u32;
             self.trace.backups_launched += 1;
-            self.events.push(now + duration, EventKind::BackupDone { idx });
+            self.backups.insert((ji, victim), Backup { node, started: now, id });
+            self.events.push(now + duration, EventKind::BackupDone { job: ji, map: victim, id });
             return;
         }
     }
 
     /// A speculative copy finished (or fires stale after cancellation).
-    fn on_backup_done(&mut self, idx: usize) {
-        if self.backups[idx].cancelled {
-            return; // loser already reaped when the primary finished
-        }
-        let (ji, map, node, started) = {
-            let b = &self.backups[idx];
-            (b.job, b.map, b.node, b.started)
+    fn on_backup_done(&mut self, ji: usize, map: usize, id: u32) {
+        let b = match self.backups.entry((ji, map)) {
+            Entry::Occupied(e) if e.get().id == id => e.remove(),
+            _ => return, // stale: cancelled (its primary ended or its node died)
         };
-        self.backups[idx].cancelled = true;
-        self.nodes[node.idx()].free_map += 1;
-        self.free_map_changed(node);
-        self.trace.map_util.end(self.now);
-        if self.jobs[ji].maps[map].is_done() || self.jobs[ji].terminated() {
-            // Defensive: primary completions and job teardown cancel their
-            // backups, so a live backup should always find a live primary.
-            self.trace.backups_cancelled += 1;
-            return;
-        }
+        self.release_map_slot(b.node);
+        debug_assert!(
+            !self.jobs[ji].maps[map].is_done() && !self.jobs[ji].terminated(),
+            "every end of a primary's attempt cancels its backup"
+        );
         // The backup wins: kill the losing primary *now* (free its slot,
         // stale-out its MapDone via the run bump) and credit the completion
         // to the backup's node and start time.
         let pnode = self.jobs[ji].maps[map].node().expect("racing primary is placed");
-        if matches!(self.jobs[ji].maps[map].phase, MapPhase::Fetching { .. }) {
-            self.transfers
-                .cancel(self.now, TransferTag::MapFetch { job: ji, map });
-            self.arm_transfer_wake();
-        }
-        if self.nodes[pnode.idx()].alive {
-            self.nodes[pnode.idx()].free_map += 1;
-            self.free_map_changed(pnode);
-        }
-        self.trace.map_util.end(self.now);
+        self.cancel_fetch(ji, map);
+        self.release_map_slot(pnode);
         self.jobs[ji].maps[map].run += 1;
-        self.jobs[ji].maps[map].assigned_t = started;
+        self.jobs[ji].maps[map].assigned_t = b.started;
         self.trace.backups_won += 1;
-        self.trace.losers_killed += 1;
-        self.finish_map(ji, map, node);
+        self.finish_map(ji, map, b.node);
     }
 
     fn assign_reduce(&mut self, ji: usize, f: usize, node: NodeId) {
@@ -1345,7 +1315,7 @@ impl Simulation {
         let mut started_remote = false;
         loop {
             let r = &mut self.jobs[ji].reduces[f];
-            if r.active_fetches >= self.cfg.parallel_copies || r.pending.is_empty() {
+            if r.active_fetches >= PARALLEL_COPIES || r.pending.is_empty() {
                 break;
             }
             let (src, bytes) = r.pending.pop_front().expect("checked non-empty");
@@ -1390,8 +1360,8 @@ impl Simulation {
             return;
         }
         let speed = self.nodes[node.idx()].speed;
-        let jitter = 1.0 + self.cfg.task_jitter * (self.rng.gen::<f64>() * 2.0 - 1.0);
-        let duration = (r.received / (self.cfg.reduce_rate_bps * speed * jitter)).max(1e-6);
+        let rate = self.cfg.reduce_rate_bps * speed * jitter(&mut self.rng, TASK_JITTER);
+        let duration = (r.received / rate).max(1e-6);
         let run = self.jobs[ji].reduces[f].run;
         self.jobs[ji].reduces[f].phase = ReducePhase::Merging { node };
         self.events
@@ -1412,9 +1382,7 @@ impl Simulation {
                 job.reduce_nodes.swap_remove(pos);
             }
         }
-        self.nodes[node.idx()].free_reduce += 1;
-        self.free_reduce_changed(node);
-        self.trace.reduce_util.end(self.now);
+        self.release_reduce_slot(node);
 
         let r = &self.jobs[ji].reduces[f];
         // Reduce locality: where did the bulk of its input live?
@@ -1469,67 +1437,60 @@ impl Simulation {
         }
     }
 
-    /// Kill a placed (fetching/computing) map attempt: release its slot if
-    /// the hosting node is up, stale-out its in-flight events, requeue the
-    /// task and log the reschedule. Any caller that tears down the attempt's
-    /// fetch flow must do so *before* calling this.
-    fn kill_map_attempt(&mut self, ji: usize, map: usize) {
-        let node = self.jobs[ji].maps[map].node().expect("killing a placed map");
-        if self.nodes[node.idx()].alive {
-            self.nodes[node.idx()].free_map += 1;
-            self.free_map_changed(node);
+    /// End a placed (fetching/computing) map attempt: give back its slot,
+    /// stale-out its in-flight events, take it off the running list and
+    /// cancel its backup; returns the node it ran on. The caller requeues
+    /// the task or fails the job, and tears down the attempt's fetch flow
+    /// *before* calling this.
+    fn end_map_attempt(&mut self, ji: usize, map: usize) -> NodeId {
+        let node = self.jobs[ji].maps[map].node().expect("ending a placed map");
+        self.release_map_slot(node);
+        let job = &mut self.jobs[ji];
+        job.maps[map].run += 1;
+        job.maps[map].phase = MapPhase::Unassigned;
+        if let Some(pos) = job.running_maps.iter().position(|x| *x == map) {
+            job.running_maps.swap_remove(pos);
         }
-        self.trace.map_util.end(self.now);
-        {
-            let m = &mut self.jobs[ji].maps[map];
-            m.run += 1;
-            m.phase = MapPhase::Unassigned;
-        }
-        if let Some(pos) = self.jobs[ji].running_maps.iter().position(|x| *x == map) {
-            self.jobs[ji].running_maps.swap_remove(pos);
-        }
-        self.jobs[ji].running_tasks -= 1;
-        self.cancel_backups_of(ji, Some(map));
-        self.requeue_map(ji, map);
-        self.record_fault(
-            FaultKind::TaskRescheduled,
-            node.idx() as u32,
-            Some(ji as u32),
-            Some(map as u32),
-        );
+        job.running_tasks -= 1;
+        self.cancel_backup(ji, map);
+        node
     }
 
-    /// Kill a placed (shuffling/merging) reduce attempt: release its slot if
-    /// the hosting node is up, reset all shuffle progress and requeue.
-    fn kill_reduce_attempt(&mut self, ji: usize, f: usize) {
-        let node = self.jobs[ji].reduces[f].node().expect("killing a placed reduce");
-        if self.nodes[node.idx()].alive {
-            self.nodes[node.idx()].free_reduce += 1;
-            self.free_reduce_changed(node);
-        }
-        self.trace.reduce_util.end(self.now);
-        {
-            let r = &mut self.jobs[ji].reduces[f];
-            r.run += 1;
-            r.phase = ReducePhase::Unassigned;
-            r.pending.clear();
-            r.active_fetches = 0;
-            r.clear_sources();
-        }
+    /// End a placed (shuffling/merging) reduce attempt: give back its slot,
+    /// stale-out its merge and drop all shuffle progress; returns the node
+    /// it ran on. The caller tears down its shuffle flows.
+    fn end_reduce_attempt(&mut self, ji: usize, f: usize) -> NodeId {
+        let node = self.jobs[ji].reduces[f].node().expect("ending a placed reduce");
+        self.release_reduce_slot(node);
         let job = &mut self.jobs[ji];
+        let r = &mut job.reduces[f];
+        r.run += 1;
+        r.phase = ReducePhase::Unassigned;
+        r.pending.clear();
+        r.active_fetches = 0;
+        r.clear_sources();
         if let Some(pos) = job.reduce_nodes.iter().position(|x| *x == node) {
             job.reduce_nodes.swap_remove(pos);
         }
         job.running_tasks -= 1;
+        node
+    }
+
+    /// Kill a placed map attempt and requeue the task.
+    fn kill_map_attempt(&mut self, ji: usize, map: usize) {
+        let node = self.end_map_attempt(ji, map);
+        self.requeue_map(ji, map);
+        self.record_task_fault(FaultKind::TaskRescheduled, node, ji, map);
+    }
+
+    /// Kill a placed reduce attempt and requeue the task.
+    fn kill_reduce_attempt(&mut self, ji: usize, f: usize) {
+        let node = self.end_reduce_attempt(ji, f);
+        let job = &mut self.jobs[ji];
         if !job.unassigned_reduces.contains(f) {
             job.unassigned_reduces.push_back(f);
         }
-        self.record_fault(
-            FaultKind::TaskRescheduled,
-            node.idx() as u32,
-            Some(ji as u32),
-            Some(f as u32),
-        );
+        self.record_task_fault(FaultKind::TaskRescheduled, node, ji, f);
     }
 
     /// A node dies. MapReduce recovery semantics, in order:
@@ -1614,12 +1575,10 @@ impl Simulation {
                 self.kill_reduce_attempt(ji, f);
             }
         }
-        for b in &mut self.backups {
-            if !b.cancelled && b.node == n {
-                b.cancelled = true; // no slot to free — the node is gone
-                self.trace.map_util.end(self.now);
-                self.trace.backups_cancelled += 1;
-            }
+        let dead_backups: Vec<(usize, usize)> =
+            self.backups.iter().filter(|(_, b)| b.node == n).map(|(&k, _)| k).collect();
+        for (ji, map) in dead_backups {
+            self.cancel_backup(ji, map);
         }
 
         // 3. Invalidate completed map outputs on the node; reducers shed
@@ -1638,12 +1597,7 @@ impl Simulation {
             for m in lost {
                 self.jobs[ji].invalidate_map_output(m);
                 self.requeue_map(ji, m);
-                self.record_fault(
-                    FaultKind::MapInvalidated,
-                    n.idx() as u32,
-                    Some(ji as u32),
-                    Some(m as u32),
-                );
+                self.record_task_fault(FaultKind::MapInvalidated, n, ji, m);
             }
             self.jobs[ji].clear_node_output(n);
             for f in 0..self.jobs[ji].reduces.len() {
@@ -1713,49 +1667,26 @@ impl Simulation {
     }
 
     /// Abort a job: a task exhausted its retry budget. All running attempts
-    /// are killed, queues drained, transfers torn down; the job produces no
+    /// are ended, queues drained, transfers torn down; the job produces no
     /// `JobRecord` and counts as failed, not completed.
     fn fail_job(&mut self, ji: usize, node: NodeId) {
         debug_assert!(!self.jobs[ji].terminated());
-        let running: Vec<usize> = self.jobs[ji].running_maps.clone();
-        for m in running {
-            // A fetching attempt's flow dies below via `cancel_job`.
-            let mnode = self.jobs[ji].maps[m].node().expect("running map has a node");
-            if self.nodes[mnode.idx()].alive {
-                self.nodes[mnode.idx()].free_map += 1;
-                self.free_map_changed(mnode);
-            }
-            self.trace.map_util.end(self.now);
-            let t = &mut self.jobs[ji].maps[m];
-            t.run += 1;
-            t.phase = MapPhase::Unassigned;
+        // Fetch and shuffle flows die below via `cancel_job`.
+        for m in self.jobs[ji].running_maps.clone() {
+            self.end_map_attempt(ji, m);
         }
-        self.jobs[ji].running_maps.clear();
         for f in 0..self.jobs[ji].reduces.len() {
-            if !matches!(
+            if matches!(
                 self.jobs[ji].reduces[f].phase,
                 ReducePhase::Shuffling { .. } | ReducePhase::Merging { .. }
             ) {
-                continue;
+                self.end_reduce_attempt(ji, f);
             }
-            let rnode = self.jobs[ji].reduces[f].node().expect("placed reduce has a node");
-            if self.nodes[rnode.idx()].alive {
-                self.nodes[rnode.idx()].free_reduce += 1;
-                self.free_reduce_changed(rnode);
-            }
-            self.trace.reduce_util.end(self.now);
-            let r = &mut self.jobs[ji].reduces[f];
-            r.run += 1;
-            r.phase = ReducePhase::Unassigned;
-            r.pending.clear();
-            r.active_fetches = 0;
         }
-        self.cancel_backups_of(ji, None);
         let job = &mut self.jobs[ji];
-        job.reduce_nodes.clear();
+        debug_assert_eq!(job.running_tasks, 0, "every running attempt ended");
         job.unassigned_maps.clear();
         job.unassigned_reduces.clear();
-        job.running_tasks = 0;
         job.failed = true;
         self.jobs_done += 1;
         self.jobs_failed += 1;
@@ -1845,7 +1776,7 @@ mod tests {
                     .reduces
                     .iter()
                     .filter(|r| {
-                        r.active_fetches < sim.cfg.parallel_copies
+                        r.active_fetches < PARALLEL_COPIES
                             && matches!(r.phase, ReducePhase::Shuffling { node } if Some(node) != m.node())
                     })
                     .count();
@@ -1962,8 +1893,6 @@ mod tests {
         let r = run_tiny(Box::new(ProbabilisticPlacer::paper()), 7);
         assert!(r.counters.consistent(), "{:?}", r.counters);
         assert!(r.counters.offers > 0);
-        // Every skip the scheduler counted is also a skipped trace offer.
-        assert_eq!(r.counters.total_skips(), r.trace.skipped_offers);
         // The probabilistic placer exposes stats; its prune tally was absorbed.
         assert!(r.counters.pruned > 0, "{:?}", r.counters);
         // Default sink: no trace text.
@@ -2082,12 +2011,12 @@ mod tests {
         // node 0 gets no maps, both runs finish fast and the comparison is
         // noise). If the placement stream ever changes, re-pin a seed where
         // `without` launches no backups but leaves work on node 0.
+        let inputs = tiny_inputs(1, 10, 2);
         let mk = |lag: f64| {
             let mut cfg = SimConfig::tiny(5, 14);
             cfg.slow_nodes = vec![(0, 0.05)];
             cfg.speculation_lag = lag;
-            Simulation::new(cfg, Box::new(ProbabilisticPlacer::paper()))
-                .run(&tiny_inputs(1, 10, 2))
+            Simulation::new(cfg, Box::new(ProbabilisticPlacer::paper())).run(&inputs)
         };
         let without = mk(0.0);
         let with = mk(0.3);
@@ -2100,20 +2029,13 @@ mod tests {
         );
         // Counter-based evidence that speculation actually did the work:
         // a lag of 0 disables the mechanism entirely; with it on, a backup
-        // won the race and the losing primary was *killed*, not left to
-        // block the slot until its own completion.
+        // won the race. The oracle holds every backup to winning or being
+        // cancelled, and every slot, the killed primaries' included, to
+        // being given back.
         assert_eq!(without.trace.backups_launched, 0);
         assert!(with.trace.backups_launched > 0, "no backups launched");
         assert!(with.trace.backups_won > 0, "no backup won");
-        assert_eq!(
-            with.trace.losers_killed, with.trace.backups_won,
-            "every winning backup must kill its primary"
-        );
-        assert_eq!(
-            with.trace.backups_launched,
-            with.trace.backups_won + with.trace.backups_cancelled,
-            "every backup either wins or is cancelled"
-        );
+        check_report(&with, &inputs).unwrap();
         // Exactly one record per map task even when backups raced.
         assert_eq!(with.trace.tasks_of(TaskKind::Map).count(), 10);
     }

@@ -69,16 +69,12 @@ pub struct Trace {
     pub reduce_util: UtilizationTimeline,
     /// Total bytes moved over the network.
     pub network_bytes: f64,
-    /// Placement offers the task-level scheduler declined.
-    pub skipped_offers: u64,
     /// Speculative map backups launched.
     pub backups_launched: u64,
     /// Backups that finished before their primary (and killed it).
     pub backups_won: u64,
     /// Backups cancelled because the primary finished (or died) first.
     pub backups_cancelled: u64,
-    /// Primary attempts killed because their backup won the race.
-    pub losers_killed: u64,
 }
 
 impl Trace {
@@ -90,11 +86,9 @@ impl Trace {
             map_util: UtilizationTimeline::new(map_slot_capacity),
             reduce_util: UtilizationTimeline::new(reduce_slot_capacity),
             network_bytes: 0.0,
-            skipped_offers: 0,
             backups_launched: 0,
             backups_won: 0,
             backups_cancelled: 0,
-            losers_killed: 0,
         }
     }
 
