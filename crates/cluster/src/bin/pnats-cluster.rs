@@ -11,7 +11,7 @@
 //! The tracker prints (or writes with `--report`) the flat report form of
 //! [`pnats_cluster::ReportSummary`] and exits non-zero on a failed job.
 
-use pnats_cluster::{check_cluster_report, ClusterConfig, JobSpec, JobTracker, WorkerConfig};
+use pnats_cluster::{check_cluster_report, ClusterConfig, JobSpec, JobTracker};
 use pnats_obs::DecisionObserver;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -179,9 +179,7 @@ fn run_worker_cmd(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let defaults = ClusterConfig::default();
-    let cfg = WorkerConfig {
-        node,
-        tracker_addr: tracker_addr.to_string(),
+    let fleet = ClusterConfig {
         map_slots: get(&flags, "map-slots")
             .and_then(|s| s.parse().ok())
             .unwrap_or(defaults.map_slots),
@@ -192,15 +190,13 @@ fn run_worker_cmd(args: &[String]) -> ExitCode {
             .and_then(|s| s.parse().ok())
             .map(Duration::from_millis)
             .unwrap_or(defaults.heartbeat),
-        io_timeout: defaults.io_timeout,
-        retry: defaults.retry,
-        breaker: defaults.breaker,
-        chaos: None,
         orphan_grace: get(&flags, "orphan-grace-ms")
             .and_then(|s| s.parse().ok())
             .map(Duration::from_millis)
             .unwrap_or(defaults.orphan_grace),
+        ..defaults
     };
+    let cfg = fleet.worker(node, tracker_addr);
     match pnats_cluster::run_worker(cfg) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

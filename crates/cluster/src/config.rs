@@ -3,6 +3,7 @@
 //! needs: liveness expiry, IO deadlines, RPC retry budgets.
 
 use crate::journal::FsyncPolicy;
+use crate::worker::WorkerConfig;
 use pnats_core::faults::FaultPlan;
 use pnats_core::partition::Partitioner;
 use pnats_engine::EngineConfig;
@@ -133,6 +134,23 @@ impl ClusterConfig {
             seed: self.seed,
             faults: self.faults.clone(),
             ..EngineConfig::default()
+        }
+    }
+
+    /// The configuration of this fleet's worker `node`, reaching the
+    /// tracker at `tracker_addr`, with no chaos proxy on its data plane.
+    pub fn worker(&self, node: u32, tracker_addr: &str) -> WorkerConfig {
+        WorkerConfig {
+            node,
+            tracker_addr: tracker_addr.to_string(),
+            map_slots: self.map_slots,
+            reduce_slots: self.reduce_slots,
+            heartbeat: self.heartbeat,
+            io_timeout: self.io_timeout,
+            retry: self.retry.clone(),
+            breaker: self.breaker,
+            chaos: None,
+            orphan_grace: self.orphan_grace,
         }
     }
 }

@@ -99,7 +99,7 @@ pub fn run_cluster(
     input: &str,
     placer: Box<dyn TaskPlacer>,
 ) -> ClusterReport {
-    run_cluster_observed(cfg, spec, n_reduces, input, placer, DecisionObserver::disabled())
+    run_fleet(cfg, spec, n_reduces, input, placer, None)
 }
 
 /// Like [`run_cluster`], but with every wire the job depends on routed
@@ -120,6 +120,20 @@ pub fn run_cluster_chaos(
     plan: ChaosPlan,
 ) -> (ClusterReport, Arc<ChaosNet>) {
     let net = ChaosNet::new(plan);
+    (run_fleet(cfg, spec, n_reduces, input, placer, Some(&net)), net)
+}
+
+/// The body of [`run_cluster`] and [`run_cluster_chaos`]: start the
+/// tracker, spawn one worker thread per node (behind a `ctl:w<i>` proxy on
+/// `chaos`, when given), and wait for the report.
+fn run_fleet(
+    cfg: &ClusterConfig,
+    spec: &JobSpec,
+    n_reduces: usize,
+    input: &str,
+    placer: Box<dyn TaskPlacer>,
+    chaos: Option<&Arc<ChaosNet>>,
+) -> ClusterReport {
     let tracker = JobTracker::start(
         "127.0.0.1:0",
         cfg.clone(),
@@ -131,69 +145,18 @@ pub fn run_cluster_chaos(
     )
     .expect("bind tracker on loopback");
     let addr = tracker.addr().to_string();
+    // The proxies must outlive the workers that dial through them.
     let mut ctl_proxies = Vec::new();
     let workers: Vec<_> = (0..cfg.n_nodes)
         .map(|i| {
-            let ctl =
-                net.proxy(&format!("ctl:w{i}"), &addr).expect("bind chaos proxy on loopback");
-            let wc = WorkerConfig {
-                node: i as u32,
-                tracker_addr: ctl.addr().to_string(),
-                map_slots: cfg.map_slots,
-                reduce_slots: cfg.reduce_slots,
-                heartbeat: cfg.heartbeat,
-                io_timeout: cfg.io_timeout,
-                retry: cfg.retry.clone(),
-                breaker: cfg.breaker,
-                chaos: Some(net.clone()),
-                orphan_grace: cfg.orphan_grace,
-            };
-            ctl_proxies.push(ctl);
-            std::thread::spawn(move || {
-                let _ = run_worker(wc);
-            })
-        })
-        .collect();
-    let report = tracker.wait();
-    for w in workers {
-        let _ = w.join();
-    }
-    (report, net)
-}
-
-fn run_cluster_observed(
-    cfg: &ClusterConfig,
-    spec: &JobSpec,
-    n_reduces: usize,
-    input: &str,
-    placer: Box<dyn TaskPlacer>,
-    observer: DecisionObserver,
-) -> ClusterReport {
-    let tracker = JobTracker::start(
-        "127.0.0.1:0",
-        cfg.clone(),
-        spec.clone(),
-        n_reduces,
-        input,
-        placer,
-        observer,
-    )
-    .expect("bind tracker on loopback");
-    let addr = tracker.addr().to_string();
-    let workers: Vec<_> = (0..cfg.n_nodes)
-        .map(|i| {
-            let wc = WorkerConfig {
-                node: i as u32,
-                tracker_addr: addr.clone(),
-                map_slots: cfg.map_slots,
-                reduce_slots: cfg.reduce_slots,
-                heartbeat: cfg.heartbeat,
-                io_timeout: cfg.io_timeout,
-                retry: cfg.retry.clone(),
-                breaker: cfg.breaker,
-                chaos: None,
-                orphan_grace: cfg.orphan_grace,
-            };
+            let mut wc = cfg.worker(i as u32, &addr);
+            if let Some(net) = chaos {
+                let ctl =
+                    net.proxy(&format!("ctl:w{i}"), &addr).expect("bind chaos proxy on loopback");
+                wc.tracker_addr = ctl.addr().to_string();
+                wc.chaos = Some(Arc::clone(net));
+                ctl_proxies.push(ctl);
+            }
             std::thread::spawn(move || {
                 let _ = run_worker(wc);
             })

@@ -129,8 +129,6 @@ pub struct ClusterReport {
     pub n_maps: usize,
     /// Reduce task count.
     pub n_reduces: usize,
-    /// Placement offers the scheduler declined.
-    pub skipped_offers: u64,
     /// Decision + fault counters for the run.
     pub counters: SchedCounters,
     /// The decision trace as JSONL when an in-memory sink was attached.
@@ -156,7 +154,6 @@ pub struct ClusterReport {
 /// any run, completed or failed:
 ///
 /// * every offer became exactly one decision (`counters.consistent`),
-/// * the report's skip tally matches the counters',
 /// * the stage timeline is monotone ([`Stages::check`]),
 /// * the completion ledger keeps [`check_ledger`]'s law — in full for a
 ///   completed run, "no duplicate entry" for a failed one,
@@ -198,13 +195,6 @@ pub fn check_cluster_report(r: &ClusterReport) -> Result<(), String> {
         ));
     }
     c.check_offer_identity()?;
-    if r.counters.total_skips() != r.skipped_offers {
-        return Err(format!(
-            "skip tally mismatch: counters={} report={}",
-            r.counters.total_skips(),
-            r.skipped_offers
-        ));
-    }
     if r.counters.peers_expired > r.counters.node_crashes {
         return Err(format!(
             "expiries ({}) exceed recorded crashes ({})",
@@ -280,11 +270,10 @@ impl ClusterReport {
     /// emit them.
     pub fn to_text(&self) -> String {
         let mut s = format!(
-            "status failed={} n_maps={} n_reduces={} skipped={} wall_ms={}",
+            "status failed={} n_maps={} n_reduces={} wall_ms={}",
             u8::from(self.failed),
             self.n_maps,
             self.n_reduces,
-            self.skipped_offers,
             self.wall.as_millis()
         );
         if let Some(ms) = self.first_assign_ms {
@@ -312,8 +301,6 @@ pub struct ReportSummary {
     pub n_maps: usize,
     /// Reduce task count.
     pub n_reduces: usize,
-    /// Skipped offers.
-    pub skipped_offers: u64,
     /// Counter block.
     pub counters: SchedCounters,
     /// Output pairs in partition-major order.
@@ -332,7 +319,6 @@ impl ReportSummary {
         let mut failed = false;
         let mut n_maps = 0usize;
         let mut n_reduces = 0usize;
-        let mut skipped = 0u64;
         let mut first_assign_ms = None;
         for tok in status.split_whitespace() {
             let (k, v) = tok.split_once('=')?;
@@ -340,7 +326,6 @@ impl ReportSummary {
                 "failed" => failed = v == "1",
                 "n_maps" => n_maps = v.parse().ok()?,
                 "n_reduces" => n_reduces = v.parse().ok()?,
-                "skipped" => skipped = v.parse().ok()?,
                 "first_assign_ms" => first_assign_ms = v.parse().ok(),
                 _ => {}
             }
@@ -360,7 +345,6 @@ impl ReportSummary {
             failed,
             n_maps,
             n_reduces,
-            skipped_offers: skipped,
             counters,
             output,
             first_assign_ms,
@@ -384,7 +368,6 @@ mod tests {
             wall: Duration::from_millis(12),
             n_maps: 3,
             n_reduces: 2,
-            skipped_offers: 2,
             counters,
             trace_jsonl: None,
             completions: [(TaskKind::Map, 3), (TaskKind::Reduce, 2)]
@@ -459,7 +442,6 @@ mod tests {
         assert_eq!(s.failed, r.failed);
         assert_eq!(s.n_maps, r.n_maps);
         assert_eq!(s.n_reduces, r.n_reduces);
-        assert_eq!(s.skipped_offers, r.skipped_offers);
         assert_eq!(s.counters, r.counters);
         assert_eq!(s.output, r.output);
         assert_eq!(s.first_assign_ms, r.first_assign_ms);

@@ -1024,7 +1024,6 @@ impl JobTracker {
             wall: s.start.elapsed(),
             n_maps,
             n_reduces,
-            skipped_offers: o.skipped_offers,
             counters: o.counters,
             trace_jsonl: o.trace_jsonl,
             completions: o.completions,

@@ -136,7 +136,6 @@ fn sigkilled_worker_is_survived() {
         "post-kill output diverged from the engine reference"
     );
     assert!(summary.counters.consistent(), "offer conservation");
-    assert_eq!(summary.skipped_offers, summary.counters.total_skips());
     assert!(
         summary.counters.peers_expired >= 1,
         "the SIGKILLed worker was never expired (counters: {})",

@@ -6,7 +6,7 @@
 
 use pnats_cluster::{
     check_cluster_report, check_journal_recovery, placer_by_name, read_journal, run_worker,
-    ClusterConfig, JobSpec, JobTracker, JournalState, WorkerConfig,
+    ClusterConfig, JobSpec, JobTracker, JournalState,
 };
 use pnats_engine::MapReduceEngine;
 use pnats_obs::DecisionObserver;
@@ -56,18 +56,7 @@ fn cfg(journal: PathBuf) -> ClusterConfig {
 fn spawn_workers(cfg: &ClusterConfig, addr: &str) -> Vec<std::thread::JoinHandle<()>> {
     (0..cfg.n_nodes)
         .map(|i| {
-            let wc = WorkerConfig {
-                node: i as u32,
-                tracker_addr: addr.to_string(),
-                map_slots: cfg.map_slots,
-                reduce_slots: cfg.reduce_slots,
-                heartbeat: cfg.heartbeat,
-                io_timeout: cfg.io_timeout,
-                retry: cfg.retry.clone(),
-                breaker: cfg.breaker,
-                chaos: None,
-                orphan_grace: cfg.orphan_grace,
-            };
+            let wc = cfg.worker(i as u32, addr);
             std::thread::spawn(move || {
                 let _ = run_worker(wc);
             })

@@ -536,8 +536,6 @@ pub struct Outcome {
     pub map_locality: LocalityCounter,
     /// Where each reduce ran relative to its dominant shuffle source.
     pub reduce_locality: LocalityCounter,
-    /// Placement offers the scheduler declined.
-    pub skipped_offers: u64,
     /// Decision and fault counters.
     pub counters: SchedCounters,
     /// The decision trace, when an in-memory sink was attached.
@@ -571,7 +569,6 @@ pub struct JobScheduler<L> {
     // `apply`, so a replayed book does not restore them.
     map_locality: LocalityCounter,
     reduce_locality: LocalityCounter,
-    skipped_offers: u64,
 }
 
 impl<L: EventLog> JobScheduler<L> {
@@ -632,7 +629,6 @@ impl<L: EventLog> JobScheduler<L> {
             now: 0.0,
             map_locality: LocalityCounter::default(),
             reduce_locality: LocalityCounter::default(),
-            skipped_offers: 0,
         }
     }
 
@@ -783,10 +779,7 @@ impl<L: EventLog> JobScheduler<L> {
                 .at(self.now);
             let decision = self.placer.place_map(&ctx, node, &mut self.rng);
             self.observer.observe_map(&ctx, node, decision, self.placer.last_detail());
-            let Decision::Assign(i) = decision else {
-                self.skipped_offers += 1;
-                break;
-            };
+            let Decision::Assign(i) = decision else { break };
             let m = offerable[i];
             let attempt = self.book.maps[m].attempt;
             self.commit(&TaskEvent::MapAssigned { map: m as u32, attempt, node: node.0 });
@@ -832,10 +825,7 @@ impl<L: EventLog> JobScheduler<L> {
                 .at(self.now);
             let decision = self.placer.place_reduce(&ctx, node, &mut self.rng);
             self.observer.observe_reduce(&ctx, node, decision, self.placer.last_detail());
-            let Decision::Assign(i) = decision else {
-                self.skipped_offers += 1;
-                break;
-            };
+            let Decision::Assign(i) = decision else { break };
             let reduce = self.book.pending_reduces[i] as u32;
             let attempt = self.book.reduces[reduce as usize].attempt;
             self.commit(&TaskEvent::ReduceAssigned { reduce, attempt, node: node.0 });
@@ -945,7 +935,6 @@ impl<L: EventLog> JobScheduler<L> {
             output: self.book.reduces.iter_mut().flat_map(|t| t.output.drain(..)).collect(),
             map_locality: self.map_locality,
             reduce_locality: self.reduce_locality,
-            skipped_offers: self.skipped_offers,
             counters: self.observer.counters().clone(),
             trace_jsonl,
             completions: std::mem::take(&mut self.book.completions),

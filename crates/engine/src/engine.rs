@@ -92,8 +92,6 @@ pub struct EngineReport {
     pub n_maps: usize,
     /// Reduce task count.
     pub n_reduces: usize,
-    /// Placement offers the scheduler declined.
-    pub skipped_offers: u64,
     /// Decision counters for the run (offers, assigns, skips by reason,
     /// plus the probabilistic placer's prune/cache tallies).
     pub counters: SchedCounters,
@@ -336,7 +334,6 @@ impl MapReduceEngine {
             wall: start.elapsed(),
             n_maps,
             n_reduces,
-            skipped_offers: o.skipped_offers,
             counters: o.counters,
             trace_jsonl: o.trace_jsonl,
             failed,
@@ -533,7 +530,6 @@ mod tests {
         let job = EngineJob::new("wc", Arc::new(WordCountJob), Arc::new(WordCountJob), 2);
         let report = eng.run(&job, &input, Box::new(ProbabilisticPlacer::paper()));
         assert!(report.counters.consistent(), "{:?}", report.counters);
-        assert_eq!(report.counters.total_skips(), report.skipped_offers);
         // Every task launched exactly once.
         assert_eq!(
             report.counters.assigns as usize,

@@ -169,9 +169,11 @@ pub struct Simulation {
     /// membership (and order) of the old per-offer full-table scan.
     active_jobs: Vec<usize>,
     /// The jobs of `active_jobs` with a non-empty unassigned-map queue,
-    /// keyed `(running maps, id)`: the first is the head of line.
-    map_heads: BTreeSet<(usize, usize)>,
-    /// Each job's key in `map_heads`, while it is there.
+    /// keyed `(running maps, id)` and partitioned by tenant (one partition
+    /// without service mode): each partition's first key is its head of
+    /// line.
+    map_heads: Vec<BTreeSet<(usize, usize)>>,
+    /// Each job's key in its `map_heads` partition, while it is there.
     map_head_of: Vec<Option<(usize, usize)>>,
     jobs_done: usize,
     jobs_failed: usize,
@@ -279,7 +281,7 @@ impl Simulation {
             reduce_window: ReduceWindow::default(),
             classes,
             active_jobs: Vec::new(),
-            map_heads: BTreeSet::new(),
+            map_heads: vec![BTreeSet::new()],
             map_head_of: Vec::new(),
             jobs_done: 0,
             jobs_failed: 0,
@@ -378,13 +380,7 @@ impl Simulation {
                     }
                 })
                 .collect();
-            let job = JobState::new(
-                JobId(ji as u32),
-                input,
-                replicas,
-                self.cfg.n_nodes,
-                &mut self.rng,
-            );
+            let job = JobState::new(JobId(ji as u32), input, replicas, &mut self.rng);
             self.events.push(input.submit, EventKind::JobArrival { job: ji });
             self.jobs.push(job);
             self.arrived.push(false);
@@ -396,6 +392,7 @@ impl Simulation {
         // stays byte-identical to a `tenancy: None` run. ---
         if let Some(tc) = self.cfg.tenancy.clone() {
             let tn = TenancyState::new(tc, inputs.len());
+            self.map_heads = vec![BTreeSet::new(); tn.cfg.tenants.len()];
             if !tn.passthrough {
                 let tags: Vec<u32> =
                     (0..inputs.len()).map(|j| tn.cfg.tenant_of(j) as u32).collect();
@@ -607,14 +604,14 @@ impl Simulation {
         let total = self.cfg.total_map_slots() as f64;
         let total_weight = tn.cfg.tenants.total_weight();
         let mut running = vec![0usize; n];
-        for (t, list) in tn.active.iter().enumerate() {
-            running[t] = list.iter().map(|&j| self.jobs[j].running_maps.len()).sum();
+        for &j in &self.active_jobs {
+            running[tn.cfg.tenant_of(j)] += self.jobs[j].running_maps.len();
         }
         // Lowest tenant id wins ties: deterministic.
         let Some(starved) = (0..n).find(|&t| {
             let spec = tn.cfg.tenants.get(t);
             spec.min_share > 0.0
-                && !tn.wanting_maps[t].is_empty()
+                && !self.map_heads[t].is_empty()
                 && (running[t] as f64) < (spec.min_share * total).floor()
         }) else {
             return;
@@ -635,7 +632,11 @@ impl Simulation {
         // cheapest to redo. Ties (same assignment heartbeat) break on the
         // highest (job, map) id, still deterministic.
         let mut best: Option<(f64, usize, usize)> = None;
-        for &j in &tn.active[victim_t] {
+        for &j in self
+            .active_jobs
+            .iter()
+            .filter(|&&j| tn.cfg.tenant_of(j) == victim_t)
+        {
             for &m in &self.jobs[j].running_maps {
                 let key = (self.jobs[j].maps[m].assigned_t, j, m);
                 if best.is_none_or(|b| (key.0, key.1, key.2) > b) {
@@ -726,12 +727,12 @@ impl Simulation {
             Err(pos) if wanted => self.active_jobs.insert(pos, ji),
             _ => {}
         }
-        if let Some(tn) = &mut self.tenancy {
-            if tn.track_demand() {
-                tn.set_active(ji, wanted);
-            }
-        }
         self.refresh_wants_maps(ji);
+    }
+
+    /// The `map_heads` partition of job `ji`: its tenant in service mode.
+    fn partition_of(&self, ji: usize) -> usize {
+        self.tenancy.as_ref().map_or(0, |tn| tn.cfg.tenant_of(ji))
     }
 
     /// Sync job `ji`'s membership and key in `map_heads` after any change
@@ -741,18 +742,26 @@ impl Simulation {
         let wanted = self.arrived[ji] && !job.terminated() && !job.unassigned_maps.is_empty();
         let key = wanted.then_some((job.running_maps.len(), ji));
         let old = std::mem::replace(&mut self.map_head_of[ji], key);
-        if old != key {
-            if let Some(k) = old {
-                self.map_heads.remove(&k);
-            }
-            if let Some(k) = key {
-                self.map_heads.insert(k);
-            }
+        if old == key {
+            return;
         }
-        if let Some(tn) = &mut self.tenancy {
-            if tn.track_demand() {
-                tn.set_wants_maps(ji, wanted);
+        let t = self.partition_of(ji);
+        let part = &mut self.map_heads[t];
+        if let Some(k) = old {
+            part.remove(&k);
+        }
+        match key {
+            Some(k) => {
+                part.insert(k);
             }
+            // The tenant's map queue drained: it forfeits its banked
+            // credit (DWRR's anti-burst rule). A re-key never gets here.
+            None if part.is_empty() => {
+                if let Some(tn) = &mut self.tenancy {
+                    tn.arbiter.reset(t);
+                }
+            }
+            None => {}
         }
     }
 
@@ -779,56 +788,47 @@ impl Simulation {
             if self.nodes[node.idx()].free_map == 0 {
                 break;
             }
-            // `map_heads` holds exactly the old full-table scan's jobs, each
-            // under its current running-map count.
+            // Each `map_heads` partition holds exactly the old full-table
+            // scan's jobs of its tenant, each under its current running-map
+            // count.
             #[cfg(debug_assertions)]
             {
-                let scan: BTreeSet<(usize, usize)> = (0..self.jobs.len())
-                    .filter(|&j| {
-                        self.arrived[j]
-                            && !self.jobs[j].terminated()
-                            && !self.jobs[j].unassigned_maps.is_empty()
-                    })
-                    .map(|j| (self.jobs[j].running_maps.len(), j))
-                    .collect();
+                let mut scan = vec![BTreeSet::new(); self.map_heads.len()];
+                for (j, job) in self.jobs.iter().enumerate() {
+                    if self.arrived[j] && !job.terminated() && !job.unassigned_maps.is_empty() {
+                        scan[self.partition_of(j)].insert((job.running_maps.len(), j));
+                    }
+                }
                 debug_assert_eq!(scan, self.map_heads, "map_heads desync");
-            }
-            if self.map_heads.is_empty() {
-                break;
             }
             // The head of line is the job with the fewest running maps,
             // lowest id first: Hadoop's Fair Scheduler serves jobs below
             // their fair share before those at or above it, and ordering
             // by running count already does that, since the share is one
-            // threshold for every job.
+            // threshold for every job. Without fairness it is the least
+            // first key over all partitions.
             //
             // With weighted fair sharing on, the DWRR arbiter first
-            // decides which *tenant* this slot belongs to; the classic
-            // head-of-line rule then runs within that tenant's jobs. The
-            // arbiter charges the winner one slot up front — refunded if
-            // the task-level placer declines the offer (the slot stays
-            // idle, so nobody was served).
+            // decides which *tenant* this slot belongs to, among those with
+            // a non-empty partition; that partition's first key is the
+            // head. The arbiter charges the winner one slot up front —
+            // refunded if the task-level placer declines the offer (the
+            // slot stays idle, so nobody was served).
             let (head, charged) = match self.tenancy.as_mut().filter(|tn| tn.cfg.fairness) {
                 Some(tn) => {
-                    #[cfg(debug_assertions)]
-                    {
-                        let mut merged: Vec<usize> =
-                            tn.wanting_maps.iter().flatten().copied().collect();
-                        merged.sort_unstable();
-                        let mut wanting: Vec<usize> = self.map_heads.iter().map(|k| k.1).collect();
-                        wanting.sort_unstable();
-                        debug_assert_eq!(merged, wanting, "tenant demand partition desync");
+                    let demanding: Vec<usize> = (0..self.map_heads.len())
+                        .filter(|&t| !self.map_heads[t].is_empty())
+                        .collect();
+                    if demanding.is_empty() {
+                        break;
                     }
-                    let t = tn.arbiter.pick(&tn.demanding);
-                    let jobs = &self.jobs;
-                    let head = tn.wanting_maps[t]
-                        .iter()
-                        .copied()
-                        .min_by_key(|&j| (jobs[j].running_maps.len(), j))
-                        .expect("demanding tenant has a job wanting maps");
-                    (head, Some(t))
+                    let t = tn.arbiter.pick(&demanding);
+                    (self.map_heads[t].first().expect("demanding tenant").1, Some(t))
                 }
-                None => (self.map_heads.first().expect("non-empty demand set").1, None),
+                None => match self.map_heads.iter().filter_map(BTreeSet::first).min() {
+                    Some(&(_, j)) => (j, None),
+                    None => break,
+                },
             };
             match self.offer_map(head, node) {
                 Some(map) => self.assign_map(head, map, node),
@@ -891,9 +891,8 @@ impl Simulation {
                     // the classic fair-share key applies.
                     let n = tn.cfg.tenants.len();
                     let mut held = vec![0usize; n];
-                    for (t, list) in tn.active.iter().enumerate() {
-                        held[t] =
-                            list.iter().map(|&j| self.jobs[j].reduce_nodes.len()).sum();
+                    for &j in &self.active_jobs {
+                        held[tn.cfg.tenant_of(j)] += self.jobs[j].reduce_nodes.len();
                     }
                     order.sort_by(|&a, &b| {
                         let (ta, tb) = (tn.cfg.tenant_of(a), tn.cfg.tenant_of(b));
@@ -1015,7 +1014,6 @@ impl Simulation {
         let locality = self.map_locality(ji, map, node);
         let job = &mut self.jobs[ji];
         assert!(job.unassigned_maps.remove(map), "assigning an unassigned map");
-        job.running_tasks += 1;
         job.running_maps.push(map);
         if job.maps[map].weights.is_empty() {
             // First attempt only: re-executions must reproduce the same
@@ -1173,7 +1171,6 @@ impl Simulation {
     /// Common completion path for primaries and winning backups.
     fn finish_map(&mut self, ji: usize, map: usize, node: NodeId) {
         self.jobs[ji].complete_map(map, node, self.now);
-        self.jobs[ji].running_tasks -= 1;
         self.refresh_wants_maps(ji);
         // A winning backup may have run elsewhere than the original
         // placement; record the locality of where the work actually ran.
@@ -1295,7 +1292,6 @@ impl Simulation {
 
         let job = &mut self.jobs[ji];
         assert!(job.unassigned_reduces.remove(f), "assigning an unassigned reduce");
-        job.running_tasks += 1;
         job.reduce_nodes.push(node);
         job.reduces[f].phase = ReducePhase::Shuffling { node };
         job.reduces[f].assigned_t = self.now;
@@ -1377,7 +1373,6 @@ impl Simulation {
             let job = &mut self.jobs[ji];
             job.reduces[f].phase = ReducePhase::Done { node, finish: self.now };
             job.reduces_finished += 1;
-            job.running_tasks -= 1;
             if let Some(pos) = job.reduce_nodes.iter().position(|n| *n == node) {
                 job.reduce_nodes.swap_remove(pos);
             }
@@ -1429,11 +1424,16 @@ impl Simulation {
             }
         };
         if done {
-            self.jobs_done += 1;
-            self.refresh_active(ji);
-            if let Some(tn) = &mut self.tenancy {
-                tn.job_left(ji);
-            }
+            self.retire_job(ji);
+        }
+    }
+
+    /// Book a terminated (completed or failed) job's departure.
+    fn retire_job(&mut self, ji: usize) {
+        self.jobs_done += 1;
+        self.refresh_active(ji);
+        if let Some(tn) = &mut self.tenancy {
+            tn.job_left(ji);
         }
     }
 
@@ -1451,7 +1451,6 @@ impl Simulation {
         if let Some(pos) = job.running_maps.iter().position(|x| *x == map) {
             job.running_maps.swap_remove(pos);
         }
-        job.running_tasks -= 1;
         self.cancel_backup(ji, map);
         node
     }
@@ -1472,7 +1471,6 @@ impl Simulation {
         if let Some(pos) = job.reduce_nodes.iter().position(|x| *x == node) {
             job.reduce_nodes.swap_remove(pos);
         }
-        job.running_tasks -= 1;
         node
     }
 
@@ -1547,10 +1545,10 @@ impl Simulation {
         }
 
         // 2. Kill running tasks hosted on the node, and backups there.
-        for ji in 0..self.jobs.len() {
-            if !self.arrived[ji] || self.jobs[ji].terminated() {
-                continue;
-            }
+        // Killing requeues but terminates no job, so `active_jobs` (the
+        // ascending `arrived && !terminated` jobs) holds still.
+        let active = self.active_jobs.clone();
+        for &ji in &active {
             let dead_maps: Vec<usize> = self.jobs[ji]
                 .running_maps
                 .iter()
@@ -1583,10 +1581,7 @@ impl Simulation {
 
         // 3. Invalidate completed map outputs on the node; reducers shed
         // what they had fetched from it.
-        for ji in 0..self.jobs.len() {
-            if !self.arrived[ji] || self.jobs[ji].terminated() {
-                continue;
-            }
+        for ji in active {
             let lost: Vec<usize> = self.jobs[ji]
                 .maps
                 .iter()
@@ -1684,16 +1679,15 @@ impl Simulation {
             }
         }
         let job = &mut self.jobs[ji];
-        debug_assert_eq!(job.running_tasks, 0, "every running attempt ended");
+        debug_assert!(
+            job.running_maps.is_empty() && job.reduce_nodes.is_empty(),
+            "every running attempt ended"
+        );
         job.unassigned_maps.clear();
         job.unassigned_reduces.clear();
         job.failed = true;
-        self.jobs_done += 1;
         self.jobs_failed += 1;
-        self.refresh_active(ji);
-        if let Some(tn) = &mut self.tenancy {
-            tn.job_left(ji);
-        }
+        self.retire_job(ji);
         let _ = self.transfers.cancel_job(self.now, ji);
         self.arm_transfer_wake();
         self.record_fault(FaultKind::JobFailed, node.idx() as u32, Some(ji as u32), None);

@@ -2,14 +2,15 @@
 //!
 //! The policy crate ([`pnats_tenancy`]) is pure — specs, the DWRR
 //! arbiter, the admission predicate. This module holds the *runtime*
-//! side the simulator threads through its event loop: per-tenant demand
-//! indexes mirroring `active_jobs` / `map_heads` (maintained at
-//! the same two choke points, so they are exact partitions by tenant),
-//! per-tenant service counters, and the preemption cooldown clock.
+//! side the simulator threads through its event loop: the arbiter's
+//! state, per-tenant service counters and in-system job counts, and the
+//! preemption cooldown clock. It holds no job list: the simulator's one
+//! demand index (`map_heads`) is partitioned by tenant in service mode,
+//! and per-tenant sums walk its `active_jobs`.
 //!
 //! Everything here is gated behind `SimConfig::tenancy`; a `None` config
-//! never constructs a `TenancyState` and the simulator runs the classic
-//! single-pool paths untouched.
+//! never constructs a `TenancyState`, and the demand index keeps a single
+//! partition.
 
 use pnats_tenancy::{DwrrArbiter, TenancyConfig, TenantCounters};
 
@@ -37,14 +38,6 @@ pub(crate) struct TenancyState {
     pub counters: Vec<TenantCounters>,
     /// Jobs currently admitted and not yet finished, per tenant.
     pub in_system: Vec<u32>,
-    /// Per-tenant partition of the runner's `map_heads` jobs (ascending
-    /// job ids).
-    pub wanting_maps: Vec<Vec<usize>>,
-    /// Per-tenant partition of `active_jobs` (ascending job ids).
-    pub active: Vec<Vec<usize>>,
-    /// Ascending tenant ids with non-empty `wanting_maps` — the demand
-    /// set the arbiter cycles over.
-    pub demanding: Vec<usize>,
     /// Last preemption time (cooldown anchor); `-inf` before the first.
     pub last_preempt_t: f64,
 }
@@ -70,61 +63,7 @@ impl TenancyState {
             arbiter,
             counters: vec![TenantCounters::default(); n],
             in_system: vec![0; n],
-            wanting_maps: vec![Vec::new(); n],
-            active: vec![Vec::new(); n],
-            demanding: Vec::new(),
             last_preempt_t: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Whether the per-tenant demand indexes are maintained: any policy
-    /// that consults them is on. Passthrough runs skip the bookkeeping
-    /// entirely (it is pure overhead there).
-    pub fn track_demand(&self) -> bool {
-        self.cfg.fairness || self.cfg.preemption
-    }
-
-    /// Mirror of `refresh_wants_maps` for the per-tenant partition:
-    /// insert/remove `ji` in its tenant's wanting-maps list and keep the
-    /// tenant demand set (and the arbiter's queue-empty reset rule) in
-    /// sync.
-    pub fn set_wants_maps(&mut self, ji: usize, wanted: bool) {
-        let t = self.cfg.tenant_of(ji);
-        let list = &mut self.wanting_maps[t];
-        match list.binary_search(&ji) {
-            Ok(pos) if !wanted => {
-                list.remove(pos);
-                if list.is_empty() {
-                    // Tenant's queue drained: forfeit accumulated deficit
-                    // (DWRR's anti-burst rule) and leave the demand set.
-                    self.arbiter.reset(t);
-                    if let Ok(dp) = self.demanding.binary_search(&t) {
-                        self.demanding.remove(dp);
-                    }
-                }
-            }
-            Err(pos) if wanted => {
-                if list.is_empty() {
-                    if let Err(dp) = self.demanding.binary_search(&t) {
-                        self.demanding.insert(dp, t);
-                    }
-                }
-                list.insert(pos, ji);
-            }
-            _ => {}
-        }
-    }
-
-    /// Mirror of `refresh_active` for the per-tenant partition.
-    pub fn set_active(&mut self, ji: usize, wanted: bool) {
-        let t = self.cfg.tenant_of(ji);
-        let list = &mut self.active[t];
-        match list.binary_search(&ji) {
-            Ok(pos) if !wanted => {
-                list.remove(pos);
-            }
-            Err(pos) if wanted => list.insert(pos, ji),
-            _ => {}
         }
     }
 

@@ -405,8 +405,6 @@ pub struct JobState {
     pub maps_finished: usize,
     /// Completed reduce count.
     pub reduces_finished: usize,
-    /// Running (assigned, unfinished) task count — fair-share key.
-    pub running_tasks: usize,
     /// Nodes currently hosting a reduce of this job.
     pub reduce_nodes: Vec<NodeId>,
     /// Completion time, once done.
@@ -422,7 +420,6 @@ impl JobState {
         id: JobId,
         input: &JobInput,
         replicas_per_block: Vec<Vec<NodeId>>,
-        _n_nodes: usize,
         rng: &mut SmallRng,
     ) -> Self {
         assert_eq!(replicas_per_block.len(), input.block_sizes.len());
@@ -479,7 +476,6 @@ impl JobState {
             input_done: 0,
             maps_finished: 0,
             reduces_finished: 0,
-            running_tasks: 0,
             reduce_nodes: Vec::new(),
             finished_at: None,
             failed: false,
@@ -703,7 +699,6 @@ mod tests {
             JobId(0),
             &input(),
             vec![vec![NodeId(0)], vec![NodeId(1)]],
-            4,
             &mut rng,
         )
     }
@@ -896,7 +891,7 @@ mod tests {
                 shuffle: ShuffleModel::for_app(AppKind::Terasort),
             };
             let replicas = (0..n_maps).map(|m| vec![NodeId(m as u32 % 4)]).collect();
-            let mut j = JobState::new(JobId(1), &input, replicas, 4, &mut rng);
+            let mut j = JobState::new(JobId(1), &input, replicas, &mut rng);
             for m in 0..n_maps {
                 j.materialize_map_output(m, 0.3, &mut rng);
                 if rng.gen_bool(0.3) {

@@ -44,7 +44,7 @@ fn main() {
     println!(
         "placement: {:.0}% of maps ran data-local ({} scheduler declines)",
         report.map_locality.pct_node_local(),
-        report.skipped_offers
+        report.counters.total_skips()
     );
     println!("top 10 words:");
     for (word, count) in counts.iter().take(10) {
