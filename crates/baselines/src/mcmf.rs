@@ -31,7 +31,7 @@ impl MinCostFlow {
 
     /// Add an arc `u → v` with capacity `cap` and per-unit cost `cost`.
     /// Returns the arc id (use with [`MinCostFlow::flow_on`]).
-    pub fn add_edge(&mut self, u: usize, v: usize, cap: i64, cost: i64) -> usize {
+    fn add_edge(&mut self, u: usize, v: usize, cap: i64, cost: i64) -> usize {
         assert!(u < self.adj.len() && v < self.adj.len(), "node out of range");
         assert!(cap >= 0);
         let id = self.to.len();
@@ -47,7 +47,7 @@ impl MinCostFlow {
     }
 
     /// Flow currently on arc `id` (residual of the reverse arc).
-    pub fn flow_on(&self, id: usize) -> i64 {
+    fn flow_on(&self, id: usize) -> i64 {
         self.cap[id ^ 1]
     }
 

@@ -36,7 +36,7 @@
 //! changes the on-disk format, which `encoded_bytes_are_pinned` guards.
 
 use pnats_engine::book::{Book, EventLog, Phase, TaskEvent};
-use pnats_obs::{check_ledger, JobLedger, TaskKind};
+use pnats_obs::TaskKind;
 use pnats_rpc::frame::{read_frame, write_frame, FrameError};
 use pnats_rpc::wire;
 use pnats_rpc::wire::{Reader, Wire, WireError, Writer};
@@ -452,10 +452,16 @@ impl JournalState {
 }
 
 /// The journal-level recovery law, checked by `tracker_failover` over the
-/// finished journal: every assignment outstanding at a `TrackerStarted`
-/// boundary must later be resolved — completed, requeued, invalidated, or
-/// reconciled — and no `(map, epoch)` completion may repeat across
-/// incarnations (zero duplicate completions per crash epoch).
+/// finished journal: the records replay, and a job that finished ok left a
+/// complete book.
+///
+/// Nothing else can fail once the replay is accepted. [`Book::apply`]
+/// refuses a second completion of a `(task, epoch)` and any transition
+/// that does not follow from the task's state, so the completion ledger
+/// holds no duplicate across incarnations. An attempt running at a
+/// `TrackerStarted` boundary leaves `Running` only by a completion or a
+/// requeue, so a task that ends `Finished` resolved every attempt it had
+/// outstanding at a crash.
 pub fn check_journal_recovery(records: &[JournalRecord]) -> Result<(), String> {
     let st = JournalState::from_records(records)?;
     if st.finished == Some(false) && !st.book.complete() {
@@ -467,60 +473,6 @@ pub fn check_journal_recovery(records: &[JournalRecord]) -> Result<(), String> {
             "job finished ok but maps {:?} / reduces {:?} never resolved",
             open(st.book.maps().iter().map(|m| m.phase)),
             open(st.book.reduces().iter().map(|r| r.phase)),
-        ));
-    }
-    // Zero duplicate completions per crash epoch: a (task, run-epoch) pair
-    // completes at most once across all incarnations.
-    let job = JobLedger { maps: st.n_maps, reduces: st.n_reduces, complete: false };
-    let keys = st.book.completions().iter().map(|c| (0, c.kind, c.index, c.epoch));
-    check_ledger(keys.collect(), &[job]).map_err(|e| format!("across incarnations: {e}"))?;
-    // Every pre-crash running assignment was resolved or adopted: walk the
-    // stream, snapshot outstanding work at each TrackerStarted, and demand
-    // each snapshot entry sees a later resolving record.
-    let mut running_maps: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut running_reduces: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut pending: Vec<(u32, TaskKind, u32, u32)> = Vec::new(); // (boundary, kind, index, attempt)
-    for rec in records {
-        match rec {
-            JournalRecord::Task(TaskEvent::MapAssigned { map, attempt, .. }) => {
-                running_maps.insert(*map, *attempt);
-            }
-            JournalRecord::Task(
-                TaskEvent::MapCompleted { map, .. }
-                | TaskEvent::MapInvalidated { map, .. }
-                | TaskEvent::MapRequeued { map, .. },
-            ) => {
-                running_maps.remove(map);
-                pending.retain(|(_, k, i, _)| !(*k == TaskKind::Map && i == map));
-            }
-            JournalRecord::Task(TaskEvent::ReduceAssigned { reduce, attempt, .. }) => {
-                running_reduces.insert(*reduce, *attempt);
-            }
-            JournalRecord::Task(
-                TaskEvent::ReduceCompleted { reduce, .. }
-                | TaskEvent::ReduceRequeued { reduce, .. },
-            ) => {
-                running_reduces.remove(reduce);
-                pending.retain(|(_, k, i, _)| !(*k == TaskKind::Reduce && i == reduce));
-            }
-            JournalRecord::AttemptReconciled { kind, index, .. } => {
-                pending.retain(|(_, k, i, _)| !(k == kind && i == index));
-            }
-            JournalRecord::TrackerStarted { crash_epoch } => {
-                for (m, a) in &running_maps {
-                    pending.push((*crash_epoch, TaskKind::Map, *m, *a));
-                }
-                for (r, a) in &running_reduces {
-                    pending.push((*crash_epoch, TaskKind::Reduce, *r, *a));
-                }
-            }
-            _ => {}
-        }
-    }
-    if st.finished == Some(false) && !pending.is_empty() {
-        return Err(format!(
-            "assignments outstanding at a crash boundary were never reconciled or re-executed: \
-             {pending:?}"
         ));
     }
     Ok(())

@@ -4,8 +4,8 @@
 //! The paper's map-task cost model (Formula 1) is driven entirely by *where
 //! block replicas live*: `C_m(i,j) = B_j · min_{l : L_lj = 1} h_il`, the
 //! block size times the distance to the nearest replica. This crate provides
-//! that `L` matrix: a block namespace ([`namespace`]), replica placement
-//! policies matching HDFS behaviour ([`placement`]) and the replica lookup
+//! that `L` matrix: a block namespace ([`namespace`]), HDFS rack-aware
+//! replica placement ([`placement`]) and the replica lookup
 //! structure schedulers query ([`store`]).
 //!
 //! The paper's experiments store generated input "in slave nodes with the
@@ -19,5 +19,5 @@ pub mod store;
 
 pub use block::{Block, BlockId};
 pub use namespace::{FileId, Namespace};
-pub use placement::{LocalOnly, RackAware, ReplicaPlacement, UniformRandom};
+pub use placement::{RackAware, ReplicaPlacement};
 pub use store::BlockStore;

@@ -1,18 +1,11 @@
-//! Replica placement policies.
+//! Replica placement.
 //!
 //! Where replicas land determines the locality opportunities every scheduler
-//! competes over, so placement is a first-class, pluggable policy:
-//!
-//! * [`RackAware`] — stock HDFS: first replica on the "writer" node, second
-//!   on a random node in a *different* rack (or a different node of the same
-//!   rack in single-rack clusters), third on a different node of the second
-//!   replica's rack, further replicas random. This is what the paper's
-//!   testbed used (replication factor 2).
-//! * [`UniformRandom`] — replicas on distinct uniformly random nodes; the
-//!   distribution NAS/SAN-backed clusters approximate (paper §I cites data
-//!   "stored in NAS or SAN devices located in a subset of the nodes").
-//! * [`LocalOnly`] — every replica on the writer node; degenerate policy for
-//!   tests and worst-case locality skew.
+//! competes over. [`RackAware`] is stock HDFS: first replica on the "writer"
+//! node, second on a random node in a *different* rack (or a different node
+//! of the same rack in single-rack clusters), third on a different node of
+//! the second replica's rack, further replicas random. This is what the
+//! paper's testbed used (replication factor 2).
 
 use pnats_net::{ClusterLayout, NodeId, RackId};
 use rand::rngs::SmallRng;
@@ -36,14 +29,6 @@ pub trait ReplicaPlacement {
 /// Stock HDFS rack-aware placement (see module docs).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RackAware;
-
-/// Uniform placement over distinct nodes.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UniformRandom;
-
-/// All replicas on the writer node.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LocalOnly;
 
 /// The nodes a replica may go to, before exclusions.
 #[derive(Clone, Copy)]
@@ -160,41 +145,6 @@ impl ReplicaPlacement for RackAware {
     }
 }
 
-impl ReplicaPlacement for UniformRandom {
-    fn place(
-        &self,
-        _writer: NodeId,
-        replication: usize,
-        layout: &ClusterLayout,
-        rng: &mut SmallRng,
-    ) -> Vec<NodeId> {
-        let mut replicas = Vec::with_capacity(replication);
-        while replicas.len() < replication {
-            match random_node_excluding(layout, Pool::Any, &replicas, rng) {
-                Some(n) => replicas.push(n),
-                None => break,
-            }
-        }
-        replicas
-    }
-}
-
-impl ReplicaPlacement for LocalOnly {
-    fn place(
-        &self,
-        writer: NodeId,
-        replication: usize,
-        _layout: &ClusterLayout,
-        _rng: &mut SmallRng,
-    ) -> Vec<NodeId> {
-        if replication == 0 {
-            Vec::new()
-        } else {
-            vec![writer]
-        }
-    }
-}
-
 /// Pick a uniformly random writer node, the common case when loading data
 /// from outside the cluster.
 pub fn random_writer(layout: &ClusterLayout, rng: &mut SmallRng) -> NodeId {
@@ -307,42 +257,6 @@ mod tests {
         let mut rng = rng();
         let r = RackAware.place(NodeId(0), 5, &layout, &mut rng);
         assert_eq!(r.len(), 2, "only 2 nodes exist");
-        let u = UniformRandom.place(NodeId(0), 5, &layout, &mut rng);
-        assert_eq!(u.len(), 2);
-    }
-
-    #[test]
-    fn uniform_replicas_are_distinct() {
-        let layout = layout_multi();
-        let mut rng = rng();
-        for _ in 0..50 {
-            let r = UniformRandom.place(NodeId(0), 3, &layout, &mut rng);
-            assert_eq!(r.len(), 3);
-            assert_ne!(r[0], r[1]);
-            assert_ne!(r[1], r[2]);
-            assert_ne!(r[0], r[2]);
-        }
-    }
-
-    #[test]
-    fn uniform_covers_the_cluster() {
-        let layout = layout_single();
-        let mut rng = rng();
-        let mut seen = vec![false; layout.n_nodes()];
-        for _ in 0..200 {
-            for n in UniformRandom.place(NodeId(0), 1, &layout, &mut rng) {
-                seen[n.idx()] = true;
-            }
-        }
-        assert!(seen.iter().all(|s| *s), "every node eventually receives a replica");
-    }
-
-    #[test]
-    fn local_only_is_writer_only() {
-        let layout = layout_multi();
-        let mut rng = rng();
-        assert_eq!(LocalOnly.place(NodeId(5), 3, &layout, &mut rng), vec![NodeId(5)]);
-        assert!(LocalOnly.place(NodeId(5), 0, &layout, &mut rng).is_empty());
     }
 
     #[test]

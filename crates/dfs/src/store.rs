@@ -111,7 +111,7 @@ impl BlockStore {
 mod tests {
     use super::*;
     use crate::block::split_into;
-    use crate::placement::{RackAware, UniformRandom};
+    use crate::placement::RackAware;
     use pnats_net::{DistanceMatrix, Topology};
     use rand::SeedableRng;
 
@@ -138,9 +138,9 @@ mod tests {
         ns.create_file("in", &[100]);
         let mut store = BlockStore::new();
         let mut rng = SmallRng::seed_from_u64(2);
-        store.populate(&ns, topo.layout(), &UniformRandom, 2, &mut rng);
+        store.populate(&ns, topo.layout(), &RackAware, 2, &mut rng);
         let first = store.replicas(BlockId(0)).to_vec();
-        store.populate(&ns, topo.layout(), &UniformRandom, 2, &mut rng);
+        store.populate(&ns, topo.layout(), &RackAware, 2, &mut rng);
         assert_eq!(store.replicas(BlockId(0)), first.as_slice());
     }
 
@@ -195,7 +195,7 @@ mod tests {
         ns.create_file("in", &vec![1u64; 500]);
         let mut store = BlockStore::new();
         let mut rng = SmallRng::seed_from_u64(3);
-        store.populate(&ns, topo.layout(), &UniformRandom, 2, &mut rng);
+        store.populate(&ns, topo.layout(), &RackAware, 2, &mut rng);
         let counts = store.replicas_per_node(10);
         assert_eq!(counts.iter().sum::<usize>(), 1000);
         // With 1000 replicas over 10 nodes, each node should hold 100 ± 50.

@@ -1,7 +1,7 @@
-//! Property tests of replica placement policies: distinctness, writer
+//! Property tests of rack-aware replica placement: distinctness, writer
 //! locality and rack spreading hold for arbitrary cluster shapes.
 
-use pnats_dfs::{LocalOnly, RackAware, ReplicaPlacement, UniformRandom};
+use pnats_dfs::{RackAware, ReplicaPlacement};
 use pnats_net::{NodeId, Topology};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -51,33 +51,5 @@ proptest! {
                 prop_assert!(layout.same_rack(reps[1], reps[2]));
             }
         }
-    }
-
-    #[test]
-    fn uniform_invariants(
-        n in 1usize..30,
-        replication in 0usize..6,
-        seed in 0u64..10_000,
-    ) {
-        let topo = Topology::single_rack(n, 1e9);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let reps = UniformRandom.place(NodeId(0), replication, topo.layout(), &mut rng);
-        prop_assert_eq!(reps.len(), replication.min(n));
-        prop_assert!(distinct(&reps));
-        prop_assert!(reps.iter().all(|r| r.idx() < n));
-    }
-
-    #[test]
-    fn local_only_is_exactly_the_writer(
-        n in 1usize..30,
-        writer in 0usize..30,
-        replication in 1usize..6,
-        seed in 0u64..1000,
-    ) {
-        let topo = Topology::single_rack(n, 1e9);
-        let writer = NodeId((writer % n) as u32);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let reps = LocalOnly.place(writer, replication, topo.layout(), &mut rng);
-        prop_assert_eq!(reps, vec![writer]);
     }
 }

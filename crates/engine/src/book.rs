@@ -376,7 +376,7 @@ impl Book {
     }
 
     /// Whether `reduce`'s attempt `attempt` is the one running on `node`.
-    pub fn reduce_running_as(&self, reduce: u32, attempt: u32, node: u32) -> bool {
+    fn reduce_running_as(&self, reduce: u32, attempt: u32, node: u32) -> bool {
         self.reduces
             .get(reduce as usize)
             .is_some_and(|t| t.phase == Phase::Running(node) && t.attempt == attempt)

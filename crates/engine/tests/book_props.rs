@@ -12,9 +12,12 @@
 //!   folding that log into a fresh book reproduces the live book exactly.
 //!   This is the by-construction replacement for diffing a live tracker
 //!   against a second, hand-written replay implementation.
+//! * **No completion on a down node**: once a node is lost, every report
+//!   from an attempt that was running or finished there bounces off and
+//!   logs nothing, even after the node is back and runs the same tasks.
 
 use pnats_baselines::RandomPlacer;
-use pnats_engine::book::{Book, JobScheduler, Launch, Phase, Slots, TaskEvent};
+use pnats_engine::book::{Book, JobScheduler, Launch, Phase, Slots, TaskEvent, Verdict};
 use pnats_engine::EngineConfig;
 use pnats_net::NodeId;
 use pnats_obs::{DecisionObserver, TaskKind};
@@ -131,6 +134,12 @@ fn running(phases: impl Iterator<Item = (Phase, u32)>) -> Vec<(u32, u32, u32)> {
     .collect()
 }
 
+/// `(index, attempt)` of every row running or finished on `node`.
+fn held_on(phases: impl Iterator<Item = (Phase, u32)>, node: u32) -> Vec<(u32, u32)> {
+    let rows = phases.enumerate();
+    rows.filter(|(_, (p, _))| p.holder() == Some(node)).map(|(i, (_, a))| (i as u32, a)).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -210,9 +219,27 @@ proptest! {
                     prop_assert_eq!(sched.log_mut().len(), log_len);
                 }
                 Op::LoseNode(n) => {
+                    let book = sched.book();
+                    let late_maps = held_on(book.maps().iter().map(|t| (t.phase, t.attempt)), n);
+                    let late_reduces =
+                        held_on(book.reduces().iter().map(|t| (t.phase, t.attempt)), n);
                     sched.lose_node(n as usize);
-                    // The node comes straight back, empty.
+                    // The node comes straight back, empty, and is offered
+                    // work at once.
                     slots.set(n as usize, cfg.map_slots, cfg.reduce_slots);
+                    sched.offer(NodeId(n), &mut slots);
+                    // No completion on a down node: reports from the
+                    // attempts the loss ended bounce off, even where the
+                    // task already runs on `n` again.
+                    let log_len = sched.log_mut().len();
+                    for &(m, a) in &late_maps {
+                        prop_assert_eq!(sched.map_done(m, a, n, &[1]), Verdict::Stale);
+                        prop_assert!(sched.map_failed(m, a, n).is_none());
+                    }
+                    for &(r, a) in &late_reduces {
+                        prop_assert!(!sched.reduce_done(r, a, n, Vec::new(), &[]));
+                    }
+                    prop_assert_eq!(sched.log_mut().len(), log_len);
                 }
                 _ => {}
             }

@@ -102,7 +102,7 @@ impl FlowNetwork {
     }
 
     /// An empty flow set over explicit link capacities (for tests).
-    pub fn with_capacities(capacities: Vec<f64>) -> Self {
+    fn with_capacities(capacities: Vec<f64>) -> Self {
         for (i, &c) in capacities.iter().enumerate() {
             check_capacity(LinkId(i as u32), c);
         }

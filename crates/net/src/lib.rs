@@ -37,6 +37,6 @@ pub use classed::ClassedDistance;
 pub use cost::{PathCost, RackLadderCost, UniformCost};
 pub use distance::DistanceMatrix;
 pub use flow::{FlowId, FlowNetwork};
-pub use monitor::{InverseRateCost, RateMonitor};
+pub use monitor::RateMonitor;
 pub use routing::RoutingTable;
 pub use topology::{ClusterLayout, LinkId, NodeId, RackId, SwitchId, Topology};

@@ -18,7 +18,6 @@
 //!   This is the default the experiments use, since it degrades gracefully
 //!   to the plain hop metric on an idle network.
 
-use crate::cost::PathCost;
 use crate::distance::DistanceMatrix;
 use crate::topology::NodeId;
 
@@ -38,11 +37,6 @@ impl RateMonitor {
     pub fn new(n: usize, alpha: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
         Self { n, alpha, ewma: vec![0.0; n * n], observations: 0 }
-    }
-
-    /// Number of nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.n
     }
 
     /// Total observations fed so far.
@@ -119,52 +113,6 @@ impl RateMonitor {
             }
         }
         m
-    }
-}
-
-/// A [`PathCost`] that reads a rate monitor live, scaling hop counts by the
-/// current congestion estimate. Useful when regenerating a snapshot matrix
-/// per scheduling round is undesirable.
-#[derive(Clone, Debug)]
-pub struct InverseRateCost {
-    hops: DistanceMatrix,
-    monitor: RateMonitor,
-    nominal_rate: f64,
-}
-
-impl InverseRateCost {
-    /// Wrap `monitor` over the fallback hop matrix.
-    pub fn new(hops: DistanceMatrix, monitor: RateMonitor, nominal_rate: f64) -> Self {
-        assert_eq!(hops.n(), monitor.n_nodes());
-        assert!(nominal_rate > 0.0);
-        Self { hops, monitor, nominal_rate }
-    }
-
-    /// Feed an observation through to the wrapped monitor.
-    pub fn observe(&mut self, a: NodeId, b: NodeId, rate_bps: f64) {
-        self.monitor.observe(a, b, rate_bps);
-    }
-
-    /// Access the wrapped monitor.
-    pub fn monitor(&self) -> &RateMonitor {
-        &self.monitor
-    }
-}
-
-impl PathCost for InverseRateCost {
-    fn path_cost(&self, a: NodeId, b: NodeId) -> f64 {
-        if a == b {
-            return 0.0;
-        }
-        let h = self.hops.get(a, b);
-        match self.monitor.rate(a, b) {
-            Some(r) => h * (self.nominal_rate / r).max(1.0),
-            None => h,
-        }
-    }
-
-    fn n_nodes(&self) -> usize {
-        self.hops.n()
     }
 }
 
@@ -248,12 +196,14 @@ mod tests {
 
     #[test]
     fn live_cost_view_updates_with_observations() {
-        let mut c = InverseRateCost::new(hops4(), RateMonitor::new(4, 1.0), GB);
-        assert_eq!(c.path_cost(NodeId(0), NodeId(1)), 2.0);
-        c.observe(NodeId(0), NodeId(1), GB / 2.0);
-        assert_eq!(c.path_cost(NodeId(0), NodeId(1)), 4.0);
-        assert_eq!(c.path_cost(NodeId(1), NodeId(1)), 0.0);
-        assert_eq!(c.n_nodes(), 4);
+        let mut m = RateMonitor::new(4, 1.0);
+        let c = m.congestion_scaled_matrix(&hops4(), GB);
+        assert_eq!(c.get(NodeId(0), NodeId(1)), 2.0);
+        m.observe(NodeId(0), NodeId(1), GB / 2.0);
+        let c = m.congestion_scaled_matrix(&hops4(), GB);
+        assert_eq!(c.get(NodeId(0), NodeId(1)), 4.0);
+        assert_eq!(c.get(NodeId(1), NodeId(1)), 0.0);
+        assert_eq!(c.n(), 4);
     }
 
     #[test]

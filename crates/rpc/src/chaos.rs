@@ -5,11 +5,10 @@
 //! — the wire-level analogue of `pnats_core::faults::FaultPlan`. Faults
 //! come in two granularities:
 //!
-//! * **connection-level** ([`ChaosFault::is_conn_level`]): refuse, black
-//!   hole (half-open socket: bytes go in, nothing comes out), one-way
-//!   partitions in either direction, and reset-after-N-frames (an abrupt
-//!   mid-call teardown). The first matching rule decides a connection's
-//!   fate when it is accepted.
+//! * **connection-level**: refuse, black hole (half-open socket: bytes go
+//!   in, nothing comes out), one-way partitions in either direction, and
+//!   reset-after-N-frames (an abrupt mid-call teardown). The first matching
+//!   rule decides a connection's fate when it is accepted.
 //! * **frame-level**: per-frame delay, throttled writes, and seeded
 //!   probabilistic corruption / truncation / drop. Every matching rule
 //!   applies, each with its own independent draw.
@@ -87,7 +86,7 @@ pub enum ChaosFault {
 impl ChaosFault {
     /// Connection-granularity faults decide a connection's fate once, at
     /// accept time; the rest apply per frame.
-    pub fn is_conn_level(&self) -> bool {
+    fn is_conn_level(&self) -> bool {
         matches!(
             self,
             ChaosFault::Refuse
@@ -181,7 +180,7 @@ impl ChaosPlan {
 
     /// The connection-level fault governing `(link, conn)`, if any.
     /// First matching rule wins.
-    pub fn conn_fault(&self, link: &str, conn: u64) -> Option<&ChaosFault> {
+    fn conn_fault(&self, link: &str, conn: u64) -> Option<&ChaosFault> {
         self.rules
             .iter()
             .find(|r| r.fault.is_conn_level() && r.matches(link, conn))
@@ -190,7 +189,7 @@ impl ChaosPlan {
 
     /// The frame-level rules applying to `(link, conn)`, with their rule
     /// indices (the index salts each rule's independent draw).
-    pub fn frame_rules(&self, link: &str, conn: u64) -> Vec<(usize, &ChaosFault)> {
+    fn frame_rules(&self, link: &str, conn: u64) -> Vec<(usize, &ChaosFault)> {
         self.rules
             .iter()
             .enumerate()
@@ -357,7 +356,7 @@ pub struct ChaosEvent {
 
 impl ChaosEvent {
     /// Deterministic one-line JSON (fixed key order, no whitespace).
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         format!(
             "{{\"link\":\"{}\",\"conn\":{},\"dir\":{},\"frame\":{},\"action\":\"{}\"}}",
             self.link,

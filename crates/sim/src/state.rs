@@ -237,7 +237,7 @@ impl SourceQueue {
     }
 
     /// Drop any queued fetch from `src` (node crash).
-    pub fn remove_source(&mut self, src: NodeId) {
+    fn remove_source(&mut self, src: NodeId) {
         if self.amt.remove(&src.0).is_some() {
             self.order.retain(|s| *s != src);
         }

@@ -46,7 +46,7 @@ impl Zipf {
 
 /// Deterministic pseudo-word for a vocabulary rank: short words for hot
 /// ranks (like natural language).
-pub fn vocab_word(rank: usize) -> String {
+fn vocab_word(rank: usize) -> String {
     const ALPHA: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
     let mut w = String::new();
     let mut r = rank + 1;
