@@ -306,11 +306,11 @@ impl TrackerState {
 
     /// Dispatch one decoded request. The single entry point of the RPC
     /// plane (and of handler-level tests).
-    fn handle(&mut self, mut msg: Msg) -> Msg {
+    fn handle(&mut self, msg: Msg) -> Msg {
         self.sched.set_now(self.start.elapsed().as_secs_f64());
         match msg {
             Msg::Register { node, epoch, data_addr } => self.on_register(node, epoch, data_addr),
-            Msg::Heartbeat { .. } => self.on_heartbeat(&mut msg),
+            Msg::Heartbeat { .. } => self.on_heartbeat(&msg),
             Msg::SourceUnreachable { map, attempt } => self.on_source_unreachable(map, attempt),
             Msg::Reattach { .. } => self.on_reattach(&msg),
             Msg::WhereIs { map } => self.on_where_is(map),
@@ -370,7 +370,7 @@ impl TrackerState {
         }
     }
 
-    fn on_heartbeat(&mut self, hb: &mut Msg) -> Msg {
+    fn on_heartbeat(&mut self, hb: &Msg) -> Msg {
         let Msg::Heartbeat {
             node,
             epoch,
@@ -487,9 +487,8 @@ impl TrackerState {
             self.failed |= self.sched.map_failed(f.map, f.attempt, node) == Some(true);
         }
         for r in reduce_done {
-            // Moved, not cloned: `requeue_unacked` below reads only the ids.
-            let output = std::mem::take(&mut r.output);
-            self.sched.reduce_done(r.reduce, r.attempt, node, output, &r.sources);
+            // The one place a packed output becomes the book's owned pairs.
+            self.sched.reduce_done(r.reduce, r.attempt, node, r.output.to_vec(), &r.sources);
         }
         self.requeue_unacked(hb);
 
@@ -1070,7 +1069,7 @@ impl Drop for JobTracker {
 mod tests {
     use super::*;
     use pnats_engine::book::EventLog;
-    use pnats_rpc::{MapDone, MapFailed, ReduceDone, RetryPolicy, RpcClient};
+    use pnats_rpc::{MapDone, MapFailed, Pairs, ReduceDone, RetryPolicy, RpcClient};
     use std::path::PathBuf;
 
     /// A handful of two-line blocks on two workers, fifo placement (it never
@@ -1251,7 +1250,7 @@ mod tests {
                         Assignment::Reduce { reduce, attempt, .. } => reduced.push(ReduceDone {
                             reduce,
                             attempt,
-                            output: Vec::new(),
+                            output: Pairs::new(),
                             sources: Vec::new(),
                         }),
                     }
@@ -1435,7 +1434,7 @@ mod tests {
                     Assignment::Reduce { reduce, attempt, .. } => reduced.push(ReduceDone {
                         reduce,
                         attempt,
-                        output: Vec::new(),
+                        output: Pairs::new(),
                         sources: Vec::new(),
                     }),
                 }

@@ -43,8 +43,8 @@ use pnats_core::partition::Partitioner;
 use pnats_engine::exec::{execute_map, execute_reduce, MapProgressGauges};
 use pnats_engine::EngineJob;
 use pnats_rpc::{
-    Assignment, BreakerPolicy, ChaosNet, CircuitBreaker, MapDone, MapFailed, Msg, ProgressReport,
-    ReduceDone, RetryPolicy, RpcClient, RpcError, RpcServer,
+    Assignment, BreakerPolicy, ChaosNet, CircuitBreaker, MapDone, MapFailed, Msg, Pairs,
+    ProgressReport, ReduceDone, RetryPolicy, RpcClient, RpcError, RpcServer,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -138,9 +138,9 @@ impl NetHealth {
     }
 }
 
-/// One finished map output: the attempt that produced it plus one pair
-/// list per reduce partition.
-type MapOutput = (u32, Vec<Vec<(String, String)>>);
+/// One finished map output: the attempt that produced it plus one packed
+/// pair list per reduce partition, held as the bytes a fetch sends.
+type MapOutput = (u32, Vec<Pairs>);
 
 /// Shard + finished map outputs, shared between the heartbeat loop, task
 /// threads, and the data server.
@@ -551,7 +551,8 @@ fn spawn_map_task(t: MapTask) {
         }
         let pace_us = t.cpu_us_per_kib * 8;
         let cancel = t.cancel.clone();
-        let (partitions, bytes) = execute_map(
+        let mut partitions = vec![Pairs::new(); t.job.n_reduces];
+        let bytes = execute_map(
             t.job.mapper.as_ref(),
             &text,
             t.job.n_reduces,
@@ -562,6 +563,7 @@ fn spawn_map_task(t: MapTask) {
                     std::thread::sleep(Duration::from_micros(pace_us));
                 }
             },
+            |p, k, v| partitions[p].push(k, v),
         );
         if t.cancel.load(Ordering::SeqCst) {
             return;
@@ -616,7 +618,7 @@ struct ReduceTask {
 
 fn spawn_reduce_task(t: ReduceTask) {
     std::thread::spawn(move || {
-        let mut pairs: Vec<(String, String)> = Vec::new();
+        let mut parts: Vec<Pairs> = Vec::with_capacity(t.n_maps as usize);
         let mut per_source: Vec<(u32, u64)> = Vec::new();
         let mut peers: HashMap<String, RpcClient> = HashMap::new();
         // Per-holder circuit breakers over the fetch path, plus the last
@@ -685,16 +687,21 @@ fn spawn_reduce_task(t: ReduceTask) {
                 std::thread::sleep(t.heartbeat.saturating_sub(sent.elapsed()));
             };
             let (src, part) = fetched;
-            let sz: u64 = part.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum();
+            let sz = part.data_bytes();
             if sz > 0 {
                 match per_source.iter_mut().find(|(n, _)| *n == src) {
                     Some(e) => e.1 += sz,
                     None => per_source.push((src, sz)),
                 }
             }
-            pairs.extend(part);
+            parts.push(part);
         }
-        let output = execute_reduce(t.job.reducer.as_ref(), pairs);
+        let mut output = Pairs::new();
+        execute_reduce(
+            t.job.reducer.as_ref(),
+            parts.iter().flat_map(Pairs::iter),
+            &mut |k, v| output.push(k, v),
+        );
         if t.cancel.load(Ordering::SeqCst) {
             return;
         }
@@ -730,7 +737,7 @@ fn fetch_partition(
     map: u32,
     attempt: u32,
     addr: &str,
-) -> Option<Vec<(String, String)>> {
+) -> Option<Pairs> {
     if addr == t.my_addr {
         let d = t.data.lock().unwrap();
         return d

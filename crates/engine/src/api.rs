@@ -2,8 +2,9 @@
 
 use std::sync::Arc;
 
-/// Emits intermediate or final key/value pairs.
-pub type Emit<'a> = dyn FnMut(String, String) + 'a;
+/// Emits intermediate or final key/value pairs. The strings are borrowed:
+/// the receiver copies them into whatever storage it keeps.
+pub type Emit<'a> = dyn FnMut(&str, &str) + 'a;
 
 /// The map function: called once per input line (Hadoop's TextInputFormat
 /// semantics — key is the byte offset, value the line).
@@ -15,7 +16,7 @@ pub trait Mapper: Send + Sync {
 /// The reduce function: called once per distinct key with all its values.
 pub trait Reducer: Send + Sync {
     /// Process one key group.
-    fn reduce(&self, key: &str, values: &[String], emit: &mut Emit<'_>);
+    fn reduce(&self, key: &str, values: &[&str], emit: &mut Emit<'_>);
 }
 
 /// A runnable MapReduce job.
@@ -55,12 +56,12 @@ mod tests {
     struct Identity;
     impl Mapper for Identity {
         fn map(&self, _o: u64, line: &str, emit: &mut Emit<'_>) {
-            emit(line.to_string(), "1".to_string());
+            emit(line, "1");
         }
     }
     impl Reducer for Identity {
-        fn reduce(&self, key: &str, values: &[String], emit: &mut Emit<'_>) {
-            emit(key.to_string(), values.len().to_string());
+        fn reduce(&self, key: &str, values: &[&str], emit: &mut Emit<'_>) {
+            emit(key, &values.len().to_string());
         }
     }
 

@@ -13,7 +13,7 @@ pub use pnats_core::partition::Partitioner;
 use pnats_core::placer::TaskPlacer;
 use pnats_metrics::LocalityCounter;
 use pnats_net::{DistanceMatrix, NodeId};
-use pnats_obs::{DecisionObserver, FaultKind, SchedCounters, TraceSink};
+use pnats_obs::{DecisionObserver, FaultKind, SchedCounters};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -95,8 +95,8 @@ pub struct EngineReport {
     /// Decision counters for the run (offers, assigns, skips by reason,
     /// plus the probabilistic placer's prune/cache tallies).
     pub counters: SchedCounters,
-    /// The decision trace as JSONL, when [`MapReduceEngine::run_traced`]
-    /// was given an in-memory sink; `None` otherwise.
+    /// The decision trace as JSONL, when the run's decision observer had
+    /// an in-memory sink; `None` otherwise (every public entry point).
     pub trace_jsonl: Option<String>,
     /// True when the job was aborted: a map exhausted its transient-failure
     /// retry budget, or every node died with no recovery scheduled. The
@@ -107,9 +107,10 @@ pub struct EngineReport {
 /// A finished map's output: the node holding it, per-partition pairs, and
 /// their byte sizes.
 type MapOutput = (u32, Vec<Vec<(String, String)>>, Vec<u64>);
-/// Shared store of finished map outputs, filled by the driver and read by
-/// reduce threads under one lock (holder and bytes can never disagree).
-type OutputStore = Arc<Mutex<Vec<Option<MapOutput>>>>;
+/// Shared store of finished map outputs, filled by the driver. A reduce
+/// thread takes an `Arc` of each output under the lock (holder and bytes
+/// can never disagree) and reads its partition in place.
+type OutputStore = Arc<Mutex<Vec<Option<Arc<MapOutput>>>>>;
 
 enum DoneMsg {
     Map {
@@ -178,21 +179,6 @@ impl MapReduceEngine {
         self.run_observed(job, input, placer, DecisionObserver::disabled())
     }
 
-    /// Like [`run`](Self::run), but routes every placement decision into
-    /// `sink` as a [`pnats_obs::DecisionRecord`]. Note the engine runs on
-    /// wall-clock heartbeats, so traces are *not* byte-reproducible across
-    /// runs the way the simulator's are — use them for inspection, not for
-    /// golden-file comparison.
-    pub fn run_traced(
-        &self,
-        job: &EngineJob,
-        input: &str,
-        placer: Box<dyn TaskPlacer>,
-        sink: Box<dyn TraceSink>,
-    ) -> EngineReport {
-        self.run_observed(job, input, placer, DecisionObserver::with_sink(sink))
-    }
-
     /// The engine as a driver of the shared [`JobScheduler`]: it owns the
     /// wall clock, the slot counts (freed by completion messages) and the
     /// task threads; every scheduling decision and every piece of job
@@ -239,7 +225,7 @@ impl MapReduceEngine {
                                 continue; // crash-killed attempt; output discarded
                             }
                             shared.outputs.lock().unwrap()[map as usize] =
-                                Some((node, partitions, bytes));
+                                Some(Arc::new((node, partitions, bytes)));
                             slots.map[node as usize] += 1;
                             if sched.book().maps_finished() == n_maps {
                                 shared.all_maps_done.store(true, Ordering::SeqCst);
@@ -378,13 +364,15 @@ impl Shared<'_> {
             }
             // Pace the task at 8 KiB boundaries so progress is observable
             // by the scheduler between heartbeats.
-            let (partitions, bytes) = execute_map(
+            let mut partitions: Vec<Vec<(String, String)>> = vec![Vec::new(); n_reduces];
+            let bytes = execute_map(
                 mapper.as_ref(),
                 &blocks[map as usize],
                 n_reduces,
                 partitioner,
                 &progress[map as usize],
                 || std::thread::sleep(Duration::from_micros(cpu_us * 8)),
+                |p, k, v| partitions[p].push((k.to_owned(), v.to_owned())),
             );
             let _ = tx.send(DoneMsg::Map { map, node, attempt, partitions, bytes });
         });
@@ -408,24 +396,23 @@ impl Shared<'_> {
                 }
                 std::thread::sleep(Duration::from_micros(500));
             }
-            let mut pairs: Vec<(String, String)> = Vec::new();
+            let r = reduce as usize;
+            let mut held: Vec<Arc<MapOutput>> = Vec::with_capacity(n_maps);
             let mut per_source: Vec<(u32, u64)> = Vec::new();
             for m in 0..n_maps {
                 // Per-map wait: a crash can invalidate an output even after
                 // the map phase once looked complete — re-fetch from the
                 // re-executed attempt.
-                let (src, part, sz) = loop {
+                let out = loop {
                     if abort.load(Ordering::SeqCst) {
                         return;
                     }
-                    let snap = outputs.lock().unwrap()[m].as_ref().map(|(src, parts, bytes)| {
-                        (*src, parts[reduce as usize].clone(), bytes[reduce as usize])
-                    });
-                    if let Some(held) = snap {
-                        break held;
+                    if let Some(out) = outputs.lock().unwrap()[m].clone() {
+                        break out;
                     }
                     std::thread::sleep(Duration::from_micros(500));
                 };
+                let (src, sz) = (out.0, out.2[r]);
                 let h = hops.get(NodeId(src), node);
                 if h > 0.0 && sz > 0 {
                     std::thread::sleep(Duration::from_micros(
@@ -438,9 +425,14 @@ impl Shared<'_> {
                         None => per_source.push((src, sz)),
                     }
                 }
-                pairs.extend(part);
+                held.push(out);
             }
-            let output = execute_reduce(reducer.as_ref(), pairs);
+            let mut output = Vec::new();
+            execute_reduce(
+                reducer.as_ref(),
+                held.iter().flat_map(|out| out.1[r].iter().map(|(k, v)| (k.as_str(), v.as_str()))),
+                &mut |k, v| output.push((k.to_owned(), v.to_owned())),
+            );
             let _ = tx.send(DoneMsg::Reduce {
                 reduce,
                 node: node.0,
@@ -464,6 +456,20 @@ mod tests {
         /// `JobScheduler::derive`).
         fn split_blocks(&self, input: &str) -> Vec<String> {
             crate::exec::split_blocks(input, self.cfg.block_bytes)
+        }
+
+        /// Like [`run`](Self::run), but routes every placement decision
+        /// into `sink` as a [`pnats_obs::DecisionRecord`]. The engine runs
+        /// on wall-clock heartbeats, so traces are *not* byte-reproducible
+        /// across runs the way the simulator's are.
+        fn run_traced(
+            &self,
+            job: &EngineJob,
+            input: &str,
+            placer: Box<dyn TaskPlacer>,
+            sink: Box<dyn pnats_obs::TraceSink>,
+        ) -> EngineReport {
+            self.run_observed(job, input, placer, DecisionObserver::with_sink(sink))
         }
     }
 

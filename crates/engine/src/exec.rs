@@ -16,6 +16,11 @@
 //!
 //! Placement decisions, message timing and fault recovery affect *when*
 //! work runs and *where* bytes travel — never what they are.
+//!
+//! The primitives own no storage type: map output leaves through a sink
+//! the caller supplies, and reduce input is borrowed `(&str, &str)` pairs.
+//! The engine keeps owned `String`s; the cluster keeps the wire's packed
+//! batches.
 
 use crate::api::{Emit, Mapper, Reducer};
 use pnats_core::partition::Partitioner;
@@ -77,9 +82,11 @@ pub fn split_blocks(input: &str, block_bytes: usize) -> Vec<String> {
 /// consumed — the engine sleeps there to make progress observable between
 /// heartbeats; a cluster worker can use it as a cancellation point.
 ///
-/// Returns per-partition intermediate pairs and their byte sizes. The
-/// result is a pure function of `(text, mapper, partitioner, n_reduces)` —
-/// gauges and pacing affect observability, never output.
+/// Each emitted pair goes to `sink` as `(partition, key, value)`, in
+/// emission order: the caller owns the storage. Returns the intermediate
+/// bytes per partition. What reaches `sink` is a pure function of `(text,
+/// mapper, partitioner, n_reduces)` — gauges and pacing affect
+/// observability, never output.
 pub fn execute_map(
     mapper: &dyn Mapper,
     text: &str,
@@ -87,17 +94,17 @@ pub fn execute_map(
     partitioner: Partitioner,
     gauges: &MapProgressGauges,
     mut pace: impl FnMut(),
-) -> (Vec<Vec<(String, String)>>, Vec<u64>) {
-    let mut partitions: Vec<Vec<(String, String)>> = vec![Vec::new(); n_reduces];
+    mut sink: impl FnMut(usize, &str, &str),
+) -> Vec<u64> {
     let mut bytes = vec![0u64; n_reduces];
     let mut offset = 0u64;
     for line in text.lines() {
-        let emit: &mut Emit<'_> = &mut |k: String, v: String| {
-            let part = partitioner.of(&k, n_reduces);
+        let emit: &mut Emit<'_> = &mut |k: &str, v: &str| {
+            let part = partitioner.of(k, n_reduces);
             let sz = (k.len() + v.len()) as u64;
             bytes[part] += sz;
             gauges.part_bytes[part].fetch_add(sz, Ordering::Relaxed);
-            partitions[part].push((k, v));
+            sink(part, k, v);
         };
         mapper.map(offset, line, emit);
         offset += line.len() as u64 + 1;
@@ -107,31 +114,28 @@ pub fn execute_map(
         }
     }
     gauges.d_read.store(text.len() as u64, Ordering::Relaxed);
-    (partitions, bytes)
+    bytes
 }
 
-/// Run one reduce attempt: stable sort by key, group, reduce. `pairs` must
-/// be the task's partition from every map output concatenated in
-/// *map-index order* — the stable sort then yields a deterministic value
-/// order within each key, independent of fetch timing or placement. Each
-/// group's values are moved out of `pairs`, not copied.
-pub fn execute_reduce(
+/// Run one reduce attempt: stable sort by key, group, reduce, each output
+/// pair to `emit`. `pairs` must be the task's partition from every map
+/// output concatenated in *map-index order* — the stable sort then yields
+/// a deterministic value order within each key, independent of fetch
+/// timing or placement. Keys and values are borrowed from the caller's
+/// storage, never copied.
+pub fn execute_reduce<'a>(
     reducer: &dyn Reducer,
-    mut pairs: Vec<(String, String)>,
-) -> Vec<(String, String)> {
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut output = Vec::new();
-    let mut values: Vec<String> = Vec::new();
-    let mut pairs = pairs.into_iter().peekable();
-    while let Some((key, value)) = pairs.next() {
-        values.push(value);
-        while let Some((_, v)) = pairs.next_if(|(k, _)| *k == key) {
-            values.push(v);
-        }
-        reducer.reduce(&key, &values, &mut |k, v| output.push((k, v)));
+    pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
+    emit: &mut Emit<'_>,
+) {
+    let mut pairs: Vec<(&str, &str)> = pairs.into_iter().collect();
+    pairs.sort_by(|a, b| a.0.cmp(b.0));
+    let mut values: Vec<&str> = Vec::new();
+    for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+        values.extend(group.iter().map(|&(_, v)| v));
+        reducer.reduce(group[0].0, &values, emit);
         values.clear();
     }
-    output
 }
 
 /// Maps that must finish before reduces launch (Hadoop's
@@ -154,23 +158,41 @@ mod tests {
         assert_eq!(split_blocks("", 128), vec![String::new()]);
     }
 
+    /// `execute_map` into per-partition owned pairs, as the engine stores
+    /// them.
+    fn map_to_vecs(
+        text: &str,
+        gauges: &MapProgressGauges,
+        pace: impl FnMut(),
+    ) -> (Vec<Vec<(String, String)>>, Vec<u64>) {
+        let mut parts: Vec<Vec<(String, String)>> = vec![Vec::new(); 3];
+        let bytes = execute_map(&WordCountJob, text, 3, Partitioner::Hash, gauges, pace, |p, k, v| {
+            parts[p].push((k.to_string(), v.to_string()))
+        });
+        (parts, bytes)
+    }
+
+    /// `execute_reduce` over owned pairs, its output collected owned.
+    fn reduce_to_vec(reducer: &dyn Reducer, pairs: &[(String, String)]) -> Vec<(String, String)> {
+        let mut output = Vec::new();
+        execute_reduce(reducer, pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())), &mut |k, v| {
+            output.push((k.to_string(), v.to_string()))
+        });
+        output
+    }
+
     #[test]
     fn execute_map_is_deterministic_and_updates_gauges() {
         let text = "apple banana apple\ncherry banana apple\n".repeat(300);
         let gauges = MapProgressGauges::new(3);
         let mut paced = 0u32;
-        let (parts, bytes) =
-            execute_map(&WordCountJob, &text, 3, Partitioner::Hash, &gauges, || paced += 1);
-        let (parts2, bytes2) = execute_map(
-            &WordCountJob,
-            &text,
-            3,
-            Partitioner::Hash,
-            &MapProgressGauges::new(3),
-            || {},
-        );
+        let (parts, bytes) = map_to_vecs(&text, &gauges, || paced += 1);
+        let (parts2, bytes2) = map_to_vecs(&text, &MapProgressGauges::new(3), || {});
         assert_eq!(parts, parts2, "output independent of pacing/gauges");
         assert_eq!(bytes, bytes2);
+        for (part, b) in parts.iter().zip(&bytes) {
+            assert_eq!(part.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>(), *b);
+        }
         assert_eq!(gauges.d_read.load(Ordering::Relaxed), text.len() as u64);
         for (p, b) in bytes.iter().enumerate() {
             assert_eq!(gauges.part_bytes[p].load(Ordering::Relaxed), *b);
@@ -189,15 +211,16 @@ mod tests {
             ("b".to_string(), "1".to_string()),
             ("a".to_string(), "1".to_string()),
         ];
-        let out = execute_reduce(&WordCountJob, pairs);
+        let out = reduce_to_vec(&WordCountJob, &pairs);
         assert_eq!(
             out,
             vec![("a".to_string(), "2".to_string()), ("b".to_string(), "2".to_string())]
         );
     }
 
-    /// `execute_reduce` as it was before it moved values: a clone of every
-    /// group's values. The reference the moving body must agree with.
+    /// `execute_reduce` as it was over owned storage: sort a
+    /// `Vec<(String, String)>` and hand each group's values over. The
+    /// reference the borrowing body must agree with.
     fn execute_reduce_cloning(
         reducer: &dyn Reducer,
         mut pairs: Vec<(String, String)>,
@@ -210,8 +233,10 @@ mod tests {
             while j < pairs.len() && pairs[j].0 == pairs[i].0 {
                 j += 1;
             }
-            let values: Vec<String> = pairs[i..j].iter().map(|(_, v)| v.clone()).collect();
-            reducer.reduce(&pairs[i].0, &values, &mut |k, v| output.push((k, v)));
+            let values: Vec<&str> = pairs[i..j].iter().map(|(_, v)| v.as_str()).collect();
+            reducer.reduce(&pairs[i].0, &values, &mut |k, v| {
+                output.push((k.to_string(), v.to_string()))
+            });
             i = j;
         }
         output
@@ -222,8 +247,8 @@ mod tests {
     struct Concat;
 
     impl Reducer for Concat {
-        fn reduce(&self, key: &str, values: &[String], emit: &mut Emit<'_>) {
-            emit(key.to_string(), values.join(","));
+        fn reduce(&self, key: &str, values: &[&str], emit: &mut Emit<'_>) {
+            emit(key, &values.join(","));
         }
     }
 
@@ -236,7 +261,7 @@ mod tests {
                 raw.iter().map(|(k, v)| (format!("k{k}"), v.to_string())).collect();
             for reducer in [&WordCountJob as &dyn Reducer, &Concat] {
                 proptest::prop_assert_eq!(
-                    execute_reduce(reducer, pairs.clone()),
+                    reduce_to_vec(reducer, &pairs),
                     execute_reduce_cloning(reducer, pairs.clone())
                 );
             }

@@ -8,15 +8,15 @@ pub struct WordCountJob;
 impl Mapper for WordCountJob {
     fn map(&self, _offset: u64, line: &str, emit: &mut Emit<'_>) {
         for word in line.split_whitespace() {
-            emit(word.to_string(), "1".to_string());
+            emit(word, "1");
         }
     }
 }
 
 impl Reducer for WordCountJob {
-    fn reduce(&self, key: &str, values: &[String], emit: &mut Emit<'_>) {
+    fn reduce(&self, key: &str, values: &[&str], emit: &mut Emit<'_>) {
         let sum: u64 = values.iter().map(|v| v.parse::<u64>().unwrap_or(0)).sum();
-        emit(key.to_string(), sum.to_string());
+        emit(key, &sum.to_string());
     }
 }
 
@@ -29,14 +29,14 @@ pub struct GrepJob {
 impl Mapper for GrepJob {
     fn map(&self, offset: u64, line: &str, emit: &mut Emit<'_>) {
         if line.contains(&self.needle) {
-            emit(self.needle.clone(), format!("{offset}:{line}"));
+            emit(&self.needle, &format!("{offset}:{line}"));
         }
     }
 }
 
 impl Reducer for GrepJob {
-    fn reduce(&self, key: &str, values: &[String], emit: &mut Emit<'_>) {
-        emit(key.to_string(), values.len().to_string());
+    fn reduce(&self, key: &str, values: &[&str], emit: &mut Emit<'_>) {
+        emit(key, &values.len().to_string());
     }
 }
 
@@ -48,15 +48,15 @@ pub struct TeraSortJob;
 impl Mapper for TeraSortJob {
     fn map(&self, _offset: u64, line: &str, emit: &mut Emit<'_>) {
         if line.len() >= 10 {
-            emit(line[..10].to_string(), line[10..].to_string());
+            emit(&line[..10], &line[10..]);
         }
     }
 }
 
 impl Reducer for TeraSortJob {
-    fn reduce(&self, key: &str, values: &[String], emit: &mut Emit<'_>) {
+    fn reduce(&self, key: &str, values: &[&str], emit: &mut Emit<'_>) {
         for v in values {
-            emit(key.to_string(), v.clone());
+            emit(key, v);
         }
     }
 }
@@ -67,7 +67,7 @@ mod tests {
 
     fn run_map(m: &dyn Mapper, line: &str) -> Vec<(String, String)> {
         let mut out = Vec::new();
-        m.map(0, line, &mut |k, v| out.push((k, v)));
+        m.map(0, line, &mut |k, v| out.push((k.to_string(), v.to_string())));
         out
     }
 
@@ -76,7 +76,8 @@ mod tests {
         let kv = run_map(&WordCountJob, "a b a");
         assert_eq!(kv.len(), 3);
         let mut out = Vec::new();
-        WordCountJob.reduce("a", &["1".into(), "1".into()], &mut |k, v| out.push((k, v)));
+        let mut emit = |k: &str, v: &str| out.push((k.to_string(), v.to_string()));
+        WordCountJob.reduce("a", &["1", "1"], &mut emit);
         assert_eq!(out, vec![("a".to_string(), "2".to_string())]);
     }
 

@@ -45,4 +45,4 @@ pub use msg::{
     Assignment, MapDone, MapFailed, Msg, ProgressReport, ReduceDone, MAGIC, PROTOCOL_VERSION,
 };
 pub use server::{Handler, RpcServer};
-pub use wire::{fnv1a32, Reader, WireError, Writer, MAX_FRAME};
+pub use wire::{fnv1a32, Pairs, Reader, WireError, Writer, MAX_FRAME};

@@ -14,7 +14,7 @@
 //! same bytes.
 
 use crate::wire;
-use crate::wire::{Reader, Wire, WireError, Writer};
+use crate::wire::{Pairs, Reader, Wire, WireError, Writer};
 
 /// Handshake magic: `"PNAT"` as a big-endian u32. A peer that opens with
 /// anything else is not speaking this protocol at all.
@@ -83,7 +83,7 @@ wire! {
         /// Attempt tag of the completed attempt.
         pub attempt: u32,
         /// Final key/value pairs of this partition.
-        pub output: Vec<(String, String)>,
+        pub output: Pairs,
         /// Shuffle bytes pulled per source node (for locality accounting).
         pub sources: Vec<(u32, u64)>,
     }
@@ -254,7 +254,7 @@ wire! {
         /// Reply to [`Msg::FetchPartition`]: the partition's pairs.
         PartitionData = 11 {
             /// Intermediate pairs, in map emission order.
-            pairs: Vec<(String, String)>,
+            pairs: Pairs,
         },
         /// The addressee does not hold what was asked for (block not in shard,
         /// map output wiped or attempt-stale). The fetcher re-resolves via the
@@ -380,7 +380,7 @@ mod tests {
                 reduce_done: vec![ReduceDone {
                     reduce: 0,
                     attempt: 0,
-                    output: vec![("k".into(), "v".into())],
+                    output: Pairs::from_iter([("k", "v")]),
                     sources: vec![(2, 4096)],
                 }],
                 running_reduces: vec![(2, 0), (3, 1)],
@@ -409,7 +409,7 @@ mod tests {
             Msg::FetchBlock { block: 12 },
             Msg::BlockData { block: 12, data: "text\n".into() },
             Msg::FetchPartition { map: 1, attempt: 0, reduce: 2 },
-            Msg::PartitionData { pairs: vec![("a".into(), "1".into())] },
+            Msg::PartitionData { pairs: Pairs::from_iter([("a", "1")]) },
             Msg::NotHere,
             Msg::WhereIs { map: 6 },
             Msg::MapAt { node: 4, addr: "127.0.0.1:9003".into(), attempt: 2 },

@@ -4,7 +4,9 @@
 //!
 //! All integers are big-endian. Strings are a `u32` byte length followed by
 //! UTF-8 bytes; vectors are a `u32` element count followed by elements;
-//! `Option<T>` is a bool, then the value when it is `true`.
+//! `Option<T>` is a bool, then the value when it is `true`. [`Pairs`]
+//! holds a string-pair list as the bytes of that layout, so it moves
+//! through encode and decode as one buffer.
 //! Decoding is *total*: any byte string produces either a value or a typed
 //! [`WireError`] — never a panic, never an allocation proportional to a
 //! length prefix that the remaining input cannot back (a declared length is
@@ -257,6 +259,108 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     #[inline]
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// A list of `(key, value)` string pairs held as the bytes
+/// `Vec<(String, String)>` encodes to: a `u32` count, then per pair a
+/// `u32` key length, the key, a `u32` value length and the value. One
+/// buffer instead of two `String`s per pair, with no byte moved on the
+/// wire: encoding is one copy and decoding one allocation.
+///
+/// Decoding is as total as the `Vec` decoder's and accepts exactly the same
+/// byte strings: every length is checked against the remaining input and
+/// every key and value as UTF-8 before anything is copied.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Pairs {
+    /// Pair count: the `u32` that leads the encoding.
+    len: u32,
+    /// Every pair's encoding, back to back.
+    body: Vec<u8>,
+}
+
+impl Pairs {
+    /// An empty list.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append one pair. Panics on a key or value of 4 GiB or more, which
+    /// no frame could carry.
+    pub fn push(&mut self, key: &str, value: &str) {
+        for s in [key, value] {
+            let len = u32::try_from(s.len()).expect("a pair field fits a u32 length");
+            self.body.extend_from_slice(&len.to_be_bytes());
+            self.body.extend_from_slice(s.as_bytes());
+        }
+        self.len += 1;
+    }
+
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True when there is no pair.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Key plus value bytes over every pair, length prefixes excluded.
+    pub fn data_bytes(&self) -> u64 {
+        (self.body.len() - 8 * self.len()) as u64
+    }
+
+    /// The pairs in order, borrowed from the buffer.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
+        let mut rest = &self.body[..];
+        let mut field = move || {
+            let (n, tail) = rest.split_at(4);
+            let n = u32::from_be_bytes(n.try_into().expect("split at 4")) as usize;
+            let (s, tail) = tail.split_at(n);
+            rest = tail;
+            std::str::from_utf8(s).expect("every field was checked as UTF-8 on the way in")
+        };
+        (0..self.len).map(move |_| (field(), field()))
+    }
+
+    /// The pairs as owned strings.
+    pub fn to_vec(&self) -> Vec<(String, String)> {
+        self.iter().map(|(k, v)| (k.to_owned(), v.to_owned())).collect()
+    }
+}
+
+impl<K: AsRef<str>, V: AsRef<str>> FromIterator<(K, V)> for Pairs {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
+        let mut pairs = Pairs::new();
+        for (k, v) in iter {
+            pairs.push(k.as_ref(), v.as_ref());
+        }
+        pairs
+    }
+}
+
+impl fmt::Debug for Pairs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Wire for Pairs {
+    const MIN_BYTES: usize = 4;
+    #[inline]
+    fn put(&self, w: &mut Writer) {
+        self.len.put(w);
+        w.buf.extend_from_slice(&self.body);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = r.count(<(String, String)>::MIN_BYTES)?;
+        let start = r.pos;
+        for _ in 0..2 * n {
+            let len = u32::get(r)? as usize;
+            std::str::from_utf8(r.take(len)?).map_err(|_| WireError::BadUtf8)?;
+        }
+        Ok(Pairs { len: n as u32, body: r.buf[start..r.pos].to_vec() })
     }
 }
 

@@ -3,10 +3,17 @@
 //! fields all map to typed errors. This is the robustness gate for the
 //! wire format: a malicious or corrupt peer can only produce a clean
 //! connection close, never a worker crash.
+//!
+//! The `Pairs` codec law lives here too: a packed pair list is
+//! `Vec<(String, String)>` on the wire. It encodes to the same bytes, and
+//! its decoder accepts exactly the byte strings the `Vec` decoder accepts —
+//! consuming the same bytes, yielding the same contents, failing with the
+//! same `WireError`.
 
+use pnats_rpc::wire::Wire;
 use pnats_rpc::{
-    read_frame, Assignment, FrameError, MapDone, MapFailed, Msg, ProgressReport, ReduceDone,
-    WireError, MAX_FRAME,
+    read_frame, Assignment, FrameError, MapDone, MapFailed, Msg, Pairs, ProgressReport, Reader,
+    ReduceDone, WireError, Writer, MAX_FRAME,
 };
 use proptest::prelude::*;
 
@@ -30,7 +37,7 @@ fn multi_field_messages() -> Vec<Msg> {
             reduce_done: vec![ReduceDone {
                 reduce: 0,
                 attempt: 3,
-                output: vec![("k".into(), "v".into()), (String::new(), "1".into())],
+                output: Pairs::from_iter([("k", "v"), ("", "1")]),
                 sources: vec![(2, 4096)],
             }],
             running_reduces: vec![(2, 0)],
@@ -68,6 +75,9 @@ fn multi_field_messages() -> Vec<Msg> {
             blocks: vec![(0, "line\n".into()), (7, String::new())],
         },
         Msg::ReattachAck { invalidate: vec![3, 0], dead: false, shutdown: true },
+        Msg::PartitionData {
+            pairs: Pairs::from_iter([("word", "1"), ("", ""), ("héllo", "ü"), ("z", "12")]),
+        },
     ]
 }
 
@@ -96,7 +106,7 @@ proptest! {
     /// Truncations and two-byte overwrites of multi-field messages.
     #[test]
     fn mutated_messages_decode_canonically(
-        which in 0usize..5,
+        which in 0usize..6,
         cut in 0usize..256,
         at in (0usize..256, 0usize..256),
         to in (0u8..=255, 0u8..=255),
@@ -187,4 +197,104 @@ proptest! {
             other => prop_assert!(false, "expected io error, got {other:?}"),
         }
     }
+}
+
+/// Empty strings, ASCII and one- to four-byte UTF-8 sequences.
+const ALPHABET: [char; 8] = ['a', 'b', 'z', ' ', 'é', 'ü', '中', '🙂'];
+
+fn text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0usize..ALPHABET.len(), 0..6)
+        .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+}
+
+fn pair_lists() -> impl Strategy<Value = Vec<(String, String)>> {
+    proptest::collection::vec((text(), text()), 0..12)
+}
+
+fn encode(v: &impl Wire) -> Vec<u8> {
+    let mut w = Writer::new();
+    v.put(&mut w);
+    w.into_bytes()
+}
+
+/// Both decoders over `bytes`: the same verdict, the same bytes consumed,
+/// the same contents.
+fn decoders_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let (mut packed_r, mut owned_r) = (Reader::new(bytes), Reader::new(bytes));
+    let packed = Pairs::get(&mut packed_r);
+    let owned = Vec::<(String, String)>::get(&mut owned_r);
+    prop_assert_eq!(packed_r.remaining(), owned_r.remaining(), "consumed differently");
+    match (packed, owned) {
+        (Ok(p), Ok(v)) => {
+            prop_assert_eq!(p.len(), v.len());
+            prop_assert_eq!(p.to_vec(), v);
+        }
+        (Err(a), Err(b)) => prop_assert_eq!(a, b),
+        // Counts only: a wrongly accepted `Pairs` may not even format.
+        (p, v) => prop_assert!(
+            false,
+            "verdicts differ: packed {:?}, vec {:?}",
+            p.map(|p| p.len()),
+            v.map(|v| v.len())
+        ),
+    }
+    Ok(())
+}
+
+proptest! {
+    /// A packed list is its `Vec` on the wire, and reads back whole.
+    #[test]
+    fn pairs_encode_like_the_vec(list in pair_lists()) {
+        let packed: Pairs = list.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        let bytes = encode(&packed);
+        prop_assert_eq!(&bytes, &encode(&list));
+        prop_assert_eq!(packed.len(), list.len());
+        prop_assert_eq!(packed.is_empty(), list.is_empty());
+        let data: usize = list.iter().map(|(k, v)| k.len() + v.len()).sum();
+        prop_assert_eq!(packed.data_bytes(), data as u64);
+        let borrowed: Vec<(&str, &str)> = packed.iter().collect();
+        let expected: Vec<(&str, &str)> =
+            list.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        prop_assert_eq!(borrowed, expected);
+        let mut r = Reader::new(&bytes);
+        prop_assert_eq!(Pairs::get(&mut r), Ok(packed));
+        r.finish().map_err(|e| TestCaseError::fail(e.to_string()))?;
+    }
+
+    /// Truncations and two-byte overwrites of valid encodings: lengths that
+    /// overrun, counts the input cannot back, and UTF-8 broken mid-sequence.
+    #[test]
+    fn pairs_decode_mutations_like_the_vec(
+        list in pair_lists(),
+        cut in 0usize..512,
+        at in (0usize..512, 0usize..512),
+        to in (0u8..=255, 0u8..=255),
+    ) {
+        let mut bytes = encode(&list);
+        decoders_agree(&bytes[..cut % (bytes.len() + 1)])?;
+        let n = bytes.len();
+        bytes[at.0 % n] = to.0;
+        bytes[at.1 % n] = to.1;
+        decoders_agree(&bytes)?;
+    }
+
+    /// Arbitrary bytes behind a small count, so the decoders read fields.
+    #[test]
+    fn pairs_decode_arbitrary_bytes_like_the_vec(
+        count in 0u32..4,
+        rest in proptest::collection::vec(0u8..=255, 0..48),
+    ) {
+        let mut bytes = count.to_be_bytes().to_vec();
+        bytes.extend_from_slice(&rest);
+        decoders_agree(&bytes)?;
+        decoders_agree(&rest)?;
+    }
+}
+
+#[test]
+fn invalid_utf8_is_refused_like_the_vec() {
+    // One pair: key "k", then a value of two bytes that are not UTF-8.
+    let bytes = [0, 0, 0, 1, 0, 0, 0, 1, b'k', 0, 0, 0, 2, 0xC3, 0x28];
+    assert_eq!(Pairs::get(&mut Reader::new(&bytes)).map(|p| p.len()), Err(WireError::BadUtf8));
+    decoders_agree(&bytes).unwrap();
 }
