@@ -124,8 +124,8 @@ pub fn run_cluster_chaos(
 }
 
 /// The body of [`run_cluster`] and [`run_cluster_chaos`]: start the
-/// tracker, spawn one worker thread per node (behind a `ctl:w<i>` proxy on
-/// `chaos`, when given), and wait for the report.
+/// tracker, run one worker per node on a pooled thread (behind a
+/// `ctl:w<i>` proxy on `chaos`, when given), and wait for the report.
 fn run_fleet(
     cfg: &ClusterConfig,
     spec: &JobSpec,
@@ -157,7 +157,7 @@ fn run_fleet(
                 wc.chaos = Some(Arc::clone(net));
                 ctl_proxies.push(ctl);
             }
-            std::thread::spawn(move || {
+            pnats_rpc::pool::spawn(move || {
                 let _ = run_worker(wc);
             })
         })

@@ -75,10 +75,10 @@ use pnats_core::placer::TaskPlacer;
 use pnats_engine::book::{JobScheduler, Launch, NodeFault, Phase, Slots, TaskEvent, Verdict};
 use pnats_net::NodeId;
 use pnats_obs::{DecisionObserver, FaultKind, TaskKind};
+use pnats_rpc::pool::{self, Task};
 use pnats_rpc::{Assignment, Msg, RpcServer};
 use std::io;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How many heartbeat periods [`JobTracker::wait`] keeps serving after the
@@ -786,7 +786,7 @@ pub struct JobTracker {
     server: Option<RpcServer>,
     state: Arc<Mutex<TrackerState>>,
     wake: Arc<Condvar>,
-    tick: Option<JoinHandle<()>>,
+    tick: Option<Task<()>>,
 }
 
 /// Sleep on `wake` until `ready(state)` or `until`, whichever is first;
@@ -973,7 +973,7 @@ impl JobTracker {
         // on the condvar so the verdict ends the thread at once, but only
         // the period running out ticks a round.
         let (tick_state, tick_wake) = (state.clone(), wake.clone());
-        let tick = std::thread::spawn(move || {
+        let tick = pool::spawn(move || {
             let mut s = tick_state.lock().unwrap();
             loop {
                 let over;
@@ -1071,6 +1071,7 @@ mod tests {
     use pnats_engine::book::EventLog;
     use pnats_rpc::{MapDone, MapFailed, Pairs, ReduceDone, RetryPolicy, RpcClient};
     use std::path::PathBuf;
+    use std::thread::JoinHandle;
 
     /// A handful of two-line blocks on two workers, fifo placement (it never
     /// declines an offer, so assignment counts are exact), and a tick

@@ -1,9 +1,9 @@
 //! The TaskTracker: one worker process/thread owning a dfs shard, a data
 //! server for peers, and map/reduce slots. It heartbeats the tracker over
-//! TCP, executes assignments on task threads via the engine's shared
-//! execution primitives ([`execute_map`]/[`execute_reduce`] — so output
-//! bytes are identical to the engine's), and serves its finished map
-//! partitions to reducers.
+//! TCP, executes assignments on task threads (jobs of the process-wide
+//! [`pnats_rpc::pool`]) via the engine's shared execution primitives
+//! ([`execute_map`]/[`execute_reduce`] — so output bytes are identical to
+//! the engine's), and serves its finished map partitions to reducers.
 //!
 //! **When it beats.** The heartbeat loop sleeps on the channel its task
 //! threads report to until one period `T` after its last *send*. A worker
@@ -23,9 +23,12 @@
 //! output exists instead of a poll period later, again waiting out only
 //! the rest of its period after a reply. The shared resolver that map
 //! tasks use for block fallback is never held: a held call on it would
-//! stall every block fetch of this worker behind it. Every client a
-//! worker opens — control, resolver, reducers', peers' — reports its
-//! retries and damaged frames in the heartbeat tallies.
+//! stall every block fetch of this worker behind it. It is dialed by the
+//! first map task that falls back to the tracker, not at registration, so
+//! its connect stays off the path to the first heartbeat; a failed dial
+//! fails that map attempt (the tracker retries it), not the epoch. Every
+//! client a worker opens — control, resolver, reducers', peers' — reports
+//! its retries and damaged frames in the heartbeat tallies.
 //!
 //! The sleeps that remain in this file either model work (map pacing, the
 //! doomed attempt's burn) or back off a call the peer refused: `NotReady`
@@ -42,6 +45,7 @@ use crate::jobspec::JobSpec;
 use pnats_core::partition::Partitioner;
 use pnats_engine::exec::{execute_map, execute_reduce, MapProgressGauges};
 use pnats_engine::EngineJob;
+use pnats_rpc::pool;
 use pnats_rpc::{
     Assignment, BreakerPolicy, ChaosNet, CircuitBreaker, MapDone, MapFailed, Msg, Pairs,
     ProgressReport, ReduceDone, RetryPolicy, RpcClient, RpcError, RpcServer,
@@ -180,7 +184,9 @@ pub fn run_worker(cfg: WorkerConfig) -> Result<(), RpcError> {
 fn run_epoch(cfg: &WorkerConfig, epoch: u32) -> Result<EpochEnd, RpcError> {
     let data: Arc<Mutex<DataState>> = Arc::new(Mutex::new(DataState::default()));
 
-    // Data plane: serve blocks and finished partitions to peers.
+    // Data plane: serve blocks and finished partitions to peers. A held
+    // partition's clone shares its bytes, so the lock covers a refcount
+    // bump, not a copy.
     let data_handler: pnats_rpc::Handler = {
         let data = data.clone();
         Arc::new(move |msg| {
@@ -247,12 +253,9 @@ fn run_epoch(cfg: &WorkerConfig, epoch: u32) -> Result<EpochEnd, RpcError> {
     let engine_job = Arc::new(spec.job(n_reduces));
     data.lock().unwrap().blocks = blocks.into_iter().collect();
 
-    // Shared resolver client for map tasks: block fallback, never held.
-    let resolver = Arc::new(Mutex::new(health.track(RpcClient::connect(
-        &cfg.tracker_addr,
-        cfg.retry.clone(),
-        cfg.io_timeout,
-    )?)));
+    // Shared resolver client for map tasks: block fallback, never held,
+    // dialed by the first map task that needs it.
+    let resolver = Arc::new(Mutex::new(None));
 
     let cancel = Arc::new(AtomicBool::new(false));
     let (tx, rx) = channel::<TaskEvent>();
@@ -417,6 +420,8 @@ fn run_epoch(cfg: &WorkerConfig, epoch: u32) -> Result<EpochEnd, RpcError> {
                                 gauges,
                                 data: data.clone(),
                                 resolver: resolver.clone(),
+                                tracker_addr: cfg.tracker_addr.clone(),
+                                retry: cfg.retry.clone(),
                                 job: engine_job.clone(),
                                 partitioner,
                                 cpu_us_per_kib,
@@ -524,7 +529,9 @@ struct MapTask {
     sources: Vec<String>,
     gauges: Arc<MapProgressGauges>,
     data: Arc<Mutex<DataState>>,
-    resolver: Arc<Mutex<RpcClient>>,
+    resolver: Arc<Mutex<Option<RpcClient>>>,
+    tracker_addr: String,
+    retry: RetryPolicy,
     job: Arc<EngineJob>,
     partitioner: Partitioner,
     cpu_us_per_kib: u64,
@@ -535,7 +542,7 @@ struct MapTask {
 }
 
 fn spawn_map_task(t: MapTask) {
-    std::thread::spawn(move || {
+    pool::spawn(move || {
         let Some(text) = fetch_block_text(&t) else {
             // No replica holder nor the tracker could produce the block:
             // report a failure so the attempt is retried elsewhere.
@@ -593,7 +600,9 @@ fn fetch_block_text(t: &MapTask) -> Option<String> {
             return Some(data);
         }
     }
-    match t.resolver.lock().unwrap().call(&Msg::FetchBlock { block: t.map }) {
+    let mut resolver = t.resolver.lock().unwrap();
+    let fetch = Msg::FetchBlock { block: t.map };
+    match call_dialing(&mut resolver, &t.tracker_addr, &t.retry, t.io_timeout, &t.health, &fetch) {
         Ok(Msg::BlockData { data, .. }) => Some(data),
         _ => None,
     }
@@ -617,7 +626,7 @@ struct ReduceTask {
 }
 
 fn spawn_reduce_task(t: ReduceTask) {
-    std::thread::spawn(move || {
+    pool::spawn(move || {
         let mut parts: Vec<Pairs> = Vec::with_capacity(t.n_maps as usize);
         let mut per_source: Vec<(u32, u64)> = Vec::new();
         let mut peers: HashMap<String, RpcClient> = HashMap::new();
@@ -714,16 +723,28 @@ fn spawn_reduce_task(t: ReduceTask) {
     });
 }
 
-/// One call on a reduce task's own tracker connection, dialing it first
-/// when there is none yet (or the last dial failed).
+/// One call on a reduce task's own tracker connection.
 fn call_tracker(
     t: &ReduceTask,
     conn: &mut Option<RpcClient>,
     msg: &Msg,
 ) -> Result<Msg, RpcError> {
+    call_dialing(conn, &t.tracker_addr, &t.retry, t.io_timeout, &t.health, msg)
+}
+
+/// One call on a connection to `addr` that is dialed on first use: when
+/// `conn` holds none yet, or the last dial failed.
+fn call_dialing(
+    conn: &mut Option<RpcClient>,
+    addr: &str,
+    retry: &RetryPolicy,
+    io_timeout: Duration,
+    health: &NetHealth,
+    msg: &Msg,
+) -> Result<Msg, RpcError> {
     if conn.is_none() {
-        let client = RpcClient::connect(t.tracker_addr.clone(), t.retry.clone(), t.io_timeout)?;
-        *conn = Some(t.health.track(client));
+        let client = RpcClient::connect(addr.to_string(), retry.clone(), io_timeout)?;
+        *conn = Some(health.track(client));
     }
     conn.as_mut().expect("dialed above").call(msg)
 }

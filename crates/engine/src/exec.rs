@@ -11,8 +11,10 @@
 //! * how a mapper's emissions partition across reducers ([`execute_map`],
 //!   via [`pnats_core::Partitioner`]);
 //! * how a reducer's input is ordered and grouped ([`execute_reduce`]:
-//!   pairs are collected in map-index order, then stably sorted by key, so
-//!   values within a key always arrive in map-index emission order).
+//!   pairs are collected in map-index order, then grouped by key in
+//!   ascending key order, values within a key in arrival order — what a
+//!   stable sort by key yields, so values within a key always arrive in
+//!   map-index emission order).
 //!
 //! Placement decisions, message timing and fault recovery affect *when*
 //! work runs and *where* bytes travel — never what they are.
@@ -24,6 +26,7 @@
 
 use crate::api::{Emit, Mapper, Reducer};
 use pnats_core::partition::Partitioner;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Published progress of one running map task — the live counters a
@@ -117,24 +120,58 @@ pub fn execute_map(
     bytes
 }
 
-/// Run one reduce attempt: stable sort by key, group, reduce, each output
-/// pair to `emit`. `pairs` must be the task's partition from every map
-/// output concatenated in *map-index order* — the stable sort then yields
-/// a deterministic value order within each key, independent of fetch
-/// timing or placement. Keys and values are borrowed from the caller's
-/// storage, never copied.
+/// Run one reduce attempt: group by key, reduce each group in ascending key
+/// order, each output pair to `emit`. `pairs` must be the task's partition
+/// from every map output concatenated in *map-index order*; values reach
+/// the reducer in that order within each key, so the output is independent
+/// of fetch timing or placement. Keys and values are borrowed from the
+/// caller's storage, never copied.
+///
+/// The groups, their order and the value order within each are exactly
+/// what a stable sort of every pair by key would give, but only the
+/// distinct keys are sorted (a reduce sees hundreds of keys over thousands
+/// of pairs): each key gets an id in first-seen order, the values are
+/// scattered into one buffer grouped by id in arrival order, and the ids
+/// are sorted by key. Keys are job input, so the map keeps std's
+/// flooding-resistant hasher.
 pub fn execute_reduce<'a>(
     reducer: &dyn Reducer,
     pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
     emit: &mut Emit<'_>,
 ) {
-    let mut pairs: Vec<(&str, &str)> = pairs.into_iter().collect();
-    pairs.sort_by(|a, b| a.0.cmp(b.0));
-    let mut values: Vec<&str> = Vec::new();
-    for group in pairs.chunk_by(|a, b| a.0 == b.0) {
-        values.extend(group.iter().map(|&(_, v)| v));
-        reducer.reduce(group[0].0, &values, emit);
-        values.clear();
+    let mut ids: HashMap<&str, usize> = HashMap::new();
+    let mut keys: Vec<&str> = Vec::new();
+    let mut tagged: Vec<(usize, &str)> = Vec::new();
+    for (k, v) in pairs {
+        let id = *ids.entry(k).or_insert_with(|| {
+            keys.push(k);
+            keys.len() - 1
+        });
+        tagged.push((id, v));
+    }
+    // `ends[id]` is one past key `id`'s run in `grouped`; filling the runs
+    // back to front from there, walking the pairs in reverse, leaves each
+    // key's values in arrival order and `starts[id]` at the run's start.
+    let mut ends: Vec<usize> = vec![0; keys.len()];
+    for &(id, _) in &tagged {
+        ends[id] += 1;
+    }
+    let mut total = 0;
+    for end in &mut ends {
+        total += *end;
+        *end = total;
+    }
+    let mut grouped = vec![""; tagged.len()];
+    let mut starts = ends.clone();
+    for &(id, v) in tagged.iter().rev() {
+        starts[id] -= 1;
+        grouped[starts[id]] = v;
+    }
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    // Distinct keys: an unstable sort orders them as a stable one would.
+    order.sort_unstable_by_key(|&id| keys[id]);
+    for id in order {
+        reducer.reduce(keys[id], &grouped[starts[id]..ends[id]], emit);
     }
 }
 

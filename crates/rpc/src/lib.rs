@@ -19,8 +19,11 @@
 //!   bounded reconnect-and-retry under exponential backoff with seeded
 //!   jitter, and a versioned handshake ([`MAGIC`] + [`PROTOCOL_VERSION`])
 //!   that refuses mismatched peers permanently (no retry can fix skew).
-//! * [`server`] — a listener thread + thread per connection, dispatching
-//!   each decoded message through a handler closure.
+//! * [`server`] — a listener thread + a pooled thread per connection,
+//!   dispatching each decoded message through a handler closure.
+//! * [`pool`] — the process-wide cached thread pool every runtime thread
+//!   starts from: idle threads are reused across jobs, a new one starts
+//!   only when none is idle, and each retires after a fixed job quota.
 //! * [`chaos`] — a seeded fault-injecting proxy ([`ChaosNet`]) driven by a
 //!   [`ChaosPlan`]: per-link partitions, black holes, resets, corruption,
 //!   truncation, drops, delay and throttling, every probabilistic decision
@@ -34,6 +37,7 @@ pub mod chaos;
 pub mod client;
 pub mod frame;
 pub mod msg;
+pub mod pool;
 pub mod server;
 pub mod wire;
 

@@ -1,6 +1,6 @@
-//! The RPC server: a TCP listener, a thread per connection, a handler
-//! closure per message. The handshake rejects peers with version skew
-//! before any application message is exchanged.
+//! The RPC server: a TCP listener, a pooled thread per connection, a
+//! handler closure per message. The handshake rejects peers with version
+//! skew before any application message is exchanged.
 //!
 //! Nothing here polls. The accept thread blocks in `accept` and each
 //! connection thread blocks in `read`; [`RpcServer::stop`] wakes them by
@@ -8,27 +8,30 @@
 //! the first, a read-half `shutdown` of every live socket for the rest —
 //! so stopping costs a loopback connect, not an accept-poll period plus a
 //! read deadline. `AcceptLoop` is that lifecycle, shared with the chaos
-//! proxy ([`crate::chaos`]): the one accept loop of this crate.
+//! proxy ([`crate::chaos`]): the one accept loop of this crate. Its accept
+//! and connection threads come from the process-wide [`crate::pool`], so a
+//! server that lives for one job costs no thread start once the pool is
+//! warm.
 
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::msg::{Msg, MAGIC, PROTOCOL_VERSION};
+use crate::pool::{self, Task};
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// The per-message application handler. Returns the reply to frame back.
 pub type Handler = Arc<dyn Fn(Msg) -> Msg + Send + Sync>;
 
-/// A listener thread handing each accepted connection to a thread of its
-/// own. The owner holds the handle; [`stop`](Self::stop) (or drop) ends the
-/// accept thread and every connection thread and joins them.
+/// A listener thread handing each accepted connection to a (pooled) thread
+/// of its own. The owner holds the handle; [`stop`](Self::stop) (or drop)
+/// ends the accept thread and every connection thread and joins them.
 pub(crate) struct AcceptLoop {
     addr: String,
     stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    thread: Option<Task<()>>,
 }
 
 impl AcceptLoop {
@@ -50,10 +53,10 @@ impl AcceptLoop {
         let local = listener.local_addr()?.to_string();
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
-        let thread = std::thread::spawn(move || {
+        let thread = pool::spawn(move || {
             // Each live connection's thread, and its socket to wake that
             // thread with.
-            let mut conns: Vec<(JoinHandle<()>, Arc<TcpStream>)> = Vec::new();
+            let mut conns: Vec<(Task<()>, Arc<TcpStream>)> = Vec::new();
             loop {
                 let accepted = listener.accept();
                 if stop2.load(Ordering::SeqCst) {
@@ -64,7 +67,7 @@ impl AcceptLoop {
                 let stream = Arc::new(stream);
                 let job = on_accept(stream.clone(), stop2.clone());
                 let ours = stream.clone();
-                let thread = std::thread::spawn(move || {
+                let thread = pool::spawn(move || {
                     job();
                     // This list's handle keeps the descriptor open past the
                     // job, so hanging up has to be said, not left to a drop.

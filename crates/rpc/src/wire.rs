@@ -19,6 +19,7 @@
 //! enum's is 1 (its tag), so no bound is typed by hand.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Frames larger than this are rejected on both send and receive: a
 /// corrupt or malicious length prefix must not make the peer allocate
@@ -266,7 +267,10 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 /// `Vec<(String, String)>` encodes to: a `u32` count, then per pair a
 /// `u32` key length, the key, a `u32` value length and the value. One
 /// buffer instead of two `String`s per pair, with no byte moved on the
-/// wire: encoding is one copy and decoding one allocation.
+/// wire: encoding is one copy and decoding one buffer. The buffer is
+/// shared, so a clone — a held map output handed to a fetch reply — bumps
+/// a reference count instead of copying the bytes; the first `push` to a
+/// shared list copies it.
 ///
 /// Decoding is as total as the `Vec` decoder's and accepts exactly the same
 /// byte strings: every length is checked against the remaining input and
@@ -276,7 +280,7 @@ pub struct Pairs {
     /// Pair count: the `u32` that leads the encoding.
     len: u32,
     /// Every pair's encoding, back to back.
-    body: Vec<u8>,
+    body: Arc<Vec<u8>>,
 }
 
 impl Pairs {
@@ -288,10 +292,11 @@ impl Pairs {
     /// Append one pair. Panics on a key or value of 4 GiB or more, which
     /// no frame could carry.
     pub fn push(&mut self, key: &str, value: &str) {
+        let body = Arc::make_mut(&mut self.body);
         for s in [key, value] {
             let len = u32::try_from(s.len()).expect("a pair field fits a u32 length");
-            self.body.extend_from_slice(&len.to_be_bytes());
-            self.body.extend_from_slice(s.as_bytes());
+            body.extend_from_slice(&len.to_be_bytes());
+            body.extend_from_slice(s.as_bytes());
         }
         self.len += 1;
     }
@@ -350,6 +355,7 @@ impl Wire for Pairs {
     const MIN_BYTES: usize = 4;
     #[inline]
     fn put(&self, w: &mut Writer) {
+        w.buf.reserve(4 + self.body.len());
         self.len.put(w);
         w.buf.extend_from_slice(&self.body);
     }
@@ -360,7 +366,7 @@ impl Wire for Pairs {
             let len = u32::get(r)? as usize;
             std::str::from_utf8(r.take(len)?).map_err(|_| WireError::BadUtf8)?;
         }
-        Ok(Pairs { len: n as u32, body: r.buf[start..r.pos].to_vec() })
+        Ok(Pairs { len: n as u32, body: Arc::new(r.buf[start..r.pos].to_vec()) })
     }
 }
 
