@@ -216,6 +216,12 @@ impl MapCandidate {
     }
 }
 
+/// Maps that must finish before reduces launch (Hadoop's
+/// `mapreduce.job.reduce.slowstart.completedmaps`).
+pub fn slowstart_gate(slowstart: f64, n_maps: usize) -> usize {
+    ((slowstart * n_maps as f64).ceil() as usize).min(n_maps)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

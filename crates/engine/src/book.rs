@@ -18,9 +18,10 @@
 //! there is no other way to change it.
 
 use crate::engine::EngineConfig;
-use crate::exec::{slowstart_gate, split_blocks};
+use crate::exec::split_blocks;
 use pnats_core::context::{
-    MapCandidate, MapSchedContext, ReduceCandidate, ReduceSchedContext, ShuffleSource,
+    slowstart_gate, MapCandidate, MapSchedContext, ReduceCandidate, ReduceSchedContext,
+    ShuffleSource,
 };
 use pnats_core::faults::FaultPlan;
 use pnats_core::placer::{Decision, TaskPlacer};
