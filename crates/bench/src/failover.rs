@@ -231,5 +231,5 @@ pub fn run_kill_trial(
         return Err(format!("{label}: journal replay is not deterministic"));
     }
 
-    Ok(summary.first_assign_ms.map(|ms| spawn_to_kill_ms + ms as f64))
+    Ok(summary.stages.first_assign.map(|ms| spawn_to_kill_ms + ms))
 }

@@ -139,10 +139,11 @@ pub struct ClusterReport {
     /// oracle runs in-process where the full report is available, and
     /// process-based harnesses rebuild the ledger from the journal.
     pub completions: Vec<TaskCompletion>,
-    /// Wall ms from tracker start to its first assignment decision.
+    /// Wall ms from tracker start to its first assignment decision
+    /// (`stages.first_assign`, kept for readers of the report).
     /// On a recovery incarnation this is the failover latency probe: the
     /// time from restart to the first post-recovery assignment.
-    pub first_assign_ms: Option<u64>,
+    pub first_assign_ms: Option<f64>,
     /// The run's stage timeline and final round count.
     pub stages: Stages,
     /// True when the job was aborted (retry budget exhausted, the whole
@@ -276,9 +277,6 @@ impl ClusterReport {
             self.n_reduces,
             self.wall.as_millis()
         );
-        if let Some(ms) = self.first_assign_ms {
-            s.push_str(&format!(" first_assign_ms={ms}"));
-        }
         s.push('\n');
         s.push_str(&format!("counters {}\n", self.counters.to_kv()));
         s.push_str(&format!("stages {}\n", self.stages.to_kv()));
@@ -305,8 +303,6 @@ pub struct ReportSummary {
     pub counters: SchedCounters,
     /// Output pairs in partition-major order.
     pub output: Vec<(String, String)>,
-    /// Wall ms from tracker start to first assignment, when reported.
-    pub first_assign_ms: Option<u64>,
     /// Stage timeline; all-`None` when read from a report that predates it.
     pub stages: Stages,
 }
@@ -319,14 +315,12 @@ impl ReportSummary {
         let mut failed = false;
         let mut n_maps = 0usize;
         let mut n_reduces = 0usize;
-        let mut first_assign_ms = None;
         for tok in status.split_whitespace() {
             let (k, v) = tok.split_once('=')?;
             match k {
                 "failed" => failed = v == "1",
                 "n_maps" => n_maps = v.parse().ok()?,
                 "n_reduces" => n_reduces = v.parse().ok()?,
-                "first_assign_ms" => first_assign_ms = v.parse().ok(),
                 _ => {}
             }
         }
@@ -347,7 +341,6 @@ impl ReportSummary {
             n_reduces,
             counters,
             output,
-            first_assign_ms,
             stages,
         })
     }
@@ -374,7 +367,7 @@ mod tests {
                 .into_iter()
                 .flat_map(|(kind, n)| (0..n).map(move |index| TaskCompletion { kind, index, epoch: 0 }))
                 .collect(),
-            first_assign_ms: Some(4),
+            first_assign_ms: Some(4.25),
             stages: Stages {
                 all_registered: Some(2.5),
                 first_assign: Some(4.25),
@@ -444,7 +437,6 @@ mod tests {
         assert_eq!(s.n_reduces, r.n_reduces);
         assert_eq!(s.counters, r.counters);
         assert_eq!(s.output, r.output);
-        assert_eq!(s.first_assign_ms, r.first_assign_ms);
         assert_eq!(s.stages, r.stages);
         // A report written before the timeline existed still parses.
         let text = r.to_text();

@@ -1026,7 +1026,7 @@ impl JobTracker {
             counters: o.counters,
             trace_jsonl: o.trace_jsonl,
             completions: o.completions,
-            first_assign_ms: s.stages.first_assign.map(|ms| ms as u64),
+            first_assign_ms: s.stages.first_assign,
             stages: s.stages,
             failed: s.failed,
         }
