@@ -49,10 +49,17 @@ impl CouplingPlacer {
         Self { p_rack, p_remote, max_postpone, heartbeat_s, first_offer: HashMap::new() }
     }
 
-    /// The configuration matching the paper's description: wait at most
-    /// three rounds of (1 s) heartbeats.
+    /// The configuration matching the paper's description — launch
+    /// probabilities 0.8 / 0.4, wait at most three rounds — over heartbeats
+    /// of `heartbeat_s` seconds. The repository benchmark
+    /// (`benchmark/src/simload.rs`) writes the same literals itself.
+    pub fn paper_at(heartbeat_s: f64) -> Self {
+        Self::new(0.8, 0.4, 3, heartbeat_s)
+    }
+
+    /// [`paper_at`](Self::paper_at) with the paper's 1 s heartbeat.
     pub fn paper() -> Self {
-        Self::new(0.8, 0.4, 3, 1.0)
+        Self::paper_at(1.0)
     }
 
     /// When the pending reduce `task` was first offered a slot it did not

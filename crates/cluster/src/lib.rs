@@ -67,7 +67,7 @@ pub fn placer_by_name(name: &str, heartbeat_s: f64) -> Option<Box<dyn TaskPlacer
         "mincost" => Box::new(MinCostPlacer::new()),
         "larts" => Box::new(LartsPlacer::default()),
         "quincy" => Box::new(QuincyPlacer),
-        "coupling" => Box::new(CouplingPlacer::new(0.8, 0.4, 3, heartbeat_s)),
+        "coupling" => Box::new(CouplingPlacer::paper_at(heartbeat_s)),
         _ => return None,
     })
 }
