@@ -92,14 +92,6 @@ impl Decision {
             Decision::Skip(_) => None,
         }
     }
-
-    /// The skip reason, if the slot was declined.
-    pub fn skip_reason(self) -> Option<SkipReason> {
-        match self {
-            Decision::Assign(_) => None,
-            Decision::Skip(r) => Some(r),
-        }
-    }
 }
 
 /// Per-decision intermediates of the paper's Algorithms 1–2, exposed for
@@ -197,6 +189,17 @@ pub trait TaskPlacer: Send {
     /// (default: `None`). Read by the tracing layer right after a decision.
     fn last_detail(&self) -> Option<DecisionDetail> {
         None
+    }
+}
+
+#[cfg(test)]
+impl Decision {
+    /// The skip reason, if the slot was declined.
+    pub fn skip_reason(self) -> Option<SkipReason> {
+        match self {
+            Decision::Assign(_) => None,
+            Decision::Skip(r) => Some(r),
+        }
     }
 }
 

@@ -28,7 +28,6 @@ pub struct RateMonitor {
     alpha: f64,
     /// Row-major EWMA rates in bytes/sec; 0.0 = never observed.
     ewma: Vec<f64>,
-    observations: u64,
 }
 
 impl RateMonitor {
@@ -36,12 +35,7 @@ impl RateMonitor {
     /// larger `alpha` weights recent observations more.
     pub fn new(n: usize, alpha: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        Self { n, alpha, ewma: vec![0.0; n * n], observations: 0 }
-    }
-
-    /// Total observations fed so far.
-    pub fn observations(&self) -> u64 {
-        self.observations
+        Self { n, alpha, ewma: vec![0.0; n * n] }
     }
 
     /// Record that a transfer from `a` to `b` achieved `rate_bps`.
@@ -50,7 +44,6 @@ impl RateMonitor {
         if a == b || !rate_bps.is_finite() || rate_bps <= 0.0 {
             return;
         }
-        self.observations += 1;
         let e = &mut self.ewma[a.idx() * self.n + b.idx()];
         if *e == 0.0 {
             *e = rate_bps;
@@ -113,6 +106,14 @@ impl RateMonitor {
             }
         }
         m
+    }
+}
+
+#[cfg(test)]
+impl RateMonitor {
+    /// Paths holding an accepted observation.
+    pub fn observations(&self) -> u64 {
+        self.ewma.iter().filter(|&&e| e != 0.0).count() as u64
     }
 }
 

@@ -153,13 +153,6 @@ impl MapTask {
         }
     }
 
-    /// `A_jf` at time `t`: intermediate bytes produced so far for
-    /// partition `f`.
-    pub fn current_bytes_for(&self, f: usize, t: f64) -> f64 {
-        let frac = self.input_read(t) as f64 / self.block.max(1) as f64;
-        self.final_bytes_for(f) * frac
-    }
-
     /// `I_jf`: final intermediate bytes for partition `f`.
     pub fn final_bytes_for(&self, f: usize) -> f64 {
         self.block as f64 * self.selectivity * self.weights[f]
@@ -674,6 +667,16 @@ impl ReduceWindow {
     /// The window [`fill`](Self::fill) last built, in offer order.
     pub fn candidates(&self) -> &[ReduceCandidate] {
         &self.cands[..self.len]
+    }
+}
+
+#[cfg(test)]
+impl MapTask {
+    /// `A_jf` at time `t`: intermediate bytes produced so far for
+    /// partition `f`.
+    pub fn current_bytes_for(&self, f: usize, t: f64) -> f64 {
+        let frac = self.input_read(t) as f64 / self.block.max(1) as f64;
+        self.final_bytes_for(f) * frac
     }
 }
 
