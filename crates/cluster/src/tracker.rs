@@ -1392,9 +1392,14 @@ mod tests {
 
     /// Send `msg` to `t` over a connection of its own from another thread,
     /// and — one period after the last send, as a worker would — again
-    /// while `again` accepts the reply: the last reply, and when it
-    /// arrived.
-    fn over_wire(t: &JobTracker, msg: Msg, again: fn(&Msg) -> bool) -> JoinHandle<(Msg, Instant)> {
+    /// while `again` accepts the reply: the last reply, when the call that
+    /// got it was sent (after the thread started, dialed and shook hands),
+    /// and when it arrived.
+    fn over_wire(
+        t: &JobTracker,
+        msg: Msg,
+        again: fn(&Msg) -> bool,
+    ) -> JoinHandle<(Msg, Instant, Instant)> {
         let addr = t.addr().to_string();
         std::thread::spawn(move || {
             let mut c = RpcClient::connect(addr, RetryPolicy::default(), Duration::from_secs(5))
@@ -1403,7 +1408,7 @@ mod tests {
                 let sent = Instant::now();
                 let reply = c.call(&msg).expect("call");
                 if !again(&reply) {
-                    return (reply, Instant::now());
+                    return (reply, sent, Instant::now());
                 }
                 std::thread::sleep(PERIOD.saturating_sub(sent.elapsed()));
             }
@@ -1469,7 +1474,7 @@ mod tests {
         let idle = over_wire(&t, heartbeat(1, (0, 0), vec![], vec![], vec![]), |r| !told(r));
         wait_heard(&t, 1);
         let verdict = work_off(&t, &cfg, 0);
-        let (reply, at) = idle.join().unwrap();
+        let (reply, _, at) = idle.join().unwrap();
         assert!(told(&reply), "{reply:?}");
         let late = at.duration_since(verdict);
         assert!(late < PERIOD / 4, "told {late:?} after the verdict");
@@ -1486,8 +1491,7 @@ mod tests {
         if let Msg::Heartbeat { running_reduces, .. } = &mut busy {
             running_reduces.push((0, 0));
         }
-        let sent = Instant::now();
-        let (reply, at) = over_wire(&t, busy, |_| false).join().unwrap();
+        let (reply, sent, at) = over_wire(&t, busy, |_| false).join().unwrap();
         assert!(
             matches!(&reply, Msg::HeartbeatReply { assignments, shutdown: false, .. }
                 if assignments.is_empty()),
@@ -1518,7 +1522,7 @@ mod tests {
         let landed = Instant::now();
         let done = vec![MapDone { map, attempt, bytes: vec![7, 9] }];
         call(&t, heartbeat(0, (0, 0), done, vec![], vec![]));
-        let (reply, at) = asked.join().unwrap();
+        let (reply, _, at) = asked.join().unwrap();
         assert!(matches!(reply, Msg::MapAt { node: 0, .. }), "{reply:?}");
         let late = at.duration_since(landed);
         assert!(late < PERIOD / 4, "answered {late:?} after the map landed");
@@ -1531,7 +1535,7 @@ mod tests {
         let t = start(&held_cfg()).unwrap();
         register(&t, 0);
         let sent = Instant::now();
-        let (reply, at) = over_wire(&t, Msg::WhereIs { map: 0 }, |_| false).join().unwrap();
+        let (reply, _, at) = over_wire(&t, Msg::WhereIs { map: 0 }, |_| false).join().unwrap();
         assert_eq!(reply, Msg::NotReady);
         let took = at.duration_since(sent);
         assert!(took >= PERIOD && took < 2 * PERIOD, "answered after {took:?}");
@@ -1547,7 +1551,7 @@ mod tests {
         wait_heard(&t, 0);
         let crashed = Instant::now();
         t.crash();
-        let (reply, at) = idle.join().unwrap();
+        let (reply, _, at) = idle.join().unwrap();
         assert!(matches!(reply, Msg::HeartbeatReply { shutdown: false, .. }), "{reply:?}");
         let took = at.duration_since(crashed);
         assert!(took < PERIOD / 4, "released {took:?} after the crash");

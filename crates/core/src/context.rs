@@ -11,7 +11,7 @@ use crate::types::{JobId, MapTaskId, ReduceTaskId};
 use pnats_net::{ClusterLayout, NodeId, PathCost};
 
 /// A pending map task `M_j` and everything its cost depends on.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct MapCandidate {
     /// The task's identity.
     pub task: MapTaskId,
@@ -19,6 +19,19 @@ pub struct MapCandidate {
     pub block_size: u64,
     /// Nodes storing a replica of that block (`{D_l : L_lj = 1}`).
     pub replicas: Vec<NodeId>,
+}
+
+// By hand so `clone_from` refills `replicas` in place (the derive's
+// allocates): a runtime refreshes its reused candidates without allocating.
+impl Clone for MapCandidate {
+    fn clone(&self) -> Self {
+        Self { replicas: self.replicas.clone(), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        (self.task, self.block_size) = (source.task, source.block_size);
+        self.replicas.clone_from(&source.replicas);
+    }
 }
 
 /// One placed map task's contribution to a reduce task's shuffle input —

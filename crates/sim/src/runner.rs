@@ -25,10 +25,10 @@ use crate::config::{JobInput, SimConfig};
 use crate::events::{EventKind, EventQueue};
 use crate::freeset::FreeSet;
 use crate::service::{TenancyState, TenantRunStats};
-use crate::state::{JobState, MapPhase, NodeState, ReducePhase, ReduceWindow};
+use crate::state::{JobState, MapPhase, NodeState, ReducePhase, ReduceWindow, SourceFold};
 use crate::trace::{JobRecord, TaskKind, TaskRecord, Trace};
 use crate::transfers::{Completion, Engine, NominalTransfers, RateSource, TransferTag, Transfers};
-use pnats_core::context::{slowstart_gate, MapSchedContext, ReduceSchedContext};
+use pnats_core::context::{slowstart_gate, MapCandidate, MapSchedContext, ReduceSchedContext};
 use pnats_core::costidx::CostClasses;
 use pnats_core::placer::{Decision, SkipReason, TaskPlacer};
 use pnats_core::types::JobId;
@@ -127,6 +127,20 @@ impl DemandIndex {
     }
 }
 
+/// Buffers the per-offer and per-event paths refill instead of allocating.
+/// Of `map_cands`, the first `window.len()` are the offer's candidates; the
+/// rest keep their `replicas` for a longer window.
+#[derive(Default)]
+struct Scratch {
+    reduce_window: ReduceWindow,
+    window: Vec<usize>,
+    map_cands: Vec<MapCandidate>,
+    tenants: Vec<usize>,
+    reduce_order: Vec<(usize, usize)>,
+    reaped: Vec<Completion>,
+    fold: SourceFold,
+}
+
 /// The outcome of a simulation run.
 pub struct SimReport {
     /// Task-level scheduler that produced it.
@@ -201,8 +215,7 @@ pub struct Simulation {
     map_free: FreeSet,
     /// Nodes with ≥1 free reduce slot.
     reduce_free: FreeSet,
-    /// The candidate buffers of reduce offers, reused across offers.
-    reduce_window: ReduceWindow,
+    scratch: Scratch,
     /// The hop metric's class partition, installed in both free sets; `None`
     /// under §II-B3, whose per-pair costs have no classes.
     classes: Option<CostClasses>,
@@ -314,7 +327,7 @@ impl Simulation {
             trace,
             map_free,
             reduce_free,
-            reduce_window: ReduceWindow::default(),
+            scratch: Scratch::default(),
             classes,
             map_heads: DemandIndex::new(0, 0),
             reduce_heads: DemandIndex::new(0, 0),
@@ -533,10 +546,12 @@ impl Simulation {
                 if version != self.transfers.version() {
                     return; // stale prediction
                 }
-                let done = self.transfers.reap(self.now);
-                for c in done {
+                let mut done = std::mem::take(&mut self.scratch.reaped);
+                self.transfers.reap_into(self.now, &mut done);
+                for c in done.drain(..) {
                     self.handle_completion(c);
                 }
+                self.scratch.reaped = done;
                 self.arm_transfer_wake();
             }
             EventKind::MapDone { job, map, run } => self.on_map_done(job, map, run),
@@ -838,12 +853,13 @@ impl Simulation {
             let heads = &self.map_heads.heads;
             let (head, charged) = match self.tenancy.as_mut().filter(|tn| tn.cfg.fairness) {
                 Some(tn) => {
-                    let demanding: Vec<usize> =
-                        (0..heads.len()).filter(|&t| !heads[t].is_empty()).collect();
+                    let demanding = &mut self.scratch.tenants;
+                    demanding.clear();
+                    demanding.extend((0..heads.len()).filter(|&t| !heads[t].is_empty()));
                     if demanding.is_empty() {
                         break;
                     }
-                    let t = tn.arbiter.pick(&demanding);
+                    let t = tn.arbiter.pick(demanding);
                     (heads[t].first().expect("demanding tenant").1, Some(t))
                 }
                 None => match heads.iter().filter_map(BTreeSet::first).min() {
@@ -874,13 +890,15 @@ impl Simulation {
             #[cfg(debug_assertions)]
             self.audit_demand();
             let mut assigned = false;
-            for ji in self.reduce_order() {
+            let order = self.reduce_order();
+            for &(_, ji) in &order {
                 if let Some(red) = self.offer_reduce(ji, node) {
                     self.assign_reduce(ji, red, node);
                     assigned = true;
                     break;
                 }
             }
+            self.scratch.reduce_order = order;
             if !assigned {
                 break;
             }
@@ -892,25 +910,29 @@ impl Simulation {
     /// reduces hold their slot for the job's whole shuffle, so without a
     /// cap the first jobs past slowstart would monopolize the pool (Fair
     /// Scheduler enforces shares per slot type). Under weighted fairness,
-    /// tenants go by least held reduces per unit weight, then id.
-    fn reduce_order(&self) -> Vec<usize> {
+    /// tenants go by least held reduces per unit weight, then id. Returns
+    /// the scratch buffer as `(running, job)`; the caller puts it back.
+    fn reduce_order(&mut self) -> Vec<(usize, usize)> {
         let index = &self.reduce_heads;
         let demand: usize = index.heads.iter().map(BTreeSet::len).sum();
         let share = (self.cfg.total_reduce_slots() as usize).div_ceil(demand.max(1));
-        let mut tenants: Vec<usize> = (0..index.heads.len()).collect();
+        let tenants = &mut self.scratch.tenants;
+        tenants.clear();
+        tenants.extend(0..index.heads.len());
         let fair = self.tenancy.as_ref().filter(|tn| tn.cfg.fairness);
         if let Some(tn) = fair {
             let key = |t: usize| index.held[t] as f64 / tn.cfg.tenants.get(t).weight;
             tenants.sort_by(|&a, &b| key(a).total_cmp(&key(b)).then(a.cmp(&b)));
         }
-        let mut order: Vec<(usize, usize)> = Vec::new();
-        for t in tenants {
+        let mut order = std::mem::take(&mut self.scratch.reduce_order);
+        order.clear();
+        for &t in tenants.iter() {
             order.extend(index.heads[t].range(..(share, 0))); // running < share
         }
         if fair.is_none() {
             order.sort_unstable();
         }
-        order.into_iter().map(|(_, j)| j).collect()
+        order
     }
 
     /// Offer one map slot on `node` for job `ji`; returns the chosen map
@@ -918,7 +940,8 @@ impl Simulation {
     fn offer_map(&mut self, ji: usize, node: NodeId) -> Option<usize> {
         // Node-local candidates first (Hadoop's per-node task cache), then
         // the head of the pending queue up to the window size.
-        let mut window = self.jobs[ji].local_unassigned_on(node, 8);
+        let Scratch { window, map_cands, .. } = &mut self.scratch;
+        self.jobs[ji].local_unassigned_into(node, 8, window);
         let job = &self.jobs[ji];
         for m in job.unassigned_maps.iter() {
             if window.len() >= self.cfg.map_candidate_window {
@@ -933,18 +956,22 @@ impl Simulation {
         // whole window is data-dead, record a NodeDead skip against it so
         // the offer identity (`offers = assigns + skips`) still holds.
         let nodes = &self.nodes;
-        let live_window: Vec<usize> = window
-            .iter()
-            .copied()
-            .filter(|&m| job.map_cands[m].replicas.iter().any(|r| nodes[r.idx()].alive))
-            .collect();
-        let dead = live_window.is_empty() && !window.is_empty();
-        let window = if dead { window } else { live_window };
-        let candidates: Vec<_> = window.iter().map(|&m| job.map_cands[m].clone()).collect();
+        let alive = |m: &usize| job.map_cands[*m].replicas.iter().any(|r| nodes[r.idx()].alive);
+        let dead = !window.is_empty() && !window.iter().any(alive);
+        if !dead {
+            window.retain(alive);
+        }
+        for (i, &m) in window.iter().enumerate() {
+            match map_cands.get_mut(i) {
+                Some(c) => c.clone_from(&job.map_cands[m]),
+                None => map_cands.push(job.map_cands[m].clone()),
+            }
+        }
+        let candidates = &map_cands[..window.len()];
         let cost = sched_metric(&self.congestion, &self.hops);
         self.map_free.ensure_list();
         let free = self.map_free.list();
-        let mut ctx = MapSchedContext::new(job.id, &candidates, free, cost, &self.layout).at(self.now);
+        let mut ctx = MapSchedContext::new(job.id, candidates, free, cost, &self.layout).at(self.now);
         if dead {
             self.observer
                 .observe_map(&ctx, node, Decision::Skip(SkipReason::NodeDead), None);
@@ -965,8 +992,9 @@ impl Simulation {
     /// Offer one reduce slot on `node` for job `ji`.
     fn offer_reduce(&mut self, ji: usize, node: NodeId) -> Option<usize> {
         let job = &self.jobs[ji];
-        let progress = self.reduce_window.fill(job, self.cfg.reduce_candidate_window, self.now);
-        let candidates = self.reduce_window.candidates();
+        let window = &mut self.scratch.reduce_window;
+        let progress = window.fill(job, self.cfg.reduce_candidate_window, self.now);
+        let candidates = window.candidates();
         let cost = sched_metric(&self.congestion, &self.hops);
         self.reduce_free.ensure_list();
         let free = self.reduce_free.list();
@@ -1373,20 +1401,17 @@ impl Simulation {
         self.refresh_demand(ji);
         self.release_reduce_slot(node);
 
-        let r = &self.jobs[ji].reduces[f];
+        let r = &mut self.jobs[ji].reduces[f];
+        let fold = &mut self.scratch.fold;
         // Reduce locality: where did the bulk of its input live?
-        let locality = match r.dominant_source() {
+        let locality = match r.dominant_source(fold) {
             Some(src) if src == node => LocalityClass::NodeLocal,
             Some(src) if self.layout.same_rack(src, node) => LocalityClass::RackLocal,
             Some(_) => LocalityClass::Remote,
             None => LocalityClass::NodeLocal, // no input at all
         };
-        let local_bytes: f64 = r
-            .per_source
-            .iter()
-            .filter(|(n, _)| *n == node)
-            .map(|(_, b)| *b)
-            .sum();
+        let local_bytes: f64 =
+            r.per_source(fold).iter().filter(|(n, _)| *n == node).map(|(_, b)| *b).sum();
         self.trace.tasks.push(TaskRecord {
             job: ji,
             kind: TaskKind::Reduce,
@@ -1398,6 +1423,7 @@ impl Simulation {
             net_bytes: r.received - local_bytes,
             epoch: 0,
         });
+        r.clear_sources();
         self.check_job_done(ji);
     }
 
@@ -1598,7 +1624,7 @@ impl Simulation {
                 ) {
                     continue;
                 }
-                let lost_bytes = r.drop_source(n);
+                let lost_bytes = r.drop_source(n, &mut self.scratch.fold);
                 if lost_bytes > 0.0 {
                     if let ReducePhase::Merging { node } = r.phase {
                         // The merge consumed bytes that no longer exist;

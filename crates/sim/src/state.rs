@@ -7,15 +7,18 @@
 //! would carry, derived on demand.
 //!
 //! The collections here are sized for 10k-node / 1M-task runs: pending
-//! task queues are intrusive [`PendingList`]s (O(1) remove), shuffle
-//! bookkeeping is indexed per source node instead of linearly scanned,
-//! per-node tables (`done_outputs`, `local_maps`) are sparse instead of
+//! task queues are intrusive [`PendingList`]s (O(1) remove), pending
+//! shuffle fetches merge per source node through an index, per-node
+//! tables (`done_outputs`, `local_maps`) are sparse instead of
 //! `O(n_nodes)` vectors per job, and aggregate map progress is an integer
 //! counter instead of an `O(maps)` sweep. Every replacement preserves the
 //! iteration order and membership of the structure it replaced, so
 //! decision traces are byte-identical. The sparse maps hash their `u32`
-//! keys with one multiply ([`IdMap`]), not SipHash: shuffle segments touch
-//! them several times each.
+//! keys with one multiply ([`IdMap`]), not SipHash. Received shuffle bytes
+//! are appended to a per-reduce log, `O(receives)` and dropped when the
+//! reduce finishes, and folded per source only when read ([`SourceFold`]):
+//! every fetch lands one, and a per-source ledger cost each a hash probe
+//! and a scattered write.
 
 use crate::config::JobInput;
 use crate::freeset::PendingList;
@@ -248,6 +251,37 @@ impl SourceQueue {
     }
 }
 
+/// Folds receive logs into per-source totals ([`ReduceTask::per_source`]).
+/// One serves every reduce in turn, so its node index is sized once.
+#[derive(Debug, Default)]
+pub struct SourceFold {
+    /// Node → 1 + its position in `sums`, 0 if absent (non-zero only for
+    /// the last fold's sources).
+    at: Vec<u32>,
+    sums: Vec<(NodeId, f64)>,
+}
+
+impl SourceFold {
+    fn fold(&mut self, log: &[(NodeId, f64)]) -> &[(NodeId, f64)] {
+        for (src, _) in self.sums.drain(..) {
+            self.at[src.idx()] = 0;
+        }
+        for &(src, bytes) in log {
+            if src.idx() >= self.at.len() {
+                self.at.resize(src.idx() + 1, 0);
+            }
+            match self.at[src.idx()] {
+                0 => {
+                    self.sums.push((src, bytes));
+                    self.at[src.idx()] = self.sums.len() as u32;
+                }
+                k => self.sums[k as usize - 1].1 += bytes,
+            }
+        }
+        &self.sums
+    }
+}
+
 /// One reduce task.
 #[derive(Clone, Debug)]
 pub struct ReduceTask {
@@ -259,11 +293,9 @@ pub struct ReduceTask {
     pub active_fetches: usize,
     /// Shuffle bytes received so far.
     pub received: f64,
-    /// Bytes received from each source node (locality accounting).
-    pub per_source: Vec<(NodeId, f64)>,
-    /// Source node → index into `per_source` (kept consistent across
-    /// `swap_remove` by `drop_source`).
-    per_source_idx: IdMap<u32>,
+    /// Every receive as `(source, bytes)`, in arrival order; folded into
+    /// per-source totals only when read.
+    log: Vec<(NodeId, f64)>,
     /// Assignment time.
     pub assigned_t: f64,
     /// Attempt id; bumped whenever the current attempt is killed or sent
@@ -278,8 +310,7 @@ impl ReduceTask {
             pending: SourceQueue::default(),
             active_fetches: 0,
             received: 0.0,
-            per_source: Vec::new(),
-            per_source_idx: IdMap::default(),
+            log: Vec::new(),
             assigned_t: 0.0,
             run: 0,
         }
@@ -306,45 +337,38 @@ impl ReduceTask {
     /// Account received bytes from `src`.
     pub fn receive(&mut self, src: NodeId, bytes: f64) {
         self.received += bytes;
-        match self.per_source_idx.entry(src.0) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.per_source[*e.get() as usize].1 += bytes;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(self.per_source.len() as u32);
-                self.per_source.push((src, bytes));
-            }
-        }
+        self.log.push((src, bytes));
+    }
+
+    /// Bytes received from each source node, in first-receive order: each
+    /// its receives added in arrival order, a per-receive ledger's bits.
+    pub fn per_source<'f>(&self, fold: &'f mut SourceFold) -> &'f [(NodeId, f64)] {
+        fold.fold(&self.log)
     }
 
     /// Forget everything `src` contributed — pending fetch and received
-    /// bytes — returning the lost byte count (node-crash recovery).
-    pub fn drop_source(&mut self, src: NodeId) -> f64 {
+    /// bytes — returning the lost byte count (node-crash recovery). The
+    /// survivors are re-logged as totals in a ledger's `swap_remove` order.
+    pub fn drop_source(&mut self, src: NodeId, fold: &mut SourceFold) -> f64 {
         self.pending.remove_source(src);
-        let Some(pos) = self.per_source_idx.remove(&src.0) else {
-            return 0.0;
-        };
-        let (_, bytes) = self.per_source.swap_remove(pos as usize);
-        if let Some(moved) = self.per_source.get(pos as usize) {
-            self.per_source_idx.insert(moved.0 .0, pos);
-        }
+        let sums = fold.fold(&self.log);
+        let Some(pos) = sums.iter().position(|(n, _)| *n == src) else { return 0.0 };
+        self.log = sums.to_vec();
+        let (_, bytes) = self.log.swap_remove(pos);
         self.received -= bytes;
         bytes
     }
 
-    /// Reset all shuffle accounting (attempt killed outright).
+    /// Reset all shuffle accounting and free the log (attempt killed
+    /// outright, or finished and recorded).
     pub fn clear_sources(&mut self) {
         self.received = 0.0;
-        self.per_source.clear();
-        self.per_source_idx.clear();
+        self.log = Vec::new();
     }
 
     /// The source node contributing the most bytes (reduce locality).
-    pub fn dominant_source(&self) -> Option<NodeId> {
-        self.per_source
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(n, _)| *n)
+    pub fn dominant_source(&self, fold: &mut SourceFold) -> Option<NodeId> {
+        self.per_source(fold).iter().max_by(|a, b| a.1.total_cmp(&b.1)).map(|(n, _)| *n)
     }
 
     /// Whether the task has completed.
@@ -497,16 +521,15 @@ impl JobState {
         m.weights = w;
     }
 
-    /// Up to `limit` unassigned map tasks with a replica on `node`
-    /// (compacting already-assigned entries out of the index) — the
-    /// node-local candidates Hadoop's per-node task cache would surface.
-    pub fn local_unassigned_on(&mut self, node: NodeId, limit: usize) -> Vec<usize> {
-        let Some(cache) = self.local_maps.get_mut(&(node.idx() as u32)) else {
-            return Vec::new();
-        };
+    /// Fill `out` with up to `limit` unassigned map tasks with a replica on
+    /// `node` (compacting the index) — the node-local candidates Hadoop's
+    /// per-node task cache would surface.
+    pub fn local_unassigned_into(&mut self, node: NodeId, limit: usize, out: &mut Vec<usize>) {
+        out.clear();
+        let Some(cache) = self.local_maps.get_mut(&(node.idx() as u32)) else { return };
         let maps = &self.maps;
         cache.retain(|&m| matches!(maps[m as usize].phase, MapPhase::Unassigned));
-        cache.iter().take(limit).map(|&m| m as usize).collect()
+        out.extend(cache.iter().take(limit).map(|&m| m as usize));
     }
 
     /// Whether every task has finished.
@@ -974,16 +997,118 @@ mod tests {
     #[test]
     fn reduce_drop_source_forgets_contribution() {
         let mut r = ReduceTask::new();
+        let mut fold = SourceFold::default();
         r.receive(NodeId(1), 10.0);
         r.receive(NodeId(2), 30.0);
         r.enqueue(NodeId(2), 4.0);
-        assert_eq!(r.drop_source(NodeId(2)), 30.0);
+        assert_eq!(r.drop_source(NodeId(2), &mut fold), 30.0);
         assert_eq!(r.received, 10.0);
         assert!(r.pending.is_empty());
-        // Index stays consistent after the swap_remove.
+        // The survivors fold on after the swap_remove.
         r.receive(NodeId(1), 5.0);
-        assert_eq!(r.per_source, vec![(NodeId(1), 15.0)]);
-        assert_eq!(r.drop_source(NodeId(9)), 0.0);
+        assert_eq!(r.per_source(&mut fold), [(NodeId(1), 15.0)]);
+        assert_eq!(r.drop_source(NodeId(9), &mut fold), 0.0);
+    }
+
+    /// The eager ledger the receive log replaced, kept as its reference:
+    /// per-source totals in first-receive order, updated in place through
+    /// an index on every receive, `swap_remove`d on a drop.
+    #[derive(Default)]
+    struct Ledger {
+        per_source: Vec<(NodeId, f64)>,
+        idx: HashMap<u32, u32>,
+        received: f64,
+    }
+
+    impl Ledger {
+        fn receive(&mut self, src: NodeId, bytes: f64) {
+            self.received += bytes;
+            match self.idx.get(&src.0) {
+                Some(&i) => self.per_source[i as usize].1 += bytes,
+                None => {
+                    self.idx.insert(src.0, self.per_source.len() as u32);
+                    self.per_source.push((src, bytes));
+                }
+            }
+        }
+
+        fn drop_source(&mut self, src: NodeId) -> f64 {
+            let Some(pos) = self.idx.remove(&src.0) else { return 0.0 };
+            let (_, bytes) = self.per_source.swap_remove(pos as usize);
+            if let Some(moved) = self.per_source.get(pos as usize) {
+                self.idx.insert(moved.0 .0, pos);
+            }
+            self.received -= bytes;
+            bytes
+        }
+
+        fn clear(&mut self) {
+            *self = Self::default();
+        }
+
+        fn dominant_source(&self) -> Option<NodeId> {
+            self.per_source.iter().max_by(|a, b| a.1.total_cmp(&b.1)).map(|(n, _)| *n)
+        }
+    }
+
+    /// One step on one of two reduces that share a [`SourceFold`].
+    #[derive(Clone, Debug)]
+    enum LogOp {
+        Receive(usize, u32, f64),
+        Drop(usize, u32),
+        Clear(usize),
+    }
+
+    fn log_op() -> impl proptest::strategy::Strategy<Value = LogOp> {
+        use proptest::strategy::Strategy;
+        // Byte counts of mixed magnitude, so the totals round differently
+        // when their additions are reordered; equal counts make ties.
+        let bytes =
+            proptest::prop_oneof![0.0f64..1.0, 1e3f64..1e12, proptest::strategy::Just(5e6)];
+        proptest::prop_oneof![
+            10 => (0..2usize, 0..6u32, bytes).prop_map(|(r, n, b)| LogOp::Receive(r, n, b)),
+            3 => (0..2usize, 0..7u32).prop_map(|(r, n)| LogOp::Drop(r, n)),
+            1 => (0..2usize).prop_map(LogOp::Clear),
+        ]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn receive_log_folds_like_the_eager_ledger(
+            ops in proptest::collection::vec(log_op(), 0..120),
+        ) {
+            let mut reduces = [ReduceTask::new(), ReduceTask::new()];
+            let mut ledgers = [Ledger::default(), Ledger::default()];
+            let mut fold = SourceFold::default();
+            for op in ops {
+                let r = match op {
+                    LogOp::Receive(r, n, b) => {
+                        reduces[r].receive(NodeId(n), b);
+                        ledgers[r].receive(NodeId(n), b);
+                        r
+                    }
+                    LogOp::Drop(r, n) => {
+                        let got = reduces[r].drop_source(NodeId(n), &mut fold);
+                        let want = ledgers[r].drop_source(NodeId(n));
+                        proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+                        r
+                    }
+                    LogOp::Clear(r) => {
+                        reduces[r].clear_sources();
+                        ledgers[r].clear();
+                        r
+                    }
+                };
+                let (task, want) = (&reduces[r], &ledgers[r]);
+                let got: Vec<(NodeId, u64)> =
+                    task.per_source(&mut fold).iter().map(|&(n, b)| (n, b.to_bits())).collect();
+                let expect: Vec<(NodeId, u64)> =
+                    want.per_source.iter().map(|&(n, b)| (n, b.to_bits())).collect();
+                proptest::prop_assert_eq!(got, expect);
+                proptest::prop_assert_eq!(task.dominant_source(&mut fold), want.dominant_source());
+                proptest::prop_assert_eq!(task.received.to_bits(), want.received.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -992,7 +1117,7 @@ mod tests {
         r.receive(NodeId(1), 10.0);
         r.receive(NodeId(2), 30.0);
         r.receive(NodeId(1), 5.0);
-        assert_eq!(r.dominant_source(), Some(NodeId(2)));
+        assert_eq!(r.dominant_source(&mut SourceFold::default()), Some(NodeId(2)));
         assert_eq!(r.received, 45.0);
     }
 }

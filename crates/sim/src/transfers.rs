@@ -117,8 +117,9 @@ pub trait RateSource: Send {
     /// own order, and return them in that order.
     fn remove_where(&mut self, now: f64, gone: &mut dyn FnMut(&Transfer) -> bool) -> Vec<Transfer>;
 
-    /// Remove and return every transfer that has finished by `now`.
-    fn finished_by(&mut self, now: f64) -> Vec<Transfer>;
+    /// Remove every transfer that has finished by `now`, appending each to
+    /// `done` in the source's own order.
+    fn finished_into(&mut self, now: f64, done: &mut Vec<Transfer>);
 
     /// Predicted absolute time of the next finish under current rates;
     /// `None` when nothing bounded is in flight.
@@ -139,6 +140,8 @@ pub trait RateSource: Send {
 /// `Box<Engine<dyn RateSource>>` the runner holds.
 pub struct Engine<R: ?Sized> {
     version: u64,
+    /// Scratch for [`Engine::reap_into`], kept for its capacity.
+    reaped: Vec<Transfer>,
     source: R,
 }
 
@@ -163,7 +166,7 @@ impl Transfers {
             node_links,
             base_caps: topo.links().iter().map(|l| l.capacity_bps).collect(),
         };
-        Self { version: 0, source }
+        Self { version: 0, reaped: Vec::new(), source }
     }
 }
 
@@ -179,7 +182,7 @@ impl NominalTransfers {
             heap: BinaryHeap::new(),
             stamp: 0,
         };
-        Self { version: 0, source }
+        Self { version: 0, reaped: Vec::new(), source }
     }
 }
 
@@ -205,7 +208,7 @@ impl<R: RateSource + ?Sized> Engine<R> {
     ///
     /// Local transfers (`src == dst`) and tiny ones complete immediately and
     /// are returned as `Some(completion)`; remote ones return `None` and
-    /// will surface through [`Engine::reap`].
+    /// will surface through [`Engine::reap_into`].
     pub fn start(
         &mut self,
         now: f64,
@@ -269,19 +272,25 @@ impl<R: RateSource + ?Sized> Engine<R> {
     }
 
     /// Advance to `now` and remove every transfer that has finished,
-    /// returning their completions (possibly empty — wake-ups may race).
+    /// appending their completions to `done` (possibly none — wake-ups may
+    /// race).
+    pub fn reap_into(&mut self, now: f64, done: &mut Vec<Completion>) {
+        self.source.finished_into(now, &mut self.reaped);
+        self.version += u64::from(!self.reaped.is_empty());
+        done.extend(self.reaped.drain(..).map(|t| Completion {
+            tag: t.tag,
+            src: t.src,
+            dst: t.dst,
+            bytes: t.bytes,
+            avg_rate: t.bytes / (now - t.started).max(1e-9),
+        }));
+    }
+
+    /// [`Engine::reap_into`] a fresh `Vec`.
     pub fn reap(&mut self, now: f64) -> Vec<Completion> {
-        let done = self.source.finished_by(now);
-        self.version += u64::from(!done.is_empty());
-        done.into_iter()
-            .map(|t| Completion {
-                tag: t.tag,
-                src: t.src,
-                dst: t.dst,
-                bytes: t.bytes,
-                avg_rate: t.bytes / (now - t.started).max(1e-9),
-            })
-            .collect()
+        let mut done = Vec::new();
+        self.reap_into(now, &mut done);
+        done
     }
 
     /// Predicted absolute time of the next completion under current rates,
@@ -349,12 +358,17 @@ impl Fluid {
         self.last_advance = now;
     }
 
-    /// Advance to `now` and remove every transfer `gone` selects, with its
-    /// flow. The one place either vector shrinks: both `swap_remove` the
-    /// same position, which is the lock-step invariant of the module header.
-    fn remove_if(&mut self, now: f64, mut gone: impl FnMut(&Active) -> bool) -> Vec<Transfer> {
+    /// Advance to `now` and move every transfer `gone` selects onto
+    /// `removed`, dropping its flow. The one place either vector shrinks:
+    /// both `swap_remove` the same position, which is the lock-step
+    /// invariant of the module header.
+    fn remove_if(
+        &mut self,
+        now: f64,
+        mut gone: impl FnMut(&Active) -> bool,
+        removed: &mut Vec<Transfer>,
+    ) {
         self.advance(now);
-        let mut removed = Vec::new();
         let mut i = 0;
         while i < self.active.len() {
             if gone(&self.active[i]) {
@@ -365,7 +379,6 @@ impl Fluid {
                 i += 1;
             }
         }
-        removed
     }
 }
 
@@ -381,11 +394,13 @@ impl RateSource for Fluid {
     }
 
     fn remove_where(&mut self, now: f64, gone: &mut dyn FnMut(&Transfer) -> bool) -> Vec<Transfer> {
-        self.remove_if(now, |a| gone(&a.t))
+        let mut removed = Vec::new();
+        self.remove_if(now, |a| gone(&a.t), &mut removed);
+        removed
     }
 
-    fn finished_by(&mut self, now: f64) -> Vec<Transfer> {
-        self.remove_if(now, |a| a.remaining <= DONE_EPSILON)
+    fn finished_into(&mut self, now: f64, done: &mut Vec<Transfer>) {
+        self.remove_if(now, |a| a.remaining <= DONE_EPSILON, done);
     }
 
     fn next_finish(&mut self) -> Option<f64> {
@@ -497,13 +512,11 @@ impl RateSource for Nominal {
         removed
     }
 
-    fn finished_by(&mut self, now: f64) -> Vec<Transfer> {
-        let mut done = Vec::new();
+    fn finished_into(&mut self, now: f64, done: &mut Vec<Transfer>) {
         while let Some((_, slot)) = self.top().filter(|&(finish, _)| finish <= now) {
             self.heap.pop();
             done.push(self.release(slot));
         }
-        done
     }
 
     fn next_finish(&mut self) -> Option<f64> {
